@@ -15,13 +15,12 @@ computed by multi-start constrained maximization over the positive
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import implicit, scheme
-from .model import drift_eval
+from . import scheme
 from .scheme import TimeGrid, simulate_batch
 
 __all__ = [
@@ -116,7 +115,7 @@ def _coarsen_batch(increments, factor):
     return out
 
 
-def _error_functional(mode, p, coarse_states, ref_states):
+def _error_functional(mode, coarse_states, ref_states):
     # Euclidean norm of the state mismatch at each recorded grid time
     dist = np.linalg.norm(coarse_states - ref_states, axis=2)
     if mode == "terminal_L2":
@@ -160,9 +159,7 @@ def _per_level_errors(study, levels, threads=1, chunk=250):
             cinc = _coarsen_batch(inc, study.ref_level // n)
             rec, _ = simulate_batch(study.system, TimeGrid(study.T, n), cinc)
             ref_at = ref_rec[:, :: nmax // n]
-            samples[n][start:stop] = _error_functional(
-                study.error_mode, study.p, rec, ref_at
-            )
+            samples[n][start:stop] = _error_functional(study.error_mode, rec, ref_at)
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -320,21 +317,8 @@ def collision_rate_explicit(system, n, M, seed, T=1.0):
             if not alive.any():
                 break
             xa = x[alive]
-            diff = xa[:, :, None] - xa[:, None, :]
-            eye = np.eye(system.d, dtype=bool)
-            diff[:, eye] = 1.0
-            terms = system.gamma[None] / diff
-            terms[:, eye] = 0.0
-            b = drift_eval(system.drift, xa)
-            sig = system.diffusion
-            dW = inc[alive, k]
-            if hasattr(sig, "diagonal"):
-                noise = sig.diagonal(xa) * dW
-            elif hasattr(sig, "matrix"):
-                noise = dW @ sig.matrix.T
-            else:
-                noise = np.stack([sig(row) @ w for row, w in zip(xa, dW)])
-            xa = xa + (terms.sum(axis=2) + b) * h + noise
+            b, noise = scheme._drift_and_noise(system, xa, inc[alive, k], explicit=True)
+            xa = xa + b * h + noise
             ordered = np.all(np.diff(xa, axis=1) > 0, axis=1)
             live_idx = np.flatnonzero(alive)
             x[live_idx[ordered]] = xa[ordered]

@@ -317,7 +317,7 @@ def main(argv=None):
     lines = []
     try:
         code = _COMMANDS[args.command](args, lines.append)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the library's input checks
         print(f"error,validation,\"{exc}\"", file=sys.stderr)
         return EXIT_VALIDATION
     except NonConvergenceError as exc:

@@ -19,7 +19,7 @@ contract, so there is no wall-clock default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml

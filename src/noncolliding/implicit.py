@@ -3,21 +3,37 @@
     xi_i = a_i + sum_{j != i} c_ij / (xi_i - xi_j),   i = 1..d,
 
 which has a unique strictly ordered solution whenever c is symmetric,
-non-negative, and positive on the first off-diagonal.  Newton with damping
-is the fast path; continuation along an ordinary differential equation from
-the trivially ordered point J = (1, ..., d) is the certified fallback.  Two
-structure-specific fixed-point iterations are available for tridiagonal
+non-negative, and positive on the first off-diagonal.  The system is the
+gradient condition of the strictly convex energy
+
+    F(xi) = |xi - a|^2 / 2 - sum_{i<j} c_ij log(xi_j - xi_i)
+
+on the ordered chamber, and `jacobian` is the Hessian of F.
+
+One damped-Newton core serves every caller.  It iterates on a batch of rows
+(one problem per row, all sharing c) from the decoupled-pair guess and takes
+the longest step 2^-k, k < 60, whose iterate is strictly ordered and has a
+smaller max-norm residual.  A row stops once its residual is at most `tol`.
+A row whose line search stalls, or that spends `max_iter` steps, is accepted
+if its residual is below a per-row roundoff floor and fails otherwise; `solve`
+and `solve_batch` hand a failed row to continuation along an ODE from the
+trivially ordered point J = (1, ..., d).  Every operation of the core acts on
+each row alone, so a row gets the same bits alone as inside any batch.
+Backtracking on F itself (Armijo) is deliberately not used: it would change
+which steps are accepted, and with them the results.
+
+Two structure-specific fixed-point iterations are available for tridiagonal
 coefficients and for d = 3 with uniform coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NonConvergenceError
+from .model import is_tridiagonal, is_uniform, validate_interaction
 
 __all__ = [
     "ImplicitProblem",
@@ -44,36 +60,22 @@ class ImplicitProblem:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        c = np.asarray(self.c, dtype=float)
         if a.ndim != 1:
             raise ValueError("a must be a vector")
-        d = a.shape[0]
-        if d < 2:
+        if a.shape[0] < 2:
             raise ValueError("need at least two particles")
-        if c.shape != (d, d):
-            raise ValueError(f"c must be a {d}x{d} matrix")
-        if np.any(c < 0):
-            raise ValueError("c entries must be non-negative")
-        if not np.array_equal(c, c.T):
-            raise ValueError("c must be symmetric")
-        if np.any(np.diag(c) != 0):
-            raise ValueError("c must have zero diagonal")
-        if np.any(np.diag(c, 1) <= 0):
-            raise ValueError("c must have strictly positive first off-diagonal")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", validate_interaction(self.c, a.shape[0], "c"))
 
     @property
     def d(self):
         return self.a.shape[0]
 
     def is_tridiagonal(self):
-        mask = np.abs(np.subtract.outer(np.arange(self.d), np.arange(self.d))) >= 2
-        return bool(np.all(self.c[mask] == 0))
+        return is_tridiagonal(self.c)
 
     def is_uniform(self):
-        off = self.c[~np.eye(self.d, dtype=bool)]
-        return bool(np.all(off == off[0]))
+        return is_uniform(self.c)
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class SolverOptions:
             raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.method not in ("auto", "newton", "homotopy", "fixed_point_nn", "alternating_d3"):
+        if self.method != "auto" and self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -124,13 +126,43 @@ def _check_ordered(xi):
     return xi
 
 
-def _interaction(c, xi):
-    # sum_{j != i} c_ij / (xi_i - xi_j) for each i
-    diff = xi[:, None] - xi[None, :]
-    np.fill_diagonal(diff, 1.0)
-    terms = c / diff
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
+def _interaction(c, xi, weights=False):
+    """sum_{j != i} c_ij / (xi_i - xi_j) along the last axis of xi.
+
+    With weights=True also returns the Hessian weights c_ij / (xi_i - xi_j)**2.
+    The difference matrix carries inf on its diagonal, which makes the
+    diagonal terms of both zero.
+    """
+    idx = np.arange(xi.shape[-1])
+    diff = xi[..., :, None] - xi[..., None, :]
+    diff[..., idx, idx] = np.inf
+    total = (c / diff).sum(axis=-1)
+    if not weights:
+        return total
+    return total, c / diff**2
+
+
+def _hessian(w):
+    # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (..., d, d)
+    idx = np.arange(w.shape[-1])
+    h = -w
+    h[..., idx, idx] = 1.0 + w.sum(axis=-1)
+    return h
+
+
+def _hessian_solve(w, b):
+    """H^{-1} b on each row, for Hessian weights w (m, d, d) and b (m, d).
+
+    A row whose Hessian is singular in floating point (weights so large that
+    the identity is lost) gets NaN, which no line search or continuation
+    step accepts; the other rows are solved one by one with the same bits.
+    """
+    try:
+        return np.linalg.solve(_hessian(w), b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(b) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([_hessian_solve(w[i : i + 1], b[i : i + 1]) for i in range(len(b))])
 
 
 def residual(problem, xi):
@@ -142,90 +174,140 @@ def residual(problem, xi):
 def jacobian(problem, xi):
     """Symmetric positive definite matrix I - dg/dx of the system map."""
     xi = _check_ordered(xi)
-    diff = xi[:, None] - xi[None, :]
-    np.fill_diagonal(diff, 1.0)
-    w = problem.c / diff**2
-    np.fill_diagonal(w, 0.0)
-    m = -w
-    m[np.diag_indices_from(m)] = 1.0 + w.sum(axis=1)
-    return m
+    return _hessian(_interaction(problem.c, xi, weights=True)[1])
+
+
+def _pair_gap(da, c):
+    # positive root of x = da + 2c/x, the gap of an isolated pair
+    return 0.5 * (da + np.sqrt(da**2 + 8.0 * c))
+
+
+def _anchor(a, gaps):
+    # first position that puts mean(xi) at mean(a), as the exact solution has;
+    # an elementwise sum, not a matrix product, keeps rows independent
+    d = a.shape[-1]
+    return a.mean(axis=-1) - np.sum((d - 1 - np.arange(d - 1)) * gaps, axis=-1) / d
 
 
 def _initial_guess(a, c):
-    # Decoupled-pair gaps: exact for d = 2, ordered by construction.
-    da = np.diff(a)
-    csup = np.diag(c, 1)
-    gaps = 0.5 * (da + np.sqrt(da**2 + 8.0 * csup))
-    d = a.shape[0]
-    # anchor so that mean(xi) = mean(a); the exact solution satisfies sum(xi) = sum(a)
-    anchor = a.mean() - np.sum((d - 1 - np.arange(d - 1)) * gaps) / d
-    return anchor + np.concatenate(([0.0], np.cumsum(gaps)))
+    # Decoupled-pair gaps for each row of a: exact for d = 2, ordered unless
+    # roundoff cancels a gap.
+    gaps = _pair_gap(np.diff(a, axis=-1), np.diag(c, 1))
+    start = np.zeros(gaps.shape[:-1] + (1,))
+    return _anchor(a, gaps)[..., None] + np.concatenate([start, np.cumsum(gaps, axis=-1)], axis=-1)
 
 
-def _residual_floor(problem, opts, xi=None):
-    # Roundoff limits the achievable residual to roughly eps * problem scale;
-    # a stalled iteration below this scale-relative floor counts as converged.
-    # Near-collision instances inflate the floor through the interaction
-    # weights c_ij / (xi_i - xi_j)^2; that contribution is capped so the
-    # accepted residual never exceeds 100x the base tolerance.
-    amax = max(1.0, float(np.max(np.abs(problem.a))))
-    base = opts.tol * amax
-    if xi is None:
+def _residual_floor(a, tol, w=None):
+    """Residual at which a stalled row of a counts as converged.
+
+    Roundoff limits the achievable residual to roughly eps * problem scale.
+    Near-collision rows inflate it through the Hessian weights w at the
+    iterate; that contribution is capped at 100x the scale-relative tolerance.
+    """
+    amax = np.maximum(1.0, np.max(np.abs(a), axis=-1))
+    base = tol * amax
+    if w is None:
         return base
-    diff = xi[:, None] - xi[None, :]
-    np.fill_diagonal(diff, 1.0)
-    w = problem.c / diff**2
-    np.fill_diagonal(w, 0.0)
-    eps = np.finfo(float).eps
-    cond_floor = 64.0 * eps * amax * (1.0 + float(w.sum(axis=1).max()))
-    return max(base, min(cond_floor, 100.0 * base))
+    cond_floor = 64.0 * np.finfo(float).eps * amax * (1.0 + w.sum(axis=-1).max(axis=-1))
+    return np.maximum(base, np.minimum(cond_floor, 100.0 * base))
 
 
-def _newton_from(problem, xi, opts, budget=None):
-    """Damped Newton iteration from a strictly ordered start."""
-    a, c = problem.a, problem.c
-    max_iter = opts.max_iter if budget is None else budget
-    r = xi - a - _interaction(c, xi)
-    rnorm = np.max(np.abs(r))
-    for it in range(max_iter):
-        if rnorm <= opts.tol:
-            return xi, it
-        m = jacobian(problem, xi)
-        try:
-            delta = cho_solve(cho_factor(m), -r)
-        except np.linalg.LinAlgError:  # pragma: no cover - M is SPD in exact arithmetic
-            delta = np.linalg.solve(m, -r)
-        alpha = 1.0
-        for _ in range(60):
-            trial = xi + alpha * delta
-            if np.all(np.diff(trial) > 0):
-                r_trial = trial - a - _interaction(c, trial)
-                if np.max(np.abs(r_trial)) < rnorm:
-                    xi, r, rnorm = trial, r_trial, np.max(np.abs(r_trial))
-                    break
-            alpha *= 0.5
+def _evaluate(a, c, x):
+    """Residual, max-norm residual and Hessian weights at each row of x.
+
+    The max-norm is inf on rows that are not strictly ordered; their residual
+    and weights are left undefined.
+    """
+    ordered = (x[:, 1:] > x[:, :-1]).all(axis=1)
+    if not ordered.all():
+        r, rn, w = np.empty_like(x), np.full(len(x), np.inf), np.empty(x.shape + x.shape[-1:])
+        r[ordered], rn[ordered], w[ordered] = _evaluate(a[ordered], c, x[ordered])
+        return r, rn, w
+    total, w = _interaction(c, x, weights=True)
+    r = x - a - total
+    return r, np.abs(r).max(axis=1), w
+
+
+def _line_search(a, c, x, rn, delta):
+    """Full Newton step on every row of x, halved up to 59 times on the rows
+    where it leaves the ordered chamber or does not lower the max-norm
+    residual rn.
+
+    Returns the new iterate, residual, max-norm residual and Hessian weights
+    of every row, and the mask of the rows that found no step; their entries
+    are undefined.
+    """
+    x_new = x + delta
+    r, rn_new, w = _evaluate(a, c, x_new)
+    pending = np.flatnonzero(~(rn_new < rn))
+    for k in range(1, 60):
+        if pending.size == 0:
+            break
+        trial = x[pending] + 0.5**k * delta[pending]
+        r_t, rn_t, w_t = _evaluate(a[pending], c, trial)
+        better = rn_t < rn[pending]
+        moved = pending[better]
+        x_new[moved], r[moved], rn_new[moved], w[moved] = trial[better], r_t[better], rn_t[better], w_t[better]
+        pending = pending[~better]
+    stuck = np.zeros(len(x), dtype=bool)
+    stuck[pending] = True
+    return x_new, r, rn_new, w, stuck
+
+
+def _newton(a, c, xi, opts):
+    """Damped Newton on each row of xi, shape (m, d), for the offsets in a.
+
+    Returns per row the iterate, the accepted steps, the max-norm residual
+    and whether the row converged.  A row fails when its start is not
+    strictly ordered, or when it stalls or spends max_iter steps above its
+    residual floor.
+    """
+    m = len(xi)
+    xi = xi.copy()
+    r, rnorm, w = _evaluate(a, c, xi)
+    iterations = np.zeros(m, dtype=int)
+    ok = np.zeros(m, dtype=bool)
+    # the state (rows, x, ar, r, rn, w) covers the rows still iterating
+    rows = np.flatnonzero(rnorm < np.inf)
+    x, ar, r, rn, w = xi[rows], a[rows], r[rows], rnorm[rows], w[rows]
+    for it in range(opts.max_iter + 1):
+        xi[rows], rnorm[rows], iterations[rows] = x, rn, it
+        live = rn > opts.tol
+        ok[rows[~live]] = True
+        if not live.all():
+            rows, x, ar, r, rn, w = (v[live] for v in (rows, x, ar, r, rn, w))
+        if rows.size == 0 or it == opts.max_iter:
+            break
+        delta = _hessian_solve(w, -r)
+        x_new, r_new, rn_new, w_new, stuck = _line_search(ar, c, x, rn, delta)
+        if stuck.any():
+            ok[rows[stuck]] = rn[stuck] <= _residual_floor(ar[stuck], opts.tol, w[stuck])
+            moved = ~stuck
+            rows, x, ar, r, rn, w = (v[moved] for v in (rows, x_new, ar, r_new, rn_new, w_new))
         else:
-            if rnorm <= _residual_floor(problem, opts, xi):
-                return xi, it
-            raise NonConvergenceError(
-                "newton line search stalled", method="newton", iterations=it, residual=rnorm
-            )
-    if rnorm <= _residual_floor(problem, opts, xi):
-        return xi, max_iter
-    raise NonConvergenceError(
-        "newton did not reach tolerance", method="newton", iterations=max_iter, residual=rnorm
-    )
+            x, r, rn, w = x_new, r_new, rn_new, w_new
+    if rows.size:
+        # these rows spent max_iter steps above tol
+        ok[rows] = rn <= _residual_floor(ar, opts.tol, w)
+    return xi, iterations, rnorm, ok
+
+
+def _newton_row(problem, opts, start=None):
+    """The Newton core on one problem; returns (xi, accepted steps) or raises."""
+    a = problem.a[None]
+    start = _initial_guess(a, problem.c) if start is None else start[None]
+    xi, iterations, rnorm, ok = _newton(a, problem.c, start, opts)
+    if not ok[0]:
+        raise NonConvergenceError(
+            "newton did not reach tolerance",
+            method="newton", iterations=int(iterations[0]), residual=float(rnorm[0]),
+        )
+    return xi[0], int(iterations[0])
 
 
 def solve_newton(problem, opts=None):
     """Damped Newton from the decoupled-pair initial guess."""
-    opts = opts or SolverOptions()
-    xi, _ = _newton_from(problem, _initial_guess(problem.a, problem.c), opts)
-    return xi
-
-
-def _solve_newton_counted(problem, opts):
-    return _newton_from(problem, _initial_guess(problem.a, problem.c), opts)
+    return _newton_row(problem, opts or SolverOptions())[0]
 
 
 def solve_homotopy(problem, opts=None):
@@ -236,33 +318,20 @@ def solve_homotopy(problem, opts=None):
     keep the trajectory strictly ordered and satisfy the derivative bound
     |dx/dt| <= |g(J)|; a violating step is retried at half length.
     """
-    xi, _ = _solve_homotopy_counted(problem, opts or SolverOptions())
-    return xi
+    return _homotopy(problem, opts or SolverOptions())[0]
 
 
-def _solve_homotopy_counted(problem, opts):
-    """Continuation solve; returns (xi, accepted steps + polish iterations).
-
-    Integrates dx/dt = (I - dg/dx)^{-1} g(J) from x(0) = J to t = 1 with
-    classical 4-stage steps, then polishes with Newton.  Accepted steps must
-    keep the trajectory strictly ordered and satisfy the derivative bound
-    |dx/dt| <= |g(J)|; a violating step is retried at half length.
-    """
-    opts = opts or SolverOptions()
-    a, c = problem.a, problem.c
-    d = problem.d
-    big_j = np.arange(1.0, d + 1.0)
-    g_j = a - big_j + _interaction(c, big_j)
+def _homotopy(problem, opts):
+    # solve_homotopy; returns (xi, accepted steps + polish iterations)
+    c = problem.c
+    big_j = np.arange(1.0, problem.d + 1.0)
+    g_j = problem.a - big_j + _interaction(c, big_j)
     g_norm = np.linalg.norm(g_j)
 
     def velocity(x):
-        if np.any(np.diff(x) <= 0):
+        if not np.all(np.diff(x) > 0):
             return None
-        m = jacobian(problem, x)
-        try:
-            return cho_solve(cho_factor(m), g_j)
-        except np.linalg.LinAlgError:  # pragma: no cover
-            return np.linalg.solve(m, g_j)
+        return _hessian_solve(_interaction(c, x[None], weights=True)[1], g_j[None])[0]
 
     x = big_j.copy()
     t = 0.0
@@ -288,12 +357,8 @@ def _solve_homotopy_counted(problem, opts):
         x = trial
         t += step
         accepted += 1
-    xi, polish = _newton_from(problem, x, opts)
+    xi, polish = _newton_row(problem, opts, start=x)
     return xi, accepted + polish
-
-
-def _nn_offsets(problem):
-    return np.diff(problem.a), np.diag(problem.c, 1)
 
 
 def _nn_map(aa, cc, x):
@@ -301,12 +366,18 @@ def _nn_map(aa, cc, x):
     t = aa.copy()
     t[:-1] -= cc[1:] / x[1:]
     t[1:] -= cc[:-1] / x[:-1]
-    return 0.5 * (t + np.sqrt(t**2 + 8.0 * cc))
+    return _pair_gap(t, cc)
 
 
 def _gap_solution_to_positions(problem, gaps):
-    anchor = problem.a.mean() - np.sum((problem.d - 1 - np.arange(problem.d - 1)) * gaps) / problem.d
-    return GapVector(gaps, float(anchor))
+    return GapVector(gaps, float(_anchor(problem.a, gaps)))
+
+
+def _converged_gaps(problem, opts, gaps):
+    # the gaps as a GapVector if their positions meet the residual floor, else None
+    gv = _gap_solution_to_positions(problem, gaps)
+    r = np.max(np.abs(residual(problem, gv.to_positions())))
+    return gv if r <= _residual_floor(problem.a, opts.tol) else None
 
 
 def solve_fixed_point_nn(problem, opts=None, max_sweeps=200_000):
@@ -317,15 +388,15 @@ def solve_fixed_point_nn(problem, opts=None, max_sweeps=200_000):
     Stops once both the sweep-to-sweep change and the residual of the
     recovered positions are within tolerance.
     """
-    gv, _ = _solve_fixed_point_nn_counted(problem, opts or SolverOptions(), max_sweeps)
-    return gv
+    return _fixed_point_nn(problem, opts or SolverOptions(), max_sweeps)[0]
 
 
-def _solve_fixed_point_nn_counted(problem, opts, max_sweeps=200_000):
+def _fixed_point_nn(problem, opts, max_sweeps=200_000):
+    # solve_fixed_point_nn; returns (GapVector, sweeps)
     if not problem.is_tridiagonal():
         raise ValueError("fixed_point_nn requires tridiagonal coefficients")
-    aa, cc = _nn_offsets(problem)
-    x = 0.5 * (aa + np.sqrt(aa**2 + 8.0 * cc))
+    aa, cc = np.diff(problem.a), np.diag(problem.c, 1)
+    x = _pair_gap(aa, cc)
     if problem.d == 2:
         return _gap_solution_to_positions(problem, x), 1
     for sweep in range(1, max_sweeps + 1):
@@ -337,8 +408,8 @@ def _solve_fixed_point_nn_counted(problem, opts, max_sweeps=200_000):
         change = np.max(np.abs(x_next - x))
         x = x_next
         if change <= opts.tol:
-            gv = _gap_solution_to_positions(problem, x)
-            if np.max(np.abs(residual(problem, gv.to_positions()))) <= _residual_floor(problem, opts):
+            gv = _converged_gaps(problem, opts, x)
+            if gv is not None:
                 return gv, sweep
     raise NonConvergenceError(
         "fixed-point iteration did not converge", method="fixed_point_nn", iterations=max_sweeps
@@ -362,11 +433,11 @@ def solve_alternating_d3(problem, opts=None, max_sweeps=200_000):
     increasing, y even decreasing; this is asserted along the way.  Not
     offered for d >= 4, where the generalized iteration can diverge.
     """
-    gv, _ = _solve_alternating_d3_counted(problem, opts or SolverOptions(), max_sweeps)
-    return gv
+    return _alternating_d3(problem, opts or SolverOptions(), max_sweeps)[0]
 
 
-def _solve_alternating_d3_counted(problem, opts, max_sweeps=200_000):
+def _alternating_d3(problem, opts, max_sweeps=200_000):
+    # solve_alternating_d3; returns (GapVector, sweeps)
     if problem.d != 3:
         raise ValueError("alternating_d3 requires d = 3")
     if not problem.is_uniform():
@@ -400,13 +471,21 @@ def _solve_alternating_d3_counted(problem, opts, max_sweeps=200_000):
         change = abs(x_next - x) + abs(y_next - y)
         x, y = x_next, y_next
         if change <= opts.tol:
-            gaps = sq * np.array([x, y])
-            gv = _gap_solution_to_positions(problem, gaps)
-            if np.max(np.abs(residual(problem, gv.to_positions()))) <= _residual_floor(problem, opts):
+            gv = _converged_gaps(problem, opts, sq * np.array([x, y]))
+            if gv is not None:
                 return gv, n
     raise NonConvergenceError(
         "alternating iteration did not converge", method="alternating_d3", iterations=max_sweeps
     )
+
+
+# method -> solver(problem, opts) returning (positions or GapVector, iterations)
+_METHODS = {
+    "newton": _newton_row,
+    "homotopy": _homotopy,
+    "fixed_point_nn": _fixed_point_nn,
+    "alternating_d3": _alternating_d3,
+}
 
 
 def solve(problem, opts=None):
@@ -418,127 +497,34 @@ def solve(problem, opts=None):
     an iteration count and the final residual max-norm.
     """
     opts = opts or SolverOptions()
-    if opts.method == "newton":
-        attempts = [("newton", _solve_newton_counted)]
-    elif opts.method == "homotopy":
-        attempts = [("homotopy", _solve_homotopy_counted)]
-    elif opts.method == "fixed_point_nn":
-        attempts = [
-            (
-                "fixed_point_nn",
-                lambda p, o: _positions_counted(_solve_fixed_point_nn_counted(p, o)),
-            )
-        ]
-    elif opts.method == "alternating_d3":
-        attempts = [
-            (
-                "alternating_d3",
-                lambda p, o: _positions_counted(_solve_alternating_d3_counted(p, o)),
-            )
-        ]
-    else:
-        attempts = [("newton", _solve_newton_counted), ("homotopy", _solve_homotopy_counted)]
+    names = ("newton", "homotopy") if opts.method == "auto" else (opts.method,)
     last = None
-    for name, fn in attempts:
+    for name in names:
         try:
-            xi, iters = fn(problem, opts)
+            xi, iterations = _METHODS[name](problem, opts)
         except NonConvergenceError as exc:
             last = exc
             continue
+        if isinstance(xi, GapVector):
+            xi = xi.to_positions()
         r = np.max(np.abs(residual(problem, xi)))
-        return SolveResult(xi=xi, method=name, iterations=int(iters), residual_norm=float(r))
+        return SolveResult(xi=xi, method=name, iterations=iterations, residual_norm=float(r))
     raise NonConvergenceError(
         f"all applicable methods failed: {last}", method=opts.method
     ) from last
 
 
-def _positions_counted(pair):
-    gv, iters = pair
-    return gv.to_positions(), iters
-
-
-# ---------------------------------------------------------------------------
-# Batched Newton (vectorized over independent problems sharing one c matrix)
-
-
-def _interaction_batch(c, xi):
-    diff = xi[:, :, None] - xi[:, None, :]
-    d = xi.shape[1]
-    eye = np.eye(d, dtype=bool)
-    diff[:, eye] = 1.0
-    terms = c[None, :, :] / diff
-    terms[:, eye] = 0.0
-    return terms.sum(axis=2)
-
-
-def _residual_batch(a, c, xi):
-    return xi - a - _interaction_batch(c, xi)
-
-
 def solve_batch(a, c, opts=None):
     """Solve many systems sharing one coefficient matrix c.
 
-    a has shape (m, d); returns ordered solutions of the same shape.  Rows
-    where Newton stalls fall back to the scalar continuation solver, so the
-    result meets the same residual tolerance as the scalar path.
+    a has shape (m, d); returns ordered solutions of the same shape.  Every
+    row runs the Newton core of `solve` and gets the bits it gets there;
+    rows where Newton fails fall back to `solve_homotopy` one at a time, so
+    the result meets the same residual tolerance as the scalar path.
     """
     opts = opts or SolverOptions()
     a = np.asarray(a, dtype=float)
-    m, d = a.shape
-    da = np.diff(a, axis=1)
-    csup = np.diag(c, 1)
-    gaps = 0.5 * (da + np.sqrt(da**2 + 8.0 * csup[None, :]))
-    anchor = a.mean(axis=1) - gaps @ (d - 1.0 - np.arange(d - 1)) / d
-    xi = anchor[:, None] + np.concatenate(
-        [np.zeros((m, 1)), np.cumsum(gaps, axis=1)], axis=1
-    )
-    eye = np.eye(d, dtype=bool)
-    r = _residual_batch(a, c, xi)
-    rnorm = np.max(np.abs(r), axis=1)
-    active = rnorm > opts.tol
-    stalled = np.zeros(m, dtype=bool)
-    for _ in range(opts.max_iter):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        xs = xi[idx]
-        rs = r[idx]
-        diff = xs[:, :, None] - xs[:, None, :]
-        diff[:, eye] = 1.0
-        w = c[None, :, :] / diff**2
-        w[:, eye] = 0.0
-        jac = -w
-        jac[:, eye] = 1.0 + w.sum(axis=2)
-        delta = np.linalg.solve(jac, -rs[:, :, None])[:, :, 0]
-        alpha = np.ones(len(idx))
-        pending = np.ones(len(idx), dtype=bool)
-        trial = xs.copy()
-        r_trial = rs.copy()
-        for _ in range(60):
-            sub = np.flatnonzero(pending)
-            if sub.size == 0:
-                break
-            cand = xs[sub] + alpha[sub, None] * delta[sub]
-            ordered = np.all(np.diff(cand, axis=1) > 0, axis=1)
-            cand_r = np.full_like(cand, np.inf)
-            if ordered.any():
-                cand_r[ordered] = _residual_batch(a[idx[sub[ordered]]], c, cand[ordered])
-            better = ordered & (
-                np.max(np.abs(cand_r), axis=1) < np.max(np.abs(rs[sub]), axis=1)
-            )
-            acc = sub[better]
-            trial[acc] = cand[better]
-            r_trial[acc] = cand_r[better]
-            pending[acc] = False
-            alpha[sub[~better]] *= 0.5
-        stalled_now = pending
-        xi[idx[~stalled_now]] = trial[~stalled_now]
-        r[idx[~stalled_now]] = r_trial[~stalled_now]
-        stalled[idx[stalled_now]] = True
-        rnorm[idx] = np.max(np.abs(r[idx]), axis=1)
-        active = (rnorm > opts.tol) & ~stalled
-    leftover = np.flatnonzero(rnorm > opts.tol)
-    for i in leftover:
-        problem = ImplicitProblem(a[i], c)
-        xi[i] = solve_homotopy(problem, opts)
+    xi, _, _, ok = _newton(a, c, _initial_guess(a, c), opts)
+    for i in np.flatnonzero(~ok):
+        xi[i] = solve_homotopy(ImplicitProblem(a[i], c), opts)
     return xi

@@ -11,8 +11,8 @@ is provided but its declared constants are not verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,10 +55,6 @@ class ZeroDrift:
     def __call__(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def component(self, i, s):
-        """Coordinate-wise form b_i(s) for a scalar argument s."""
-        return 0.0
-
     def lipschitz_constant(self):
         return 0.0
 
@@ -77,9 +73,6 @@ class ConstantDrift:
 
     def __call__(self, x):
         return self.c.copy()
-
-    def component(self, i, s):
-        return float(self.c[i])
 
     def lipschitz_constant(self):
         return 0.0
@@ -103,9 +96,6 @@ class OrnsteinUhlenbeckDrift:
     def __call__(self, x):
         return self.theta * (self.mu - np.asarray(x, dtype=float))
 
-    def component(self, i, s):
-        return self.theta * (float(self.mu[i]) - s)
-
     def lipschitz_constant(self):
         return float(self.theta)
 
@@ -118,9 +108,6 @@ class BoundedSmoothDrift:
 
     def __call__(self, x):
         return self.beta * np.tanh(np.asarray(x, dtype=float))
-
-    def component(self, i, s):
-        return self.beta * float(np.tanh(s))
 
     def lipschitz_constant(self):
         return abs(float(self.beta))
@@ -250,6 +237,38 @@ def tridiagonal_gamma(d, value):
     return g
 
 
+def validate_interaction(matrix, d, name):
+    """matrix as a float array, checked to be a valid interaction matrix.
+
+    Interaction matrices (gamma of a system, c of a step) are d x d,
+    non-negative, symmetric, zero on the diagonal and strictly positive on
+    the first off-diagonal; name is used in the error messages.
+    """
+    g = np.asarray(matrix, dtype=float)
+    if g.shape != (d, d):
+        raise ValueError(f"{name} must be a {d}x{d} matrix")
+    if np.any(g < 0):
+        raise ValueError(f"{name} entries must be non-negative")
+    if not np.array_equal(g, g.T):
+        raise ValueError(f"{name} must be symmetric")
+    if np.any(np.diag(g) != 0):
+        raise ValueError(f"{name} must have zero diagonal")
+    if np.any(np.diag(g, 1) <= 0):
+        raise ValueError(f"{name} must have strictly positive first off-diagonal")
+    return g
+
+
+def is_uniform(matrix):
+    """True when all off-diagonal entries of the interaction matrix are equal."""
+    off = matrix[~np.eye(len(matrix), dtype=bool)]
+    return bool(np.all(off == off[0]))
+
+
+def is_tridiagonal(matrix):
+    """True when the (symmetric) interaction matrix is zero beyond the first off-diagonals."""
+    return not np.any(np.triu(matrix, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class ParticleSystem:
     """A d-particle repulsive system with ordered initial configuration.
@@ -268,17 +287,7 @@ class ParticleSystem:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("d must be >= 2")
-        g = np.asarray(self.gamma, dtype=float)
-        if g.shape != (self.d, self.d):
-            raise ValueError(f"gamma must be a {self.d}x{self.d} matrix")
-        if np.any(g < 0):
-            raise ValueError("gamma entries must be non-negative")
-        if not np.array_equal(g, g.T):
-            raise ValueError("gamma must be symmetric")
-        if np.any(np.diag(g) != 0):
-            raise ValueError("gamma must have zero diagonal")
-        if np.any(np.diag(g, 1) <= 0):
-            raise ValueError("gamma must have strictly positive first off-diagonal")
+        g = validate_interaction(self.gamma, self.d, "gamma")
         x0 = _as_vector(self.x0, "x0")
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have length {self.d}")
@@ -290,8 +299,7 @@ class ParticleSystem:
     # structure helpers used by the condition checkers and solver dispatch
 
     def is_uniform(self):
-        off = self.gamma[~np.eye(self.d, dtype=bool)]
-        return bool(np.all(off == off[0]))
+        return is_uniform(self.gamma)
 
     def uniform_value(self):
         if not self.is_uniform():
@@ -299,8 +307,7 @@ class ParticleSystem:
         return float(self.gamma[0, 1])
 
     def is_tridiagonal(self):
-        mask = np.abs(np.subtract.outer(np.arange(self.d), np.arange(self.d))) >= 2
-        return bool(np.all(self.gamma[mask] == 0))
+        return is_tridiagonal(self.gamma)
 
     def tridiagonal_values(self):
         if not self.is_tridiagonal():

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import implicit
 from .implicit import ImplicitProblem, SolverOptions
-from .model import drift_eval, diffusion_eval
+from .model import COORDINATEWISE_DRIFTS, ConstantMatrixDiffusion, DiagonalBoundedDiffusion
+from .model import diffusion_eval, drift_eval
 
 __all__ = [
     "TimeGrid",
@@ -131,14 +132,6 @@ class PathResult:
     exit_step: int | None = None
 
 
-def _interaction_drift(gamma, x):
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    terms = gamma / diff
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
-
-
 def step_semi_implicit(system, state, h, dW, opts=None):
     """One semi-implicit step; returns (new ordered state, solver result)."""
     state = np.asarray(state, dtype=float)
@@ -153,7 +146,7 @@ def step_semi_implicit(system, state, h, dW, opts=None):
 def step_explicit(system, state, h, dW):
     """One explicit step; returns (new state, still-ordered flag)."""
     state = np.asarray(state, dtype=float)
-    drift = _interaction_drift(system.gamma, state) + drift_eval(system.drift, state)
+    drift = implicit._interaction(system.gamma, state) + drift_eval(system.drift, state)
     new = state + drift * h + diffusion_eval(system.diffusion, state) @ dW
     return new, bool(np.all(np.diff(new) > 0))
 
@@ -243,17 +236,8 @@ def simulate_batch(system, grid, increments, record_stride=None, opts=None):
     recorded = np.empty((m, n // stride + 1, d))
     recorded[:, 0] = x
     min_gap = float(np.min(np.diff(x, axis=1)))
-    diffusion = system.diffusion
-    diag = getattr(diffusion, "diagonal", None)
-    const_matrix = getattr(diffusion, "matrix", None)
     for k in range(n):
-        b = np.asarray([drift_eval(system.drift, row) for row in x]) if _needs_rowwise(system.drift) else drift_eval(system.drift, x)
-        if diag is not None:
-            noise = diag(x) * increments[:, k]
-        elif const_matrix is not None:
-            noise = increments[:, k] @ const_matrix.T
-        else:
-            noise = np.asarray([diffusion_eval(diffusion, row) @ increments[i, k] for i, row in enumerate(x)])
+        b, noise = _drift_and_noise(system, x, increments[:, k])
         a = x + b * h + noise
         x = implicit.solve_batch(a, c, opts)
         min_gap = min(min_gap, float(np.min(np.diff(x, axis=1))))
@@ -262,9 +246,24 @@ def simulate_batch(system, grid, increments, record_stride=None, opts=None):
     return recorded, min_gap
 
 
-def _needs_rowwise(drift):
-    # The closed drift families broadcast over a batch axis; only a custom
-    # evaluator written for single states needs the row-by-row path.
-    from .model import COORDINATEWISE_DRIFTS
+def _drift_and_noise(system, x, dW, explicit=False):
+    """Drift b(x) and noise sigma(x) dW for a batch of states x of shape (m, d).
 
-    return not isinstance(drift, COORDINATEWISE_DRIFTS)
+    With explicit=True the drift includes the interaction term, as the
+    explicit scheme steps it.  The closed drift and diffusion families act on
+    the whole batch; custom evaluators, written for one state, go row by row.
+    """
+    if isinstance(system.drift, COORDINATEWISE_DRIFTS):
+        b = drift_eval(system.drift, x)
+    else:
+        b = np.asarray([drift_eval(system.drift, row) for row in x])
+    if explicit:
+        b = implicit._interaction(system.gamma, x) + b
+    sigma = system.diffusion
+    if isinstance(sigma, DiagonalBoundedDiffusion):
+        noise = sigma.diagonal(x) * dW
+    elif isinstance(sigma, ConstantMatrixDiffusion):
+        noise = dW @ sigma.matrix.T
+    else:
+        noise = np.asarray([diffusion_eval(sigma, row) @ w for row, w in zip(x, dW)])
+    return b, noise

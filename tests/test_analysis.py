@@ -6,6 +6,9 @@ import pytest
 from noncolliding import (
     ConstantMatrixDiffusion,
     ConvergenceStudy,
+    CustomDrift,
+    DiagonalBoundedDiffusion,
+    OrnsteinUhlenbeckDrift,
     ParticleSystem,
     ZeroDrift,
     chi_bar,
@@ -152,6 +155,27 @@ class TestCollision:
     def test_deterministic(self):
         sys_ = dyson(3, 1.0, x0=[-0.5, 0.0, 0.5])
         assert collision_rate_explicit(sys_, 4, 300, 7) == collision_rate_explicit(sys_, 4, 300, 7)
+
+    def test_single_state_custom_drift(self):
+        # a custom evaluator takes one state of length d, never a batch
+        theta, mu = 0.5, np.array([-1.0, 0.0, 1.0])
+
+        def ou(x):
+            assert x.ndim == 1
+            return theta * (mu - x)
+
+        def system(drift):
+            return ParticleSystem(
+                d=3,
+                gamma=uniform_gamma(3, 1.0),
+                drift=drift,
+                diffusion=DiagonalBoundedDiffusion(s0=0.8, s1=0.2),
+                x0=np.array([-0.5, 0.0, 0.5]),
+            )
+
+        custom = collision_rate_explicit(system(CustomDrift(ou, theta)), 4, 300, 11)
+        closed = collision_rate_explicit(system(OrnsteinUhlenbeckDrift(theta, mu)), 4, 300, 11)
+        assert custom == closed > 0.0
 
 
 class TestInequalities:

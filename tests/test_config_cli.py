@@ -1,8 +1,14 @@
 """Unit tests for YAML config parsing and the command-line front end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import noncolliding
 from noncolliding import ConfigError, parse_config, serialize_config, build_system
 from noncolliding.cli import main
 
@@ -169,3 +175,31 @@ class TestCli:
         # a huge scale with an impossible tolerance budget cannot converge
         code = main(["solve", "--a", "0,1,50", "--c-uniform", "2", "--method", "newton", "--tol", "1e-300"])
         assert code == 3
+
+
+def run_cli(*argv):
+    """The installed entry point in a fresh interpreter: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(noncolliding.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from noncolliding.cli import entry_point; entry_point()", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestLibraryErrors:
+    def test_non_dyadic_step_count_is_validation_error(self, tmp_path):
+        cfg = tmp_path / "n100.yaml"
+        cfg.write_text(DYSON_YAML.replace("n: 16", "n: 100"))
+        code, err = run_cli("simulate", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error,validation,") and "power of 2" in err
+        assert "Traceback" not in err
+
+    def test_unrepresentable_solution_is_nonconvergence(self):
+        # the exact gap, 2e-12, is below one ulp of |xi| ~ 5e7: no ordered
+        # double-precision solution exists
+        code, err = run_cli("solve", "--a", "0,-1e8", "--c-uniform", "1e-4")
+        assert code == 3
+        assert err.startswith("error,nonconvergence,")
+        assert "Traceback" not in err

@@ -261,3 +261,15 @@ class TestBatch:
         a = np.sort(rng.uniform(-1e-3, 1e-3, (200, 4)), axis=1)
         batch = solve_batch(a, uniform_c(4, 1e-5))
         assert np.all(np.diff(batch, axis=1) > 0)
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
+    def test_rows_bit_identical_alone_at_large_d(self, d, kind):
+        # reductions over d >= 8 terms are pairwise; a row must still get the
+        # same bits alone as inside a batch
+        rng = np.random.default_rng(d)
+        c = uniform_c(d, 0.05) if kind == "uniform" else tridiag_c(rng.uniform(0.05, 0.5, d - 1))
+        a = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) + rng.normal(size=(5, d))
+        batch = solve_batch(a, c)
+        for row, xi_batch in zip(a, batch):
+            assert solve(ImplicitProblem(row, c)).xi.tobytes() == xi_batch.tobytes()

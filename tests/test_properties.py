@@ -1,0 +1,108 @@
+"""Property tests of the per-step solve over random problems (hypothesis).
+
+Problems are drawn with d in 2..8, uniform or tridiagonal coefficients c and
+offsets a over several decades.  Inside the range where the ordered solution
+is representable and the solve converges, `solve` must return an ordered
+solution below the residual floor that conserves sum(xi) = sum(a), with the
+same bits as the same row inside `solve_batch`.  Outside it, every solve
+raises NonConvergenceError or returns an ordered solution, never anything
+else.  The examples are derandomized so the suite is reproducible.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noncolliding import ImplicitProblem, NonConvergenceError, residual, solve
+from noncolliding.implicit import _interaction, _residual_floor, solve_batch
+
+TOL = 1e-12  # SolverOptions().tol
+EPS = np.finfo(float).eps
+
+
+def coefficient_matrix(d, kind, values):
+    c = np.zeros((d, d))
+    if kind == "uniform":
+        c[:] = values[0]
+        np.fill_diagonal(c, 0.0)
+    else:
+        idx = np.arange(d - 1)
+        c[idx, idx + 1] = c[idx + 1, idx] = values
+    return c
+
+
+@st.composite
+def problems(draw, spread_decades, max_rows):
+    """(a, c): m rows of offsets sharing one coefficient matrix.
+
+    The smallest coefficient is 10^log_c; the offsets have magnitude up to
+    sqrt(10^log_c) * 10^spread, and spread_decades bounds the spread.  The
+    largest Hessian weight grows like (offset scale)^2 / c, so the spread sets
+    how close to collision, relative to roundoff, the solution comes.
+    """
+    d = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["uniform", "tridiagonal"]))
+    log_c = draw(st.floats(-4.0, 2.0))
+    boost = draw(st.lists(st.floats(0.0, 1.0), min_size=d - 1, max_size=d - 1))
+    c = coefficient_matrix(d, kind, 10.0 ** (log_c + np.array(boost)))
+    scale = 10.0 ** (0.5 * log_c + draw(st.floats(*spread_decades)))
+    m = draw(st.integers(1, max_rows))
+    unit = draw(st.lists(st.floats(-1.0, 1.0), min_size=m * d, max_size=m * d))
+    return scale * np.array(unit).reshape(m, d), c
+
+
+def assert_solution(a, c, xi):
+    """Ordered, residual below the floor, and sum(xi) = sum(a) to roundoff."""
+    assert np.all(np.diff(xi) > 0)
+    problem = ImplicitProblem(a, c)
+    r = np.max(np.abs(residual(problem, xi)))
+    terms = np.abs(c / (xi[:, None] - xi[None, :] + np.eye(len(xi))))
+    floor = _residual_floor(a, TOL, _interaction(c, xi, weights=True)[1])
+    assert r <= floor
+    roundoff = 8 * len(xi) * EPS * (np.abs(xi).sum() + np.abs(a).sum() + terms.sum())
+    assert abs(xi.sum() - a.sum()) <= len(xi) * floor + roundoff
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(problems(spread_decades=(-3.0, 2.0), max_rows=6))
+def test_solution_properties_and_batch_bits(problem):
+    a, c = problem
+    batch = solve_batch(a, c)
+    for row, xi_batch in zip(a, batch):
+        xi = solve(ImplicitProblem(row, c)).xi
+        assert_solution(row, c, xi)
+        assert xi.tobytes() == xi_batch.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(problems(spread_decades=(4.0, 10.0), max_rows=2))
+def test_near_collision_never_unordered(problem):
+    a, c = problem
+    for row in a:
+        try:
+            xi = solve(ImplicitProblem(row, c)).xi
+        except NonConvergenceError:
+            continue
+        assert_solution(row, c, xi)
+    try:
+        batch = solve_batch(a, c)
+    except NonConvergenceError:
+        return
+    assert np.all(np.diff(batch, axis=1) > 0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.floats(6.0, 12.0), st.floats(-6.0, 0.0))
+def test_unrepresentable_gap_raises(log_l, log_shrink):
+    # a = (0, -L): the exact gap, about 2c/L, is below a quarter ulp of L/2,
+    # so no pair of doubles near -L/2 solves the system
+    big = 10.0**log_l
+    cval = big * np.spacing(big / 2) / 8 * 10.0**log_shrink
+    a = np.array([0.0, -big])
+    c = coefficient_matrix(2, "uniform", [cval])
+    for attempt in (lambda: solve(ImplicitProblem(a, c)), lambda: solve_batch(a[None], c)):
+        try:
+            attempt()
+        except NonConvergenceError:
+            continue
+        raise AssertionError("an unrepresentable solution was returned")
