@@ -14,7 +14,6 @@ computed by multi-start constrained maximization over the positive
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,16 +104,6 @@ class MomentReport:
     bound: float
 
 
-def _coarsen_batch(increments, factor):
-    # pairwise halving, matching scheme.coarsen bit-for-bit
-    out = increments
-    f = factor
-    while f > 1:
-        out = out[:, 0::2] + out[:, 1::2]
-        f //= 2
-    return out
-
-
 def _error_functional(mode, coarse_states, ref_states):
     # Euclidean norm of the state mismatch at each recorded grid time
     dist = np.linalg.norm(coarse_states - ref_states, axis=2)
@@ -138,51 +127,44 @@ def _lp_estimate(samples, p):
     return float(est), float((1.0 / p) * m ** (1.0 / p - 1.0) * se_m)
 
 
-def _per_level_errors(study, levels, threads=1, chunk=250):
+def _per_level_errors(study, levels, chunk=250):
     """Per-replication error samples at each level, sharing one reference run."""
     nmax = max(levels)
     ref_stride = study.ref_level // nmax
     grid_ref = TimeGrid(study.T, study.ref_level)
     samples = {n: np.empty(study.replications) for n in levels}
-    starts = list(range(0, study.replications, chunk))
 
     def run_chunk(start):
+        # a chunk's arrays are freed on return, before the next chunk draws
         stop = min(start + chunk, study.replications)
         inc = _batch_increments(
             study.base_seed, start, stop, study.system.d, study.T, study.ref_level
         )
         ref_rec, _ = simulate_batch(study.system, grid_ref, inc, record_stride=ref_stride)
-        for n in levels:
-            if n == study.ref_level:
-                samples[n][start:stop] = 0.0
-                continue
-            cinc = _coarsen_batch(inc, study.ref_level // n)
+        for n in levels:  # every level is below ref_level (ConvergenceStudy checks)
+            cinc = scheme._coarsen(inc, study.ref_level // n)
             rec, _ = simulate_batch(study.system, TimeGrid(study.T, n), cinc)
             ref_at = ref_rec[:, :: nmax // n]
             samples[n][start:stop] = _error_functional(study.error_mode, rec, ref_at)
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for start in starts:
-            run_chunk(start)
+    for start in range(0, study.replications, chunk):
+        run_chunk(start)
     return samples
 
 
-def strong_error(study, n, threads=1):
+def strong_error(study, n):
     """Monte Carlo strong error and standard error at one level."""
     if n != study.ref_level and n not in study.levels:
         raise ValueError("n must be one of the study levels (or the reference level)")
     if n == study.ref_level:
         return 0.0, 0.0
-    samples = _per_level_errors(study, (int(n),), threads=threads)
+    samples = _per_level_errors(study, (int(n),))
     return _lp_estimate(samples[int(n)], _moment_power(study.error_mode, study.p))
 
 
-def run_study(study, threads=1):
+def run_study(study):
     """Errors at every level (one shared reference run) plus the rate fit."""
-    samples = _per_level_errors(study, study.levels, threads=threads)
+    samples = _per_level_errors(study, study.levels)
     power = _moment_power(study.error_mode, study.p)
     errors, std_errs = zip(*(_lp_estimate(samples[n], power) for n in study.levels))
     fit = fit_rate(list(zip(study.levels, errors)))
@@ -279,13 +261,8 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None, chunk=250):
 
 
 def _batch_increments(base_seed, start, stop, d, T, n):
-    inc = np.empty((stop - start, n, d))
-    scale = np.sqrt(T / n)
-    for i, rep in enumerate(range(start, stop)):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(base_seed), rep)))
-        )
-        inc[i] = rng.standard_normal((n, d)) * scale
-    return inc
+    """Increments of replications [start, stop), keyed by (base_seed, rep)."""
+    return scheme._increments([(int(base_seed), rep) for rep in range(start, stop)], d, T, n)
 
 
 def estimate_moments(system, t, p, M, n, base_seed=0):
@@ -305,25 +282,13 @@ def collision_rate_explicit(system, n, M, seed, T=1.0):
     if M < 1:
         raise ValueError("M must be >= 1")
     grid = TimeGrid(T, n)
-    h = grid.h
     exited = 0
     chunk = 2000
     for start in range(0, M, chunk):
         stop = min(start + chunk, M)
         inc = _batch_increments(seed, start, stop, system.d, T, n)
-        x = np.broadcast_to(system.x0, (stop - start, system.d)).copy()
-        alive = np.ones(stop - start, dtype=bool)
-        for k in range(n):
-            if not alive.any():
-                break
-            xa = x[alive]
-            b, noise = scheme._drift_and_noise(system, xa, inc[alive, k], explicit=True)
-            xa = xa + b * h + noise
-            ordered = np.all(np.diff(xa, axis=1) > 0, axis=1)
-            live_idx = np.flatnonzero(alive)
-            x[live_idx[ordered]] = xa[ordered]
-            alive[live_idx[~ordered]] = False
-        exited += int(np.count_nonzero(~alive))
+        _, _, exit_step = scheme._paths(system, grid, inc, True, n, None)
+        exited += int(np.count_nonzero(exit_step))
     return exited / M
 
 

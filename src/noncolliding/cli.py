@@ -40,8 +40,6 @@ def _build_parser():
                         help="path to a YAML experiment configuration")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override run.seed from the config")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for Monte Carlo")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write CSV here instead of stdout")
     parser = argparse.ArgumentParser(
@@ -158,16 +156,20 @@ def _cmd_simulate(args, emit):
     if n is None:
         raise ConfigError("run.n", "simulate requires a step count")
     paths = args.paths or cfg.run.paths
+    if paths < 1:
+        raise ConfigError("--paths", "must be >= 1")
     grid = scheme.TimeGrid(cfg.run.T, n)
     precision = cfg.output.precision
     emit("path_id,k,t," + ",".join(f"x_{i+1}" for i in range(system.d)) + ",min_gap")
+    # replication r draws from replication_seed(seed, r), not from the
+    # SeedSequence((seed, r)) key of the studies; the README says why
+    seeds = [scheme.replication_seed(cfg.run.seed, rep) for rep in range(paths)]
+    inc = np.stack([scheme.generate_brownian(s, system.d, cfg.run.T, n).increments for s in seeds])
+    states, _ = scheme.simulate_batch(system, grid, inc, scheme=which)
     times = grid.times()
     for rep in range(paths):
-        seed = scheme.replication_seed(cfg.run.seed, rep)
-        path = scheme.generate_brownian(seed, system.d, cfg.run.T, n)
-        result = scheme.simulate(system, grid, path, which)
         for k in range(n + 1):
-            state = result.states[k]
+            state = states[rep, k]
             row_gap = float(np.min(np.diff(state)))
             emit(
                 f"{rep},{k},{_fmt(times[k], precision)},"
@@ -192,7 +194,7 @@ def _cmd_converge(args, emit):
         p=cfg.run.p,
         base_seed=cfg.run.seed,
     )
-    est = analysis.run_study(study, threads=max(1, args.threads))
+    est = analysis.run_study(study)
     precision = cfg.output.precision
     emit("n,error,std_err")
     for n, e, se in zip(est.levels, est.errors, est.std_errs):
@@ -311,7 +313,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     # Global flags use SUPPRESS so a value given before the subcommand is not
     # clobbered by the subparser; fill in the defaults for absent flags here.
-    for name, default in (("config", None), ("seed", None), ("threads", 1), ("out", None)):
+    for name, default in (("config", None), ("seed", None), ("out", None)):
         if not hasattr(args, name):
             setattr(args, name, default)
     lines = []

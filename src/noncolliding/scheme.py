@@ -8,9 +8,10 @@ one step from state X at time t_k solves
 
 whose unique ordered solution becomes X(t_{k+1}).  The explicit scheme is
 provided for contrast; it can and does leave the ordered chamber, which is
-reported rather than raised.  Brownian increments come from a counter-based
-generator so that dyadic coarsening and parallel replication stay exactly
-reproducible.
+reported rather than raised.  Every batch of paths, of either scheme, is
+stepped by `_paths`; every Brownian increment is drawn by `_increments`, from a
+counter-based generator, so that dyadic coarsening and replication stay
+exactly reproducible.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
     "simulate",
     "simulate_batch",
 ]
+
+SCHEMES = ("semi_implicit", "explicit")
 
 
 @dataclass(frozen=True)
@@ -84,17 +87,31 @@ def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _increments(entropies, d, T, n):
+    """Increments of shape (len(entropies), n, d), one Philox stream per entry.
+
+    Row i is keyed by SeedSequence(entropies[i]) alone and laid out row-major,
+    so any entry is bit-reproducible on any platform and independently of the
+    other entries.  This is the only place increments are drawn.
+    """
+    out = np.empty((len(entropies), n, d))
+    scale = np.sqrt(T / n)
+    for i, entropy in enumerate(entropies):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        out[i] = rng.standard_normal((n, d)) * scale
+    return out
+
+
 def generate_brownian(seed, d, T, n_max):
     """Draw the n_max x d increment array from a counter-based generator.
 
-    The Philox bit generator is keyed by the seed alone; increments are laid
-    out row-major so a given (seed, d, T, n_max) is bit-reproducible on any
-    platform and safe to regenerate independently in parallel workers.
+    The Philox bit generator is keyed by the seed alone, so a given
+    (seed, d, T, n_max) is bit-reproducible and safe to regenerate
+    independently in parallel workers.
     """
     if not _is_power_of_two(n_max):
         raise ValueError("n_max must be a power of 2")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    increments = rng.standard_normal((n_max, d)) * np.sqrt(T / n_max)
+    increments = _increments([seed], d, T, n_max)[0]
     return BrownianPath(seed=int(seed), d=int(d), T=float(T), n_max=int(n_max), increments=increments)
 
 
@@ -107,13 +124,17 @@ def coarsen(path, factor):
         raise ValueError("factor must divide the current number of increments")
     if factor == 1:
         return path
-    # halve repeatedly so coarsen(coarsen(p, 2), 2) == coarsen(p, 4) bit-for-bit
-    coarse = path.increments
-    f = factor
-    while f > 1:
-        coarse = coarse[0::2] + coarse[1::2]
-        f //= 2
+    coarse = _coarsen(path.increments, factor)
     return BrownianPath(seed=path.seed, d=path.d, T=path.T, n_max=path.n_max, increments=coarse)
+
+
+def _coarsen(increments, factor):
+    # halve the step axis (-2) repeatedly, so coarsening by 2 twice equals
+    # coarsening by 4 bit-for-bit, for one path or a batch alike
+    while factor > 1:
+        increments = increments[..., 0::2, :] + increments[..., 1::2, :]
+        factor //= 2
+    return increments
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,49 +167,38 @@ def step_semi_implicit(system, state, h, dW, opts=None):
 def step_explicit(system, state, h, dW):
     """One explicit step; returns (new state, still-ordered flag)."""
     state = np.asarray(state, dtype=float)
-    drift = implicit._interaction(system.gamma, state) + drift_eval(system.drift, state)
-    new = state + drift * h + diffusion_eval(system.diffusion, state) @ dW
+    b, noise = _drift_and_noise(system, state[None], np.asarray(dW, dtype=float)[None], explicit=True)
+    new = state + b[0] * h + noise[0]
     return new, bool(np.all(np.diff(new) > 0))
 
 
 def simulate(system, grid, path, scheme="semi_implicit", opts=None):
-    """Run the chosen stepper over the grid with the given increments."""
+    """Run the chosen stepper over the grid with the given increments.
+
+    The explicit scheme runs as a batch of one through the batched stepper.
+    The semi-implicit scheme steps one `step_semi_implicit` at a time: it is
+    the scalar reference the batched stepper is tested against, and the only
+    path that reports the solver iterations of every step.
+    """
     if path.n != grid.n:
         raise ValueError(f"path has {path.n} increments but grid has {grid.n} steps")
     if path.d != system.d:
         raise ValueError("path dimension does not match system dimension")
-    if scheme not in ("semi_implicit", "explicit"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    h = grid.h
-    states = np.empty((grid.n + 1, system.d))
-    states[0] = system.x0
     iters = np.zeros(grid.n, dtype=int)
-    exited = False
-    exit_step = None
-    x = system.x0
+    if scheme == "explicit":
+        recorded, min_gap, exit_step = _paths(system, grid, path.increments[None], True, 1, opts)
+        k = int(exit_step[0])
+        return PathResult(recorded[0], min_gap, iters, exited_chamber=k > 0, exit_step=k or None)
+    states = np.empty((grid.n + 1, system.d))
+    states[0] = x = system.x0
     for k in range(grid.n):
-        dW = path.increments[k]
-        if scheme == "semi_implicit":
-            x, result = step_semi_implicit(system, x, h, dW, opts)
-            iters[k] = result.iterations
-        else:
-            x_new, ordered = step_explicit(system, x, h, dW)
-            if not ordered:
-                exited = True
-                exit_step = k + 1
-                states[k + 1 :] = x
-                iters[k:] = 0
-                break
-            x = x_new
+        x, result = step_semi_implicit(system, x, grid.h, path.increments[k], opts)
         states[k + 1] = x
+        iters[k] = result.iterations
     min_gap = float(np.min(np.diff(states, axis=1)))
-    return PathResult(
-        states=states,
-        min_gap=min_gap,
-        solver_iters=iters,
-        exited_chamber=exited,
-        exit_step=exit_step,
-    )
+    return PathResult(states, min_gap, iters, exited_chamber=False)
 
 
 # ---------------------------------------------------------------------------
@@ -201,33 +211,41 @@ def replication_seed(base_seed, rep):
 
 
 def generate_brownian_batch(base_seed, reps, d, T, n_max):
-    """Increments for replications [0, reps); shape (reps, n_max, d)."""
+    """Increments for replications [0, reps) keyed by (base_seed, rep); shape (reps, n_max, d)."""
     if not _is_power_of_two(n_max):
         raise ValueError("n_max must be a power of 2")
-    out = np.empty((len(range(reps)), n_max, d))
-    scale = np.sqrt(T / n_max)
-    for m in range(reps):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(base_seed), m))))
-        out[m] = rng.standard_normal((n_max, d)) * scale
-    return out
+    return _increments([(int(base_seed), rep) for rep in range(reps)], d, T, n_max)
 
 
-def simulate_batch(system, grid, increments, record_stride=None, opts=None):
-    """Semi-implicit simulation of many paths at once.
+def simulate_batch(system, grid, increments, record_stride=None, opts=None, scheme="semi_implicit"):
+    """Simulate many paths at once with the chosen scheme.
 
     increments has shape (m, n, d) with n == grid.n.  Returns (recorded, min_gap)
     where recorded has shape (m, n // stride + 1, d) holding the states at
     every stride-th grid time (stride defaults to 1) and min_gap is the
-    minimum over all paths, steps and adjacent pairs.  All m implicit systems
-    of a step are solved together by the batched Newton path.
+    minimum over all paths, steps and adjacent pairs.
     """
-    opts = opts or SolverOptions()
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    recorded, min_gap, _ = _paths(
+        system, grid, increments, scheme == "explicit", record_stride or 1, opts or SolverOptions()
+    )
+    return recorded, min_gap
+
+
+def _paths(system, grid, increments, explicit, stride, opts):
+    """The one loop that steps a batch of paths; see `simulate_batch`.
+
+    Also returns exit_step, the step at which each explicit path first left
+    the ordered chamber (0 if it never did); such a path keeps its last
+    ordered state.  The semi-implicit mode solves the m systems of a step
+    together; the explicit mode steps only the paths still ordered.
+    """
     m, n, d = increments.shape
     if n != grid.n:
         raise ValueError("increment count does not match grid")
     if d != system.d:
         raise ValueError("increment dimension does not match system")
-    stride = record_stride or 1
     if n % stride != 0:
         raise ValueError("record_stride must divide n")
     h = grid.h
@@ -236,14 +254,23 @@ def simulate_batch(system, grid, increments, record_stride=None, opts=None):
     recorded = np.empty((m, n // stride + 1, d))
     recorded[:, 0] = x
     min_gap = float(np.min(np.diff(x, axis=1)))
+    exit_step = np.zeros(m, dtype=int)
+    live = np.arange(m)
     for k in range(n):
-        b, noise = _drift_and_noise(system, x, increments[:, k])
-        a = x + b * h + noise
-        x = implicit.solve_batch(a, c, opts)
+        if not explicit:
+            b, noise = _drift_and_noise(system, x, increments[:, k])
+            x = implicit.solve_batch(x + b * h + noise, c, opts)
+        elif live.size:
+            b, noise = _drift_and_noise(system, x[live], increments[live, k], explicit=True)
+            new = x[live] + b * h + noise
+            ordered = np.all(np.diff(new, axis=1) > 0, axis=1)
+            x[live[ordered]] = new[ordered]
+            exit_step[live[~ordered]] = k + 1
+            live = live[ordered]
         min_gap = min(min_gap, float(np.min(np.diff(x, axis=1))))
         if (k + 1) % stride == 0:
             recorded[:, (k + 1) // stride] = x
-    return recorded, min_gap
+    return recorded, min_gap, exit_step
 
 
 def _drift_and_noise(system, x, dW, explicit=False):
@@ -263,7 +290,9 @@ def _drift_and_noise(system, x, dW, explicit=False):
     if isinstance(sigma, DiagonalBoundedDiffusion):
         noise = sigma.diagonal(x) * dW
     elif isinstance(sigma, ConstantMatrixDiffusion):
-        noise = dW @ sigma.matrix.T
+        # one matrix-vector product per row: a matrix-matrix product would
+        # round a row differently depending on how many rows share the batch
+        noise = (sigma.matrix @ dW[..., None])[..., 0]
     else:
         noise = np.asarray([diffusion_eval(sigma, row) @ w for row, w in zip(x, dW)])
     return b, noise

@@ -10,6 +10,7 @@ from noncolliding import (
     DiagonalBoundedDiffusion,
     OrnsteinUhlenbeckDrift,
     ParticleSystem,
+    TimeGrid,
     ZeroDrift,
     chi_bar,
     collision_rate_explicit,
@@ -17,6 +18,7 @@ from noncolliding import (
     fit_rate,
     moment_profile,
     run_study,
+    simulate,
     strong_error,
     uniform_gamma,
     verify_gap_inequality_full,
@@ -112,14 +114,14 @@ class TestStrongError:
         e2 = run_study(study)
         assert e1.errors == e2.errors
 
-    def test_threads_do_not_change_result(self):
+    def test_chunk_size_does_not_change_result(self):
         study = ConvergenceStudy(dyson(3, 4.0), 1.0, (8, 16, 32), 128, 40, base_seed=9)
         from noncolliding.analysis import _per_level_errors
 
-        s1 = _per_level_errors(study, study.levels, threads=1, chunk=16)
-        s4 = _per_level_errors(study, study.levels, threads=4, chunk=16)
+        chunked = _per_level_errors(study, study.levels, chunk=16)
+        whole = _per_level_errors(study, study.levels, chunk=40)
         for n in study.levels:
-            assert np.array_equal(s1[n], s4[n])
+            assert np.array_equal(chunked[n], whole[n])
 
 
 class TestMoments:
@@ -176,6 +178,22 @@ class TestCollision:
         custom = collision_rate_explicit(system(CustomDrift(ou, theta)), 4, 300, 11)
         closed = collision_rate_explicit(system(OrnsteinUhlenbeckDrift(theta, mu)), 4, 300, 11)
         assert custom == closed > 0.0
+
+    def test_rate_is_exit_fraction_of_explicit_paths(self):
+        # M > 2000 crosses the chunk boundary of collision_rate_explicit
+        from noncolliding.analysis import _batch_increments
+        from noncolliding.scheme import BrownianPath
+
+        sys_ = dyson(3, 1.0, x0=[-0.5, 0.0, 0.5])
+        n, M, seed = 4, 2100, 5
+        inc = _batch_increments(seed, 0, M, 3, 1.0, n)
+        grid = TimeGrid(1.0, n)
+        exits = sum(
+            simulate(sys_, grid, BrownianPath(seed, 3, 1.0, n, inc[rep]), scheme="explicit").exited_chamber
+            for rep in range(M)
+        )
+        assert 0 < exits < M
+        assert collision_rate_explicit(sys_, n, M, seed) == exits / M
 
 
 class TestInequalities:

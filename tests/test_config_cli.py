@@ -34,6 +34,28 @@ run:
   seed: 7
 """
 
+OU_YAML = """
+system:
+  d: 4
+  gamma:
+    uniform: 0.3
+  drift:
+    kind: ornstein_uhlenbeck
+    theta: 0.7
+    mu: [-1.0, -0.3, 0.3, 1.0]
+  diffusion:
+    kind: diagonal_bounded
+    s0: 0.8
+    s1: 0.3
+  x0:
+    linspace: [-0.6, 0.6]
+run:
+  T: 1.0
+  n: 8
+  paths: 12
+  seed: 11
+"""
+
 
 class TestParse:
     def test_minimal_dyson(self):
@@ -137,6 +159,27 @@ class TestCli:
         assert out[0] == "path_id,k,t,x_1,x_2,x_3,min_gap"
         assert len(out) == 1 + 5  # header + n+1 rows
 
+    @pytest.mark.parametrize("which", ["semi_implicit", "explicit"])
+    def test_simulate_rows_match_scalar_paths(self, which, tmp_path):
+        # the batched CLI run keeps each replication's replication_seed stream
+        from noncolliding import scheme
+
+        path = tmp_path / "ou.yaml"
+        path.write_text(OU_YAML)
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(path), "--scheme", which, "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1).reshape(12, 9, 8)
+        system = build_system(parse_config(OU_YAML).system)
+        grid = scheme.TimeGrid(1.0, 8)
+        exited = 0
+        for rep in range(12):
+            bm = scheme.generate_brownian(scheme.replication_seed(11, rep), 4, 1.0, 8)
+            result = scheme.simulate(system, grid, bm, which)
+            exited += result.exited_chamber
+            assert np.array_equal(rows[rep, :, 3:7], result.states)
+            assert np.array_equal(rows[rep, :, 7], np.diff(result.states, axis=1).min(axis=1))
+        assert (exited > 0) == (which == "explicit")
+
     def test_check_pass_and_fail_codes(self, dyson_config, tmp_path, capsys):
         # gamma = 4: ratio = 4, p = 3 passes
         assert main(["check", "--config", dyson_config, "--p", "3"]) == 0
@@ -150,6 +193,9 @@ class TestCli:
 
     def test_missing_config_file_is_io_error(self):
         assert main(["simulate", "--config", "/nonexistent/x.yaml"]) == 4
+
+    def test_negative_paths_is_validation_error(self, dyson_config):
+        assert main(["simulate", "--config", dyson_config, "--paths", "-1"]) == 2
 
     def test_invalid_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -18,7 +18,7 @@ from noncolliding import (
     step_semi_implicit,
     uniform_gamma,
 )
-from noncolliding.scheme import generate_brownian_batch, replication_seed
+from noncolliding.scheme import BrownianPath, generate_brownian_batch, replication_seed
 
 
 def dyson(d, gamma, x0=None, drift=None, diffusion=None):
@@ -160,6 +160,29 @@ class TestSimulate:
         for row in range(k, 5):
             assert np.array_equal(exited.states[row], exited.states[k - 1])
 
+    def test_explicit_matches_step_loop(self):
+        sys_ = dyson(3, 0.01, x0=[-0.05, 0.0, 0.05])
+        grid = TimeGrid(1.0, 8)
+        exits = 0
+        for seed in range(20):
+            path = generate_brownian(seed, 3, 1.0, 8)
+            res = simulate(sys_, grid, path, scheme="explicit")
+            x, exit_step = sys_.x0, None
+            states = [x]
+            for k in range(grid.n):
+                new, ordered = step_explicit(sys_, x, grid.h, path.increments[k])
+                if not ordered:
+                    exit_step = k + 1
+                    break
+                x = new
+                states.append(x)
+            states += [x] * (grid.n + 1 - len(states))
+            assert res.exit_step == exit_step
+            assert res.exited_chamber == (exit_step is not None)
+            assert np.array_equal(res.states, np.array(states))
+            exits += res.exited_chamber
+        assert 0 < exits < 20
+
     def test_mismatched_path_rejected(self):
         sys_ = dyson(2, 1.0)
         with pytest.raises(ValueError):
@@ -178,6 +201,19 @@ class TestSimulate:
         r1 = simulate(sys_, grid, generate_brownian(12, 3, 1.0, 32))
         r2 = simulate(sys_, grid, generate_brownian(12, 3, 1.0, 32))
         assert np.array_equal(r1.states, r2.states)
+
+
+class TestGenerators:
+    def test_front_ends_share_one_stream(self):
+        from noncolliding.analysis import _batch_increments
+
+        batch = generate_brownian_batch(13, 9, 3, 2.0, 16)
+        part = _batch_increments(13, 4, 9, 3, 2.0, 16)
+        for i in range(4, 9):
+            assert np.array_equal(batch[i], part[i - 4])
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
+        direct = rng.standard_normal((16, 3)) * np.sqrt(2.0 / 16)
+        assert np.array_equal(generate_brownian(21, 3, 2.0, 16).increments, direct)
 
 
 class TestBatch:
@@ -205,12 +241,30 @@ class TestBatch:
         grid = TimeGrid(1.0, 16)
         inc = generate_brownian_batch(11, 4, 3, 1.0, 16)
         rec, _ = simulate_batch(sys_, grid, inc)
-        from noncolliding.scheme import BrownianPath
-
         for m in range(4):
             path = BrownianPath(seed=0, d=3, T=1.0, n_max=16, increments=inc[m])
             res = simulate(sys_, grid, path)
             assert np.max(np.abs(rec[m] - res.states)) < 1e-9
+
+    @pytest.mark.parametrize("which", ["semi_implicit", "explicit"])
+    def test_rows_do_not_depend_on_batch(self, which):
+        # a general constant matrix mixes the noise of the coordinates
+        matrix = np.array([[1.1, 0.3, -0.2], [0.3, 0.9, 0.17], [-0.2, 0.17, 1.3]])
+        sys_ = dyson(3, 0.4, diffusion=ConstantMatrixDiffusion(matrix))
+        grid = TimeGrid(1.0, 8)
+        inc = generate_brownian_batch(5, 40, 3, 1.0, 8)
+        rec, _ = simulate_batch(sys_, grid, inc, scheme=which)
+        for m in range(40):
+            alone, _ = simulate_batch(sys_, grid, inc[m : m + 1], scheme=which)
+            assert np.array_equal(rec[m], alone[0])
+            path = BrownianPath(seed=0, d=3, T=1.0, n_max=8, increments=inc[m])
+            assert np.array_equal(rec[m], simulate(sys_, grid, path, which).states)
+
+    def test_unknown_scheme_rejected(self):
+        sys_ = dyson(2, 1.0)
+        with pytest.raises(ValueError):
+            inc = generate_brownian_batch(0, 1, 2, 1.0, 4)
+            simulate_batch(sys_, TimeGrid(1.0, 4), inc, scheme="milstein")
 
     def test_record_stride(self):
         sys_ = dyson(3, 4.0)
