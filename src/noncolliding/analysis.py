@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import scheme
-from .scheme import TimeGrid, simulate_batch
+from .scheme import TimeGrid, _is_power_of_two, simulate_batch
 
 __all__ = [
     "ConvergenceStudy",
@@ -43,6 +43,10 @@ __all__ = [
 
 ERROR_MODES = ("grid_sup_Lp", "terminal_L2", "grid_sup_L2")
 
+# Replications per chunk: a chunk's increments and states are the largest
+# arrays of a study, and only one chunk is held at a time.
+CHUNK = 250
+
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceStudy:
@@ -62,11 +66,11 @@ class ConvergenceStudy:
         if len(levels) == 0:
             raise ValueError("levels must be non-empty")
         for n in levels:
-            if n < 1 or (n & (n - 1)) != 0:
+            if not _is_power_of_two(n):
                 raise ValueError("levels must be powers of 2")
             if self.ref_level % n != 0:
                 raise ValueError("all levels must divide ref_level")
-        if (self.ref_level & (self.ref_level - 1)) != 0:
+        if not _is_power_of_two(self.ref_level):
             raise ValueError("ref_level must be a power of 2")
         if self.ref_level < 4 * max(levels):
             raise ValueError("ref_level must be at least 4x the largest level")
@@ -127,19 +131,14 @@ def _lp_estimate(samples, p):
     return float(est), float((1.0 / p) * m ** (1.0 / p - 1.0) * se_m)
 
 
-def _per_level_errors(study, levels, chunk=250):
+def _per_level_errors(study, levels):
     """Per-replication error samples at each level, sharing one reference run."""
     nmax = max(levels)
     ref_stride = study.ref_level // nmax
     grid_ref = TimeGrid(study.T, study.ref_level)
     samples = {n: np.empty(study.replications) for n in levels}
 
-    def run_chunk(start):
-        # a chunk's arrays are freed on return, before the next chunk draws
-        stop = min(start + chunk, study.replications)
-        inc = _batch_increments(
-            study.base_seed, start, stop, study.system.d, study.T, study.ref_level
-        )
+    def run_chunk(start, stop, inc):
         ref_rec, _ = simulate_batch(study.system, grid_ref, inc, record_stride=ref_stride)
         for n in levels:  # every level is below ref_level (ConvergenceStudy checks)
             cinc = scheme._coarsen(inc, study.ref_level // n)
@@ -147,8 +146,7 @@ def _per_level_errors(study, levels, chunk=250):
             ref_at = ref_rec[:, :: nmax // n]
             samples[n][start:stop] = _error_functional(study.error_mode, rec, ref_at)
 
-    for start in range(0, study.replications, chunk):
-        run_chunk(start)
+    _replications(study.base_seed, study.replications, study.system.d, study.T, study.ref_level, run_chunk)
     return samples
 
 
@@ -214,8 +212,8 @@ def trend_statistic(levels, errors):
 # Moments
 
 
-def moment_profile(system, T, p, M, n, base_seed=0, times=None, chunk=250):
-    """MomentReport at each requested time from one batched simulation.
+def moment_profile(system, T, p, M, n, base_seed=0, times=None):
+    """MomentReport at each requested time from M semi-implicit paths.
 
     times defaults to the recorded grid times; each report carries the
     inverse-gap bound sum(gap_i(0)^-p) * exp(p * t * Lip(b)) at its own t.
@@ -227,15 +225,15 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None, chunk=250):
     if times is None:
         times = grid_times
     idx = [int(np.argmin(np.abs(grid_times - t))) for t in np.atleast_1d(times)]
-    abs_pow = np.zeros((M, len(idx)))
-    inv_pow = np.zeros((M, len(idx), system.d - 1))
-    for start in range(0, M, chunk):
-        stop = min(start + chunk, M)
-        inc = _batch_increments(base_seed, start, stop, system.d, T, n)
+    states = np.empty((M, len(idx), system.d))
+
+    def run_chunk(start, stop, inc):
         rec, _ = simulate_batch(system, grid, inc)
-        states = rec[:, idx]
-        abs_pow[start:stop] = np.linalg.norm(states, axis=2) ** p
-        inv_pow[start:stop] = np.diff(states, axis=2) ** (-float(p))
+        states[start:stop] = rec[:, idx]
+
+    _replications(base_seed, M, system.d, T, n, run_chunk)
+    abs_pow = np.linalg.norm(states, axis=2) ** p
+    inv_pow = np.diff(states, axis=2) ** (-float(p))
     lip = system.drift.lipschitz_constant()
     gap0 = np.diff(system.x0)
     reports = []
@@ -265,6 +263,21 @@ def _batch_increments(base_seed, start, stop, d, T, n):
     return scheme._increments([(int(base_seed), rep) for rep in range(start, stop)], d, T, n)
 
 
+def _replications(base_seed, M, d, T, n, run_chunk):
+    """The one loop over replications [0, M): run_chunk(start, stop, increments) per CHUNK.
+
+    Returns the run_chunk results in chunk order.  The increments are passed
+    unbound, so a chunk's arrays are freed before the next chunk is drawn.
+    Rows are keyed by (base_seed, rep) and a path gets the same bits in any
+    batch, so results do not depend on CHUNK.
+    """
+    results = []
+    for start in range(0, M, CHUNK):
+        stop = min(start + CHUNK, M)
+        results.append(run_chunk(start, stop, _batch_increments(base_seed, start, stop, d, T, n)))
+    return results
+
+
 def estimate_moments(system, t, p, M, n, base_seed=0):
     """Moment estimates at the grid time nearest t on an n-step grid over [0, t]."""
     if t <= 0:
@@ -282,58 +295,41 @@ def collision_rate_explicit(system, n, M, seed, T=1.0):
     if M < 1:
         raise ValueError("M must be >= 1")
     grid = TimeGrid(T, n)
-    exited = 0
-    chunk = 2000
-    for start in range(0, M, chunk):
-        stop = min(start + chunk, M)
-        inc = _batch_increments(seed, start, stop, system.d, T, n)
-        _, _, exit_step = scheme._paths(system, grid, inc, True, n, None)
-        exited += int(np.count_nonzero(exit_step))
-    return exited / M
+
+    def run_chunk(start, stop, inc):
+        return np.count_nonzero(scheme._paths(system, grid, inc, True, n, None)[2])
+
+    return int(sum(_replications(seed, M, system.d, T, n, run_chunk))) / M
 
 
 # ---------------------------------------------------------------------------
 # Gap inequalities
 
 
-def _check_chamber(x):
+def _check_chamber(x, p):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValueError("x must be a vector of length >= 2")
     if np.any(np.diff(x) <= 0):
         raise ValueError("x must be strictly increasing")
+    if p < 0:
+        raise ValueError("p must be >= 0")
     return x
 
 
 def verify_gap_inequality_full(x, p):
     """Both sides of the full-interaction gap inequality; contract lhs < rhs."""
-    x = _check_chamber(x)
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    d = x.shape[0]
-    gaps = np.diff(x)
-    lhs = 0.0
-    for i in range(d - 1):
-        for k in range(d):
-            if k in (i, i + 1):
-                continue
-            lhs += 1.0 / (gaps[i] ** p * (x[i + 1] - x[k]) * (x[i] - x[k]))
-    rhs = (2.0 - 3.0 / d) * np.sum(gaps ** (-(p + 2.0)))
-    return float(lhs), float(rhs)
+    lhs, rhs = _full_sides_batch(_check_chamber(x, p)[None], p)
+    return float(lhs[0]), float(rhs[0])
 
 
 def verify_gap_inequality_nn(x, p, chi):
     """Both sides of the nearest-neighbour gap inequality; contract lhs <= rhs."""
-    x = _check_chamber(x)
+    x = _check_chamber(x, p)
     if x.shape[0] < 3:
         raise ValueError("nearest-neighbour inequality needs d >= 3")
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    gaps = np.diff(x)
-    g1, g2 = gaps[:-1], gaps[1:]
-    lhs = np.sum(1.0 / (g2 * g1 ** (p + 1.0)) + 1.0 / (g2 ** (p + 1.0) * g1))
-    rhs = chi * np.sum(gaps ** (-(p + 2.0)))
-    return float(lhs), float(rhs)
+    lhs, rhs = _nn_sides_batch(x[None], p, chi)
+    return float(lhs[0]), float(rhs[0])
 
 
 def sample_chamber_points(rng, d, count, gap_lo=1e-3, gap_hi=1e3):

@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, model, scheme
 from .config import build_system, parse_config
 from .errors import ConfigError, NonConvergenceError
-from .implicit import ImplicitProblem, SolverOptions, residual, solve
+from .implicit import ImplicitProblem, SolverOptions, solve
 
 __all__ = ["main", "entry_point"]
 
@@ -125,14 +125,9 @@ def _cmd_solve(args, emit):
         c = model.uniform_gamma(d, args.c_uniform)
     elif args.c_tridiagonal is not None:
         vals = _parse_vector(args.c_tridiagonal, "--c-tridiagonal")
-        if vals.shape[0] == 1:
-            vals = np.full(d - 1, vals[0])
-        if vals.shape[0] != d - 1:
+        if vals.shape[0] not in (1, d - 1):
             raise ConfigError("--c-tridiagonal", f"need {d - 1} coefficients")
-        c = np.zeros((d, d))
-        idx = np.arange(d - 1)
-        c[idx, idx + 1] = vals
-        c[idx + 1, idx] = vals
+        c = model.tridiagonal_gamma(d, vals)
     else:
         rows = [_parse_vector(row, "--c-full") for row in args.c_full.split(";")]
         c = np.array(rows, dtype=float)
@@ -237,8 +232,12 @@ def _cmd_collide(args, emit):
         raise ConfigError("run.n", "collide requires a step count")
     rate = analysis.collision_rate_explicit(system, cfg.run.n, cfg.run.paths, cfg.run.seed, T=cfg.run.T)
     # semi-implicit control on the identical Brownian paths
-    inc = analysis._batch_increments(cfg.run.seed, 0, cfg.run.paths, system.d, cfg.run.T, cfg.run.n)
-    _, min_gap = scheme.simulate_batch(system, scheme.TimeGrid(cfg.run.T, cfg.run.n), inc)
+    grid = scheme.TimeGrid(cfg.run.T, cfg.run.n)
+
+    def control(start, stop, inc):
+        return scheme.simulate_batch(system, grid, inc, record_stride=cfg.run.n)[1]
+
+    min_gap = min(analysis._replications(cfg.run.seed, cfg.run.paths, system.d, cfg.run.T, cfg.run.n, control))
     control_rate = 0.0 if min_gap > 0 else float("nan")
     precision = cfg.output.precision
     emit("scheme,n,paths,exit_fraction")

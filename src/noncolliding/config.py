@@ -24,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import ConfigError
 from . import model
+from .analysis import ERROR_MODES
+from .errors import ConfigError
+from .scheme import SCHEMES, _is_power_of_two
 
 __all__ = [
     "SystemConfig",
@@ -39,8 +41,6 @@ __all__ = [
 
 DRIFT_KINDS = ("zero", "constant", "ornstein_uhlenbeck", "bounded_smooth")
 DIFFUSION_KINDS = ("constant_matrix", "diagonal_bounded")
-SCHEMES = ("semi_implicit", "explicit")
-ERROR_MODES = ("grid_sup_Lp", "terminal_L2", "grid_sup_L2")
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,6 @@ def _as_vector(value, key):
     if not isinstance(value, (list, tuple)) or not value:
         _fail(key, "must be a non-empty list of numbers")
     return tuple(_as_number(v, key) for v in value)
-
-
-def _is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def _parse_system(block):

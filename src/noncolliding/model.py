@@ -229,11 +229,10 @@ def uniform_gamma(d, value):
 
 
 def tridiagonal_gamma(d, value):
-    """Nearest-neighbour interaction matrix with first off-diagonals equal to value."""
+    """Nearest-neighbour interaction matrix; value is one number or the d - 1 pair values."""
     g = np.zeros((d, d))
     idx = np.arange(d - 1)
-    g[idx, idx + 1] = float(value)
-    g[idx + 1, idx] = float(value)
+    g[idx, idx + 1] = g[idx + 1, idx] = np.asarray(value, dtype=float)
     return g
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the convergence harness, moments, and inequality oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from noncolliding import (
     moment_profile,
     run_study,
     simulate,
+    simulate_batch,
     strong_error,
     uniform_gamma,
     verify_gap_inequality_full,
@@ -114,12 +117,14 @@ class TestStrongError:
         e2 = run_study(study)
         assert e1.errors == e2.errors
 
-    def test_chunk_size_does_not_change_result(self):
+    def test_chunk_size_does_not_change_result(self, monkeypatch):
         study = ConvergenceStudy(dyson(3, 4.0), 1.0, (8, 16, 32), 128, 40, base_seed=9)
-        from noncolliding.analysis import _per_level_errors
+        from noncolliding import analysis
 
-        chunked = _per_level_errors(study, study.levels, chunk=16)
-        whole = _per_level_errors(study, study.levels, chunk=40)
+        monkeypatch.setattr(analysis, "CHUNK", 16)
+        chunked = analysis._per_level_errors(study, study.levels)
+        monkeypatch.setattr(analysis, "CHUNK", 40)
+        whole = analysis._per_level_errors(study, study.levels)
         for n in study.levels:
             assert np.array_equal(chunked[n], whole[n])
 
@@ -143,6 +148,34 @@ class TestMoments:
     def test_rejects_negative_p(self):
         with pytest.raises(ValueError):
             moment_profile(dyson(3, 4.0), 1.0, -1.0, 10, 16)
+
+    def test_chunks_equal_one_batch(self):
+        from noncolliding.analysis import CHUNK, _batch_increments
+
+        sys_, T, p, n, M, seed = dyson(3, 4.0), 1.0, 1.5, 16, 2 * CHUNK + 7, 4
+        reports = moment_profile(sys_, T, p, M, n, base_seed=seed, times=[0.0, 0.25, 1.0])
+        rec, _ = simulate_batch(sys_, TimeGrid(T, n), _batch_increments(seed, 0, M, 3, T, n))
+        states = rec[:, [0, 4, 16]]
+        abs_pow = np.linalg.norm(states, axis=2) ** p
+        inv_pow = np.diff(states, axis=2) ** -p
+        for j, r in enumerate(reports):
+            assert r.est_abs_moment == abs_pow[:, j].mean()
+            assert r.abs_moment_std_err == abs_pow[:, j].std(ddof=1) / np.sqrt(M)
+            assert np.array_equal(r.est_inv_gap_moments, inv_pow[:, j].mean(axis=0))
+            assert np.array_equal(r.inv_gap_std_errs, inv_pow[:, j].std(axis=0, ddof=1) / np.sqrt(M))
+
+    def test_memory_holds_one_chunk(self):
+        from noncolliding.analysis import CHUNK
+
+        def peak(M):
+            tracemalloc.start()
+            try:
+                moment_profile(dyson(3, 4.0), 1.0, 2.0, M, 512, base_seed=3, times=[0.5, 1.0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * CHUNK) <= 1.1 * peak(CHUNK)
 
 
 class TestCollision:
@@ -180,7 +213,7 @@ class TestCollision:
         assert custom == closed > 0.0
 
     def test_rate_is_exit_fraction_of_explicit_paths(self):
-        # M > 2000 crosses the chunk boundary of collision_rate_explicit
+        # M = 2100 spans several chunks of CHUNK replications and ends in a partial one
         from noncolliding.analysis import _batch_increments
         from noncolliding.scheme import BrownianPath
 

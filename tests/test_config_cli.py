@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,31 @@ class TestCli:
         code = main(["solve", "--a", "0,1"])
         assert code == 2
 
+    def test_solve_tridiagonal_one_or_per_pair_values(self, capsys):
+        assert main(["solve", "--a", "0,1,3", "--c-tridiagonal", "0.5"]) == 0
+        one = capsys.readouterr().out
+        assert main(["solve", "--a", "0,1,3", "--c-tridiagonal", "0.5,0.5"]) == 0
+        assert capsys.readouterr().out == one
+        assert main(["solve", "--a", "0,1,3", "--c-tridiagonal", "0.5,0.5,0.5"]) == 2
+        assert "need 2 coefficients" in capsys.readouterr().err
+
+    def test_collide_memory_holds_one_chunk(self, tmp_path):
+        # the semi-implicit control runs chunk by chunk, so 4x the paths
+        # needs no more memory
+        from noncolliding.analysis import CHUNK
+
+        def peak(paths):
+            cfg = tmp_path / f"collide{paths}.yaml"
+            cfg.write_text(DYSON_YAML.replace("n: 16", "n: 256").replace("paths: 20", f"paths: {paths}"))
+            tracemalloc.start()
+            try:
+                assert main(["collide", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * CHUNK) <= 1.2 * peak(CHUNK)
+
     def test_global_flags_both_positions(self, dyson_config, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -224,10 +250,10 @@ class TestCli:
 
 
 def run_cli(*argv):
-    """The installed entry point in a fresh interpreter: (exit code, stderr)."""
+    """`python -m noncolliding` in a fresh interpreter: (exit code, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(noncolliding.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "from noncolliding.cli import entry_point; entry_point()", *argv],
+        [sys.executable, "-m", "noncolliding", *argv],
         capture_output=True, text=True, env=env,
     )
     return proc.returncode, proc.stderr

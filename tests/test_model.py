@@ -108,6 +108,13 @@ class TestGammaConstructors:
         assert g[0, 1] == 1.5 and g[1, 0] == 1.5
         assert g[0, 2] == 0.0 and g[0, 3] == 0.0
 
+    def test_tridiagonal_per_pair_values(self):
+        g = tridiagonal_gamma(4, [1.0, 2.0, 3.0])
+        assert np.array_equal(np.diag(g, 1), [1.0, 2.0, 3.0])
+        assert np.array_equal(g, g.T)
+        assert not np.any(np.triu(g, 2))
+        assert np.array_equal(tridiagonal_gamma(4, [1.5]), tridiagonal_gamma(4, 1.5))
+
 
 class TestParticleSystem:
     def test_valid_dyson(self):
