@@ -43,9 +43,12 @@ __all__ = [
 
 ERROR_MODES = ("grid_sup_Lp", "terminal_L2", "grid_sup_L2")
 
-# Replications per chunk: a chunk's increments and states are the largest
-# arrays of a study, and only one chunk is held at a time.
-CHUNK = 250
+# Rows per chunk and fine steps per time block.  The replications of a chunk
+# are stepped together, one block of increments at a time, so a chunk's
+# increments and states, the largest arrays of a study, take O(CHUNK * block
+# * d) memory whatever the path length; only one block is drawn at a time.
+CHUNK = 1000
+BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +111,14 @@ class MomentReport:
     bound: float
 
 
-def _error_functional(mode, coarse_states, ref_states):
-    # Euclidean norm of the state mismatch at each recorded grid time
+def _accumulate_error(mode, err, coarse_states, ref_states):
+    # Euclidean norm of the state mismatch at each recorded grid time of a
+    # block: the terminal mode keeps the last one, the others the running max
     dist = np.linalg.norm(coarse_states - ref_states, axis=2)
     if mode == "terminal_L2":
-        return dist[:, -1]
-    return dist.max(axis=1)
+        err[:] = dist[:, -1]
+    else:
+        np.maximum(err, dist.max(axis=1), out=err)
 
 
 def _moment_power(mode, p):
@@ -134,19 +139,21 @@ def _lp_estimate(samples, p):
 def _per_level_errors(study, levels):
     """Per-replication error samples at each level, sharing one reference run."""
     nmax = max(levels)
-    ref_stride = study.ref_level // nmax
-    grid_ref = TimeGrid(study.T, study.ref_level)
-    samples = {n: np.empty(study.replications) for n in levels}
+    samples = {n: np.zeros(study.replications) for n in levels}
 
-    def run_chunk(start, stop, inc):
-        ref_rec, _ = simulate_batch(study.system, grid_ref, inc, record_stride=ref_stride)
-        for n in levels:  # every level is below ref_level (ConvergenceStudy checks)
-            cinc = scheme._coarsen(inc, study.ref_level // n)
-            rec, _ = simulate_batch(study.system, TimeGrid(study.T, n), cinc)
-            ref_at = ref_rec[:, :: nmax // n]
-            samples[n][start:stop] = _error_functional(study.error_mode, rec, ref_at)
+    def run_chunk(start, stop, blocks):
+        ref = _walk(study.system, TimeGrid(study.T, study.ref_level), study.ref_level // nmax)
+        walks = {n: _walk(study.system, TimeGrid(study.T, n), 1) for n in levels}
+        for _, inc in blocks:
+            ref_rec, _ = ref(inc)
+            for n in levels:  # every level is below ref_level (ConvergenceStudy checks)
+                rec, _ = walks[n](scheme._coarsen(inc, study.ref_level // n))
+                _accumulate_error(study.error_mode, samples[n][start:stop], rec, ref_rec[:, :: nmax // n])
 
-    _replications(study.base_seed, study.replications, study.system.d, study.T, study.ref_level, run_chunk)
+    _replications(
+        study.base_seed, study.replications, study.system.d, study.T, study.ref_level, run_chunk,
+        factor=study.ref_level // min(levels),
+    )
     return samples
 
 
@@ -215,21 +222,27 @@ def trend_statistic(levels, errors):
 def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     """MomentReport at each requested time from M semi-implicit paths.
 
-    times defaults to the recorded grid times; each report carries the
-    inverse-gap bound sum(gap_i(0)^-p) * exp(p * t * Lip(b)) at its own t.
+    times defaults to the recorded grid times; a time in [0, T] is reported
+    at the nearest grid time, and a time outside it raises ValueError.  Each
+    report carries the inverse-gap bound sum(gap_i(0)^-p) * exp(p * t * Lip(b))
+    at its own t.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
     grid = TimeGrid(T, n)
     grid_times = grid.times()
-    if times is None:
-        times = grid_times
-    idx = [int(np.argmin(np.abs(grid_times - t))) for t in np.atleast_1d(times)]
+    times = grid_times if times is None else np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all((times >= 0.0) & (times <= T)):
+        raise ValueError(f"times must lie in [0, T] = [0, {T}]")
+    idx = np.array([int(np.argmin(np.abs(grid_times - t))) for t in times])
     states = np.empty((M, len(idx), system.d))
 
-    def run_chunk(start, stop, inc):
-        rec, _ = simulate_batch(system, grid, inc)
-        states[start:stop] = rec[:, idx]
+    def run_chunk(start, stop, blocks):
+        walk = _walk(system, grid, 1)
+        for k, inc in blocks:
+            rec, _ = walk(inc)
+            hit = (idx >= k) & (idx <= k + inc.shape[1])
+            states[start:stop, hit] = rec[:, idx[hit] - k]
 
     _replications(base_seed, M, system.d, T, n, run_chunk)
     abs_pow = np.linalg.norm(states, axis=2) ** p
@@ -258,24 +271,61 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     return reports
 
 
-def _batch_increments(base_seed, start, stop, d, T, n):
-    """Increments of replications [start, stop), keyed by (base_seed, rep)."""
-    return scheme._increments([(int(base_seed), rep) for rep in range(start, stop)], d, T, n)
+def _batch_increments(base_seed, start, stop, d, T, n, rngs=None, steps=None):
+    """Increments of replications [start, stop), keyed by (base_seed, rep), on the n-step grid.
 
-
-def _replications(base_seed, M, d, T, n, run_chunk):
-    """The one loop over replications [0, M): run_chunk(start, stop, increments) per CHUNK.
-
-    Returns the run_chunk results in chunk order.  The increments are passed
-    unbound, so a chunk's arrays are freed before the next chunk is drawn.
-    Rows are keyed by (base_seed, rep) and a path gets the same bits in any
-    batch, so results do not depend on CHUNK.
+    Draws all n steps from new generators, or, given `rngs`, the live
+    generators of those replications, their next `steps`.
     """
+    if rngs is None:
+        rngs = scheme._generators([(int(base_seed), rep) for rep in range(start, stop)])
+    return scheme._increments(rngs, d, T, n, steps)
+
+
+def _replications(base_seed, M, d, T, n, run_chunk, factor=1):
+    """The one loop over replications [0, M): run_chunk(start, stop, blocks) per CHUNK rows.
+
+    Returns the run_chunk results in chunk order.  `blocks` yields
+    (k, increments) for steps k + 1, ..., k + b of the n-step grid, in order,
+    with b = min(n, max(BLOCK, factor)) except for a shorter last block.  A
+    block is drawn only when run_chunk asks for it, from one Philox
+    generator per replication that lives for the chunk, so the blocks of a
+    replication concatenate to its one-shot `_batch_increments` bit for bit.
+    With a power-of-two factor, each block of a power-of-two n holds whole
+    dyadic trees of `factor` fine steps.  Rows are keyed by (base_seed, rep)
+    and a path gets the same bits in any batch, so results depend on neither
+    CHUNK nor the block length.
+    """
+    block = min(n, max(BLOCK, factor))
     results = []
     for start in range(0, M, CHUNK):
         stop = min(start + CHUNK, M)
-        results.append(run_chunk(start, stop, _batch_increments(base_seed, start, stop, d, T, n)))
+        rngs = scheme._generators([(int(base_seed), rep) for rep in range(start, stop)])
+        blocks = (
+            (k, _batch_increments(base_seed, start, stop, d, T, n, rngs, min(block, n - k)))
+            for k in range(0, n, block)
+        )
+        results.append(run_chunk(start, stop, blocks))
     return results
+
+
+def _walk(system, grid, stride=None):
+    """walk(increments) steps semi-implicit paths through the next block of grid.
+
+    Each call continues every path from where the last call left it (system.x0
+    at first) and returns (recorded, min_gap) as `simulate_batch` does for the
+    block: the states at every stride-th step, the block's start first, with
+    stride defaulting to the block length.
+    """
+    x = system.x0
+
+    def walk(increments):
+        nonlocal x
+        recorded, min_gap = simulate_batch(system, grid, increments, record_stride=stride or increments.shape[1], x0=x)
+        x = recorded[:, -1]
+        return recorded, min_gap
+
+    return walk
 
 
 def estimate_moments(system, t, p, M, n, base_seed=0):
@@ -296,8 +346,12 @@ def collision_rate_explicit(system, n, M, seed, T=1.0):
         raise ValueError("M must be >= 1")
     grid = TimeGrid(T, n)
 
-    def run_chunk(start, stop, inc):
-        return np.count_nonzero(scheme._paths(system, grid, inc, True, n, None)[2])
+    def run_chunk(start, stop, blocks):
+        x, exit_step = system.x0, None
+        for k, inc in blocks:
+            rec, _, exit_step = scheme._paths(system, grid, inc, True, inc.shape[1], None, x, k, exit_step)
+            x = rec[:, -1]
+        return np.count_nonzero(exit_step)
 
     return int(sum(_replications(seed, M, system.d, T, n, run_chunk))) / M
 

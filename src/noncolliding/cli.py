@@ -234,8 +234,9 @@ def _cmd_collide(args, emit):
     # semi-implicit control on the identical Brownian paths
     grid = scheme.TimeGrid(cfg.run.T, cfg.run.n)
 
-    def control(start, stop, inc):
-        return scheme.simulate_batch(system, grid, inc, record_stride=cfg.run.n)[1]
+    def control(start, stop, blocks):
+        walk = analysis._walk(system, grid)
+        return min(walk(inc)[1] for _, inc in blocks)
 
     min_gap = min(analysis._replications(cfg.run.seed, cfg.run.paths, system.d, cfg.run.T, cfg.run.n, control))
     control_rate = 0.0 if min_gap > 0 else float("nan")
@@ -342,3 +343,7 @@ def main(argv=None):
 
 def entry_point():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -87,18 +87,23 @@ def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _increments(entropies, d, T, n):
-    """Increments of shape (len(entropies), n, d), one Philox stream per entry.
+def _generators(entropies):
+    """One Philox generator per entry, keyed by SeedSequence(entropy) alone."""
+    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy))) for entropy in entropies]
 
-    Row i is keyed by SeedSequence(entropies[i]) alone and laid out row-major,
-    so any entry is bit-reproducible on any platform and independently of the
-    other entries.  This is the only place increments are drawn.
+
+def _increments(rngs, d, T, n, steps=None):
+    """The next `steps` (default n) increments of the n-step grid on [0, T] from each generator.
+
+    Returns shape (len(rngs), steps, d), laid out row-major, so any row is
+    bit-reproducible on any platform and independently of the other rows, and
+    successive draws from the same generators concatenate to one draw of all
+    their steps, bit for bit.  This is the only place increments are drawn.
     """
-    out = np.empty((len(entropies), n, d))
-    scale = np.sqrt(T / n)
-    for i, entropy in enumerate(entropies):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-        out[i] = rng.standard_normal((n, d)) * scale
+    out = np.empty((len(rngs), n if steps is None else steps, d))
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+    out *= np.sqrt(T / n)
     return out
 
 
@@ -111,7 +116,7 @@ def generate_brownian(seed, d, T, n_max):
     """
     if not _is_power_of_two(n_max):
         raise ValueError("n_max must be a power of 2")
-    increments = _increments([seed], d, T, n_max)[0]
+    increments = _increments(_generators([seed]), d, T, n_max)[0]
     return BrownianPath(seed=int(seed), d=int(d), T=float(T), n_max=int(n_max), increments=increments)
 
 
@@ -214,35 +219,41 @@ def generate_brownian_batch(base_seed, reps, d, T, n_max):
     """Increments for replications [0, reps) keyed by (base_seed, rep); shape (reps, n_max, d)."""
     if not _is_power_of_two(n_max):
         raise ValueError("n_max must be a power of 2")
-    return _increments([(int(base_seed), rep) for rep in range(reps)], d, T, n_max)
+    return _increments(_generators([(int(base_seed), rep) for rep in range(reps)]), d, T, n_max)
 
 
-def simulate_batch(system, grid, increments, record_stride=None, opts=None, scheme="semi_implicit"):
+def simulate_batch(system, grid, increments, record_stride=None, opts=None, scheme="semi_implicit", x0=None):
     """Simulate many paths at once with the chosen scheme.
 
     increments has shape (m, n, d) with n == grid.n.  Returns (recorded, min_gap)
     where recorded has shape (m, n // stride + 1, d) holding the states at
     every stride-th grid time (stride defaults to 1) and min_gap is the
-    minimum over all paths, steps and adjacent pairs.
+    minimum over all paths, steps and adjacent pairs.  With start states x0
+    (shape (m, d), or (d,) for all paths), the increments are instead the next n <= grid.n steps of
+    paths already at x0, and recorded starts with x0: stepping a path one
+    block at a time gives the bits of stepping it at once.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     recorded, min_gap, _ = _paths(
-        system, grid, increments, scheme == "explicit", record_stride or 1, opts or SolverOptions()
+        system, grid, increments, scheme == "explicit", record_stride or 1, opts or SolverOptions(), x0
     )
     return recorded, min_gap
 
 
-def _paths(system, grid, increments, explicit, stride, opts):
+def _paths(system, grid, increments, explicit, stride, opts, x0=None, k0=0, exit_step=None):
     """The one loop that steps a batch of paths; see `simulate_batch`.
 
     Also returns exit_step, the step at which each explicit path first left
     the ordered chamber (0 if it never did); such a path keeps its last
-    ordered state.  The semi-implicit mode solves the m systems of a step
-    together; the explicit mode steps only the paths still ordered.
+    ordered state.  A block of steps k0 + 1, ..., k0 + n continues from the
+    states x0 and the exit steps of the steps before it.  The step h and the
+    coefficients gamma * h always come from the whole grid.  The
+    semi-implicit mode solves the m systems of a step together; the explicit
+    mode steps only the paths still ordered.
     """
     m, n, d = increments.shape
-    if n != grid.n:
+    if k0 + n > grid.n or (x0 is None and n != grid.n):
         raise ValueError("increment count does not match grid")
     if d != system.d:
         raise ValueError("increment dimension does not match system")
@@ -250,12 +261,12 @@ def _paths(system, grid, increments, explicit, stride, opts):
         raise ValueError("record_stride must divide n")
     h = grid.h
     c = system.gamma * h
-    x = np.broadcast_to(system.x0, (m, d)).copy()
+    x = np.broadcast_to(system.x0 if x0 is None else x0, (m, d)).copy()
     recorded = np.empty((m, n // stride + 1, d))
     recorded[:, 0] = x
     min_gap = float(np.min(np.diff(x, axis=1)))
-    exit_step = np.zeros(m, dtype=int)
-    live = np.arange(m)
+    exit_step = np.zeros(m, dtype=int) if exit_step is None else exit_step.copy()
+    live = np.flatnonzero(exit_step == 0)
     for k in range(n):
         if not explicit:
             b, noise = _drift_and_noise(system, x, increments[:, k])
@@ -265,7 +276,7 @@ def _paths(system, grid, increments, explicit, stride, opts):
             new = x[live] + b * h + noise
             ordered = np.all(np.diff(new, axis=1) > 0, axis=1)
             x[live[ordered]] = new[ordered]
-            exit_step[live[~ordered]] = k + 1
+            exit_step[live[~ordered]] = k0 + k + 1
             live = live[ordered]
         min_gap = min(min_gap, float(np.min(np.diff(x, axis=1))))
         if (k + 1) % stride == 0:

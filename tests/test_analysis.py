@@ -125,8 +125,28 @@ class TestStrongError:
         chunked = analysis._per_level_errors(study, study.levels)
         monkeypatch.setattr(analysis, "CHUNK", 40)
         whole = analysis._per_level_errors(study, study.levels)
+        # blocks of the coarsest factor (128 // 8 = 16 fine steps) and of the whole path
+        for block in (1, study.ref_level):
+            monkeypatch.setattr(analysis, "BLOCK", block)
+            blocked = analysis._per_level_errors(study, study.levels)
+            for n in study.levels:
+                assert np.array_equal(blocked[n], whole[n])
         for n in study.levels:
             assert np.array_equal(chunked[n], whole[n])
+
+    def test_memory_does_not_grow_with_ref_level(self):
+        # the increments are drawn and stepped one time block at a time, so a
+        # 4x longer reference path needs no more memory
+        def peak(ref_level):
+            study = ConvergenceStudy(dyson(3, 4.0), 1.0, (16, 32, 64), ref_level, 100, base_seed=2)
+            tracemalloc.start()
+            try:
+                run_study(study)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1024) <= 1.1 * peak(256)
 
 
 class TestMoments:
@@ -148,6 +168,11 @@ class TestMoments:
     def test_rejects_negative_p(self):
         with pytest.raises(ValueError):
             moment_profile(dyson(3, 4.0), 1.0, -1.0, 10, 16)
+
+    @pytest.mark.parametrize("t", [-0.25, 1.5, 5.0, float("nan")])
+    def test_rejects_times_outside_horizon(self, t):
+        with pytest.raises(ValueError, match=r"\[0, T\]"):
+            moment_profile(dyson(3, 4.0), 1.0, 2.0, 10, 16, times=[0.5, t])
 
     def test_chunks_equal_one_batch(self):
         from noncolliding.analysis import CHUNK, _batch_increments

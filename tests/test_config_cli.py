@@ -259,6 +259,17 @@ def run_cli(*argv):
     return proc.returncode, proc.stderr
 
 
+def test_cli_module_runs_as_main():
+    # `python -m noncolliding.cli` is the same front end as `python -m noncolliding`
+    env = dict(os.environ, PYTHONPATH=str(Path(noncolliding.__file__).parents[1]))
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, "chi-bar", "--d", "3"], capture_output=True, text=True, env=env)
+        for name in ("noncolliding", "noncolliding.cli")
+    )
+    assert package.stdout.startswith("d,p,chi\n3,0,")
+    assert (module.returncode, module.stdout) == (package.returncode, package.stdout)
+
+
 class TestLibraryErrors:
     def test_non_dyadic_step_count_is_validation_error(self, tmp_path):
         cfg = tmp_path / "n100.yaml"

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncolliding import (
     ConstantMatrixDiffusion,
     DiagonalBoundedDiffusion,
     OrnsteinUhlenbeckDrift,
     ParticleSystem,
+    SolverOptions,
     TimeGrid,
     ZeroDrift,
     coarsen,
@@ -16,9 +19,17 @@ from noncolliding import (
     simulate_batch,
     step_explicit,
     step_semi_implicit,
+    tridiagonal_gamma,
     uniform_gamma,
 )
-from noncolliding.scheme import BrownianPath, generate_brownian_batch, replication_seed
+from noncolliding.scheme import (
+    BrownianPath,
+    _generators,
+    _increments,
+    _paths,
+    generate_brownian_batch,
+    replication_seed,
+)
 
 
 def dyson(d, gamma, x0=None, drift=None, diffusion=None):
@@ -215,6 +226,19 @@ class TestGenerators:
         direct = rng.standard_normal((16, 3)) * np.sqrt(2.0 / 16)
         assert np.array_equal(generate_brownian(21, 3, 2.0, 16).increments, direct)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**63 - 1), st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 10), st.data())
+    def test_block_draws_equal_one_shot(self, seed, rep, d, log_n, data):
+        # a replication's live generator, drawn B steps at a time for any
+        # power-of-two B dividing n, gives the bits of one draw of all n steps
+        from noncolliding.analysis import _batch_increments
+
+        n, block = 2**log_n, 2 ** data.draw(st.integers(0, log_n))
+        one_shot = _increments(_generators([(seed, rep)]), d, 2.0, n)[0]
+        rngs = _generators([(seed, rep)])
+        blocks = [_batch_increments(seed, rep, rep + 1, d, 2.0, n, rngs, block)[0] for _ in range(n // block)]
+        assert np.array_equal(np.concatenate(blocks), one_shot)
+
 
 class TestBatch:
     def test_replication_seed_deterministic(self):
@@ -280,3 +304,51 @@ class TestBatch:
         inc = generate_brownian_batch(3, 1, 3, 1.0, 32)
         with pytest.raises(ValueError):
             simulate_batch(sys_, TimeGrid(1.0, 32), inc, record_stride=5)
+
+    @pytest.mark.parametrize("which", ["semi_implicit", "explicit"])
+    def test_blocks_continue_one_run(self, which):
+        # weak repulsion on a coarse grid, so explicit paths exit inside blocks
+        sys_ = dyson(3, 0.3, x0=[-0.5, 0.0, 0.5])
+        grid, explicit, opts = TimeGrid(1.0, 16), which == "explicit", SolverOptions()
+        inc = generate_brownian_batch(4, 30, 3, 1.0, 16)
+        whole, whole_gap, whole_exit = _paths(sys_, grid, inc, explicit, 1, opts)
+        x, k, exit_step, parts, gaps = np.broadcast_to(sys_.x0, (30, 3)), 0, None, [], []
+        for b in (5, 8, 3):
+            rec, gap, exit_step = _paths(sys_, grid, inc[:, k : k + b], explicit, 1, opts, x, k, exit_step)
+            assert np.array_equal(rec[:, 0], x)
+            x, k = rec[:, -1], k + b
+            parts.append(rec[:, 1:])
+            gaps.append(gap)
+        assert np.array_equal(np.concatenate([whole[:, :1]] + parts, axis=1), whole)
+        assert min(gaps) == whole_gap
+        assert np.array_equal(exit_step, whole_exit)
+        assert np.count_nonzero(whole_exit) > 0 if explicit else whole_gap > 0
+
+    def test_short_increments_need_start_states(self):
+        sys_ = dyson(3, 4.0)
+        grid = TimeGrid(1.0, 32)
+        inc = generate_brownian_batch(3, 2, 3, 1.0, 16)
+        with pytest.raises(ValueError, match="does not match grid"):
+            simulate_batch(sys_, grid, inc)
+        rec, _ = simulate_batch(sys_, grid, inc, x0=sys_.x0)
+        assert rec.shape == (2, 17, 3)
+        with pytest.raises(ValueError, match="does not match grid"):
+            simulate_batch(sys_, TimeGrid(1.0, 8), inc, x0=sys_.x0)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
+    def test_centre_of_mass_follows_mean_brownian_motion(self, kind):
+        # symmetric gamma makes the interaction sum to zero, so with zero drift
+        # and sigma = I the particles' mean is mean(x0) + mean(W_t) exactly;
+        # a step may move it by at most the Newton tolerance
+        d, n, m = 16, 64, 10
+        gamma = uniform_gamma(d, 1.0) if kind == "uniform" else tridiagonal_gamma(d, 1.0)
+        x0 = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d)
+        sys_ = ParticleSystem(d=d, gamma=gamma, drift=ZeroDrift(), diffusion=ConstantMatrixDiffusion(np.eye(d)), x0=x0)
+        inc = generate_brownian_batch(8, m, d, 1.0, n)
+        rec, min_gap = simulate_batch(sys_, TimeGrid(1.0, n), inc)
+        brownian = np.concatenate([np.zeros((m, 1, d)), np.cumsum(inc, axis=1)], axis=1)
+        error = np.abs(rec.mean(axis=2) - (np.mean(x0) + brownian.mean(axis=2)))
+        assert min_gap > 0
+        assert np.max(error) <= n * SolverOptions().tol
