@@ -1,4 +1,5 @@
-"""Byte guard: the stdout of the Monte Carlo subcommands against golden files.
+"""Byte guards: the stdout of the Monte Carlo subcommands, and continuation
+results, against golden files.
 
 The config has more replications than one `analysis.CHUNK` of rows and more
 fine steps than one time block, and its step count n = 100 is not a multiple
@@ -7,13 +8,24 @@ Monte Carlo estimate.  Regenerate a file only for a change that is meant to
 move the numbers:
 
     PYTHONPATH=src python -m noncolliding converge --config CFG > tests/golden/converge.csv
+
+`homotopy.txt` holds the bits of 16-step continuation on fixed random
+problems, or the error it raises: criterion-2 problems, "wide" problems whose
+solves reject steps and fail, and "extreme" ones whose continuation collapses.
+Regenerate it with
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden/homotopy.txt
 """
 
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from noncolliding import ImplicitProblem, NonConvergenceError, SolverOptions
 from noncolliding.cli import main
+from noncolliding.implicit import _homotopy
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,3 +69,45 @@ def test_stdout_matches_golden(name, tmp_path, capsys):
     cfg.write_text(CONFIG.format(mode=mode))
     assert main(argv + ["--config", str(cfg)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
+
+
+def _uniform(d, value):
+    c = np.full((d, d), value)
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+def homotopy_problems():
+    """(group, index, problem) for the continuation guard, from fixed seeds."""
+    groups = {
+        # (seed, count, offsets a ~ scale * U(-1, 1), uniform c)
+        "criterion2": (2024, 200, lambda rng: 5.0, lambda rng: rng.uniform(1e-4, 10.0)),
+        "wide": (7, 200, lambda rng: 50.0, lambda rng: 10.0 ** rng.uniform(-6.0, 1.0)),
+        "extreme": (11, 20, lambda rng: 10.0 ** rng.uniform(2.0, 8.0), lambda rng: 10.0 ** rng.uniform(-8.0, 0.0)),
+    }
+    for group, (seed, count, scale, coefficient) in groups.items():
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        for index in range(count):
+            d = int(rng.integers(2, 9))
+            a = rng.uniform(-1.0, 1.0, d) * scale(rng)
+            yield group, index, ImplicitProblem(a, _uniform(d, coefficient(rng)))
+
+
+def homotopy_lines():
+    opts = SolverOptions(method="homotopy", homotopy_steps=16)
+    for group, index, problem in homotopy_problems():
+        try:
+            xi, iterations = _homotopy(problem, opts)
+        except NonConvergenceError as exc:
+            residual = "None" if exc.residual is None else float(exc.residual).hex()
+            yield f"{group} {index} error {exc.method} {exc.iterations} {residual} {exc}\n"
+            continue
+        yield f"{group} {index} ok {iterations} {' '.join(float(v).hex() for v in xi)}\n"
+
+
+def test_homotopy_matches_golden():
+    assert "".join(homotopy_lines()) == (GOLDEN / "homotopy.txt").read_text()
+
+
+if __name__ == "__main__":
+    sys.stdout.writelines(homotopy_lines())
