@@ -126,16 +126,21 @@ def _check_ordered(xi):
     return xi
 
 
+def _differences(xi):
+    # xi_i - xi_j along the last axis of xi, with inf on the diagonal so that
+    # c / diff and c / diff**2 vanish there
+    idx = np.arange(xi.shape[-1])
+    diff = xi[..., :, None] - xi[..., None, :]
+    diff[..., idx, idx] = np.inf
+    return diff
+
+
 def _interaction(c, xi, weights=False):
     """sum_{j != i} c_ij / (xi_i - xi_j) along the last axis of xi.
 
     With weights=True also returns the Hessian weights c_ij / (xi_i - xi_j)**2.
-    The difference matrix carries inf on its diagonal, which makes the
-    diagonal terms of both zero.
     """
-    idx = np.arange(xi.shape[-1])
-    diff = xi[..., :, None] - xi[..., None, :]
-    diff[..., idx, idx] = np.inf
+    diff = _differences(xi)
     total = (c / diff).sum(axis=-1)
     if not weights:
         return total
@@ -316,7 +321,10 @@ def solve_homotopy(problem, opts=None):
     Integrates dx/dt = (I - dg/dx)^{-1} g(J) from x(0) = J to t = 1 with
     classical 4-stage steps, then polishes with Newton.  Accepted steps must
     keep the trajectory strictly ordered and satisfy the derivative bound
-    |dx/dt| <= |g(J)|; a violating step is retried at half length.
+    |dx/dt| <= |g(J)|; a violating step is retried at half length.  The
+    velocity that checks the bound at an accepted point is the next step's
+    first stage, and a retry keeps its first stage, so every stage costs one
+    Hessian solve.
     """
     return _homotopy(problem, opts or SolverOptions())[0]
 
@@ -329,19 +337,21 @@ def _homotopy(problem, opts):
     g_norm = np.linalg.norm(g_j)
 
     def velocity(x):
-        if not np.all(np.diff(x) > 0):
+        if not (x[1:] > x[:-1]).all():
             return None
-        return _hessian_solve(_interaction(c, x[None], weights=True)[1], g_j[None])[0]
+        return _hessian_solve(c / _differences(x[None]) ** 2, g_j[None])[0]
 
     x = big_j.copy()
+    k1 = velocity(x)
     t = 0.0
     accepted = 0
     h = 1.0 / opts.homotopy_steps
     while t < 1.0 - 1e-15:
         step = min(h, 1.0 - t)
         while True:
-            k1 = velocity(x)
-            k2 = velocity(x + 0.5 * step * k1) if k1 is not None else None
+            # k1 is the velocity at x: the last accepted step's v, kept
+            # across a rejected retry because x has not moved
+            k2 = velocity(x + 0.5 * step * k1)
             k3 = velocity(x + 0.5 * step * k2) if k2 is not None else None
             k4 = velocity(x + step * k3) if k3 is not None else None
             if k4 is not None:
@@ -354,7 +364,7 @@ def _homotopy(problem, opts):
                 raise NonConvergenceError(
                     "continuation step collapsed", method="homotopy", residual=None
                 )
-        x = trial
+        x, k1 = trial, v
         t += step
         accepted += 1
     xi, polish = _newton_row(problem, opts, start=x)

@@ -16,6 +16,7 @@ from noncolliding import (
     solve_homotopy,
     solve_newton,
 )
+from noncolliding import implicit
 from noncolliding.implicit import solve_batch
 
 
@@ -178,6 +179,41 @@ class TestHomotopy:
         xi = solve_homotopy(p)
         assert np.all(np.diff(xi) > 0)
         assert np.max(np.abs(residual(p, xi))) <= 1e-10
+
+    @staticmethod
+    def _counted_homotopy(monkeypatch, a, c):
+        """16-step continuation with every Hessian solve recorded.
+
+        Returns (iterations, velocity solves, Newton polish solves); a
+        velocity solve is one whose right-hand side is g(J), the same in
+        every velocity evaluation.
+        """
+        calls = []
+        real = implicit._hessian_solve
+
+        def counting(w, b):
+            calls.append((w.tobytes(), b.tobytes()))
+            return real(w, b)
+
+        monkeypatch.setattr(implicit, "_hessian_solve", counting)
+        opts = SolverOptions(method="homotopy", homotopy_steps=16)
+        _, iterations = implicit._homotopy(ImplicitProblem(np.array(a), c), opts)
+        velocity = [call for call in calls if call[1] == calls[0][1]]
+        return iterations, velocity, len(calls) - len(velocity)
+
+    def test_one_solve_per_stage_without_rejection(self, monkeypatch):
+        # k1 once at J, then k2, k3, k4 and the bound's velocity per step,
+        # which is the next step's k1; plus one solve per polish iteration
+        iterations, velocity, polish = self._counted_homotopy(monkeypatch, [-3.0, 0.0, 3.0], uniform_c(3, 1.0))
+        assert len(velocity) == 4 * 16 + 1
+        assert iterations == 16 + polish
+
+    def test_rejected_step_reuses_k1(self, monkeypatch):
+        # a rejected step retries from the same x: no velocity is evaluated
+        # twice at one point, for the retry's k1 or an accepted step's
+        iterations, velocity, polish = self._counted_homotopy(monkeypatch, [5.0, -5.0, 0.0], uniform_c(3, 1e-2))
+        assert iterations - polish > 16
+        assert len(set(velocity)) == len(velocity)
 
 
 class TestFixedPointNN:
