@@ -128,23 +128,16 @@ def _check_ordered(xi):
 
 def _differences(xi):
     # xi_i - xi_j along the last axis of xi, with inf on the diagonal so that
-    # c / diff and c / diff**2 vanish there
+    # the terms c / diff and the Hessian weights c / diff**2 vanish there
     idx = np.arange(xi.shape[-1])
     diff = xi[..., :, None] - xi[..., None, :]
     diff[..., idx, idx] = np.inf
     return diff
 
 
-def _interaction(c, xi, weights=False):
-    """sum_{j != i} c_ij / (xi_i - xi_j) along the last axis of xi.
-
-    With weights=True also returns the Hessian weights c_ij / (xi_i - xi_j)**2.
-    """
-    diff = _differences(xi)
-    total = (c / diff).sum(axis=-1)
-    if not weights:
-        return total
-    return total, c / diff**2
+def _interaction(c, xi):
+    """sum_{j != i} c_ij / (xi_i - xi_j) along the last axis of xi."""
+    return (c / _differences(xi)).sum(axis=-1)
 
 
 def _hessian(w):
@@ -179,7 +172,7 @@ def residual(problem, xi):
 def jacobian(problem, xi):
     """Symmetric positive definite matrix I - dg/dx of the system map."""
     xi = _check_ordered(xi)
-    return _hessian(_interaction(problem.c, xi, weights=True)[1])
+    return _hessian(problem.c / _differences(xi) ** 2)
 
 
 def _pair_gap(da, c):
@@ -202,19 +195,25 @@ def _initial_guess(a, c):
     return _anchor(a, gaps)[..., None] + np.concatenate([start, np.cumsum(gaps, axis=-1)], axis=-1)
 
 
-def _residual_floor(a, tol, w=None):
+def _residual_floor(a, tol, x=None, w=None):
     """Residual at which a stalled row of a counts as converged.
 
-    Roundoff limits the achievable residual to roughly eps * problem scale.
-    Near-collision rows inflate it through the Hessian weights w at the
-    iterate; that contribution is capped at 100x the scale-relative tolerance.
+    The floor is tol * problem scale, raised near collision by the Hessian
+    weights w at the iterate x: moving positions by u = min(tol, 4 eps) *
+    max|a| moves r_i by up to u times 1 + sum_j w_ij, and roundoff keeps
+    doubles from doing better.  That linear bound holds once the smallest gap
+    spans 2^20 units eps * max|a|; on narrower gaps the raise stays capped at
+    100 * tol * scale, so a solution that doubles cannot resolve is refused.
     """
     amax = np.maximum(1.0, np.max(np.abs(a), axis=-1))
     base = tol * amax
     if w is None:
         return base
-    cond_floor = 64.0 * np.finfo(float).eps * amax * (1.0 + w.sum(axis=-1).max(axis=-1))
-    return np.maximum(base, np.minimum(cond_floor, 100.0 * base))
+    eps = np.finfo(float).eps
+    spread = 1.0 + w.sum(axis=-1).max(axis=-1)
+    capped = np.maximum(base, np.minimum(64.0 * eps * amax * spread, 100.0 * base))
+    resolved = np.diff(x, axis=-1).min(axis=-1) >= 2.0**20 * eps * amax
+    return np.where(resolved, np.maximum(capped, min(tol, 4.0 * eps) * amax * spread), capped)
 
 
 def _evaluate(a, c, x):
@@ -228,9 +227,9 @@ def _evaluate(a, c, x):
         r, rn, w = np.empty_like(x), np.full(len(x), np.inf), np.empty(x.shape + x.shape[-1:])
         r[ordered], rn[ordered], w[ordered] = _evaluate(a[ordered], c, x[ordered])
         return r, rn, w
-    total, w = _interaction(c, x, weights=True)
-    r = x - a - total
-    return r, np.abs(r).max(axis=1), w
+    diff = _differences(x)
+    r = x - a - (c / diff).sum(axis=-1)
+    return r, np.abs(r).max(axis=1), c / diff**2
 
 
 def _line_search(a, c, x, rn, delta):
@@ -286,14 +285,14 @@ def _newton(a, c, xi, opts):
         delta = _hessian_solve(w, -r)
         x_new, r_new, rn_new, w_new, stuck = _line_search(ar, c, x, rn, delta)
         if stuck.any():
-            ok[rows[stuck]] = rn[stuck] <= _residual_floor(ar[stuck], opts.tol, w[stuck])
+            ok[rows[stuck]] = rn[stuck] <= _residual_floor(ar[stuck], opts.tol, x[stuck], w[stuck])
             moved = ~stuck
             rows, x, ar, r, rn, w = (v[moved] for v in (rows, x_new, ar, r_new, rn_new, w_new))
         else:
             x, r, rn, w = x_new, r_new, rn_new, w_new
     if rows.size:
         # these rows spent max_iter steps above tol
-        ok[rows] = rn <= _residual_floor(ar, opts.tol, w)
+        ok[rows] = rn <= _residual_floor(ar, opts.tol, x, w)
     return xi, iterations, rnorm, ok
 
 
@@ -322,9 +321,8 @@ def solve_homotopy(problem, opts=None):
     classical 4-stage steps, then polishes with Newton.  Accepted steps must
     keep the trajectory strictly ordered and satisfy the derivative bound
     |dx/dt| <= |g(J)|; a violating step is retried at half length.  The
-    velocity that checks the bound at an accepted point is the next step's
-    first stage, and a retry keeps its first stage, so every stage costs one
-    Hessian solve.
+    velocity checked at an accepted point is the next step's first stage and
+    a retry keeps its first stage, so every stage costs one Hessian solve.
     """
     return _homotopy(problem, opts or SolverOptions())[0]
 
@@ -341,16 +339,14 @@ def _homotopy(problem, opts):
             return None
         return _hessian_solve(c / _differences(x[None]) ** 2, g_j[None])[0]
 
-    x = big_j.copy()
-    k1 = velocity(x)
+    x, k1 = big_j, velocity(big_j)
     t = 0.0
     accepted = 0
     h = 1.0 / opts.homotopy_steps
     while t < 1.0 - 1e-15:
         step = min(h, 1.0 - t)
         while True:
-            # k1 is the velocity at x: the last accepted step's v, kept
-            # across a rejected retry because x has not moved
+            # k1 is the velocity at x, which a rejected retry has not moved
             k2 = velocity(x + 0.5 * step * k1)
             k3 = velocity(x + 0.5 * step * k2) if k2 is not None else None
             k4 = velocity(x + step * k3) if k3 is not None else None
@@ -379,13 +375,9 @@ def _nn_map(aa, cc, x):
     return _pair_gap(t, cc)
 
 
-def _gap_solution_to_positions(problem, gaps):
-    return GapVector(gaps, float(_anchor(problem.a, gaps)))
-
-
 def _converged_gaps(problem, opts, gaps):
     # the gaps as a GapVector if their positions meet the residual floor, else None
-    gv = _gap_solution_to_positions(problem, gaps)
+    gv = GapVector(gaps, float(_anchor(problem.a, gaps)))
     r = np.max(np.abs(residual(problem, gv.to_positions())))
     return gv if r <= _residual_floor(problem.a, opts.tol) else None
 
@@ -408,7 +400,7 @@ def _fixed_point_nn(problem, opts, max_sweeps=200_000):
     aa, cc = np.diff(problem.a), np.diag(problem.c, 1)
     x = _pair_gap(aa, cc)
     if problem.d == 2:
-        return _gap_solution_to_positions(problem, x), 1
+        return GapVector(x, float(_anchor(problem.a, x))), 1
     for sweep in range(1, max_sweeps + 1):
         x_next = _nn_map(aa, cc, x)
         if np.any(x_next > x * (1.0 + 1e-13) + 1e-300):
@@ -457,29 +449,27 @@ def _alternating_d3(problem, opts, max_sweeps=200_000):
     na, nb = np.diff(problem.a) / sq
     x, y = alternating_d3_initializers(na, nb)
     slack = 1e-12
-    prev = {"x_odd": x, "y_odd": y, "x_even": None, "y_even": None}
+    before = None  # iterate n - 1, of the parity of iterate n + 1
     for n in range(1, max_sweeps):
         px = na - 1.0 / y + 1.0 / (x + y)
         py = nb - 1.0 / x + 1.0 / (x + y)
         x_next = 0.5 * (px + np.sqrt(px**2 + 8.0))
         y_next = 0.5 * (py + np.sqrt(py**2 + 8.0))
-        parity = "even" if (n + 1) % 2 == 0 else "odd"
-        px_prev, py_prev = prev[f"x_{parity}"], prev[f"y_{parity}"]
-        if px_prev is not None:
+        if before is not None:
             # interleaving of the odd/even subsequences, up to roundoff
-            if parity == "odd":
-                ok = x_next <= px_prev + slack and y_next >= py_prev - slack
+            xb, yb = before
+            if n % 2 == 0:  # iterate n + 1 is odd: x falls, y rises
+                ok = x_next <= xb + slack and y_next >= yb - slack
             else:
-                ok = x_next >= px_prev - slack and y_next <= py_prev + slack
+                ok = x_next >= xb - slack and y_next <= yb + slack
             if not ok:
                 raise NonConvergenceError(
                     "alternating subsequences lost interleaving",
                     method="alternating_d3",
                     iterations=n,
                 )
-        prev[f"x_{parity}"], prev[f"y_{parity}"] = x_next, y_next
         change = abs(x_next - x) + abs(y_next - y)
-        x, y = x_next, y_next
+        before, (x, y) = (x, y), (x_next, y_next)
         if change <= opts.tol:
             gv = _converged_gaps(problem, opts, sq * np.array([x, y]))
             if gv is not None:

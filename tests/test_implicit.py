@@ -1,5 +1,7 @@
 """Unit tests for the per-step implicit-system solvers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,25 @@ class TestNewton:
             xi = solve_newton(p)
             assert np.all(np.diff(xi) > 0)
             assert np.max(np.abs(residual(p, xi))) <= 1e-10
+
+    def test_roundoff_limited_rows_converge(self):
+        # d = 3, c = 1.45e-3, |a| up to 250: gaps near 1e-5 and Hessian
+        # weights near 1e7 stall the residual near 1e-7, far above tol * |a|,
+        # yet every row is within one rounding unit of the exact solution
+        rng = np.random.default_rng(0)
+        c = uniform_c(3, 1.45e-3)
+        a = rng.uniform(-250.0, 250.0, (100, 3))
+        batch = solve_batch(a, c)
+        for row, xi_batch in zip(a, batch):
+            p = ImplicitProblem(row, c)
+            xi = solve_newton(p)
+            assert solve(p).xi.tobytes() == xi.tobytes() == xi_batch.tobytes()
+            assert np.all(np.diff(xi) > 0)
+            # one Newton correction from the exact (rational) residual
+            x, ar, cc = [Fraction(v) for v in xi], [Fraction(v) for v in row], Fraction(c[0, 1])
+            exact = [x[i] - ar[i] - sum(cc / (x[i] - x[j]) for j in range(3) if j != i) for i in range(3)]
+            correction = np.linalg.solve(jacobian(p, xi), np.array(exact, dtype=float))
+            assert np.max(np.abs(correction)) <= np.finfo(float).eps * np.max(np.abs(row))
 
     def test_nonconvergence_raised_on_tiny_budget(self):
         p = ImplicitProblem(np.array([0.0, 1.0, 5.0]), uniform_c(3, 2.0))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncolliding import ImplicitProblem, NonConvergenceError, residual, solve
-from noncolliding.implicit import _interaction, _residual_floor, solve_batch
+from noncolliding.implicit import _differences, _residual_floor, solve_batch
 
 TOL = 1e-12  # SolverOptions().tol
 EPS = np.finfo(float).eps
@@ -57,14 +57,14 @@ def assert_solution(a, c, xi):
     problem = ImplicitProblem(a, c)
     r = np.max(np.abs(residual(problem, xi)))
     terms = np.abs(c / (xi[:, None] - xi[None, :] + np.eye(len(xi))))
-    floor = _residual_floor(a, TOL, _interaction(c, xi, weights=True)[1])
+    floor = _residual_floor(a, TOL, xi, c / _differences(xi) ** 2)
     assert r <= floor
     roundoff = 8 * len(xi) * EPS * (np.abs(xi).sum() + np.abs(a).sum() + terms.sum())
     assert abs(xi.sum() - a.sum()) <= len(xi) * floor + roundoff
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(problems(spread_decades=(-3.0, 2.0), max_rows=6))
+@given(problems(spread_decades=(-3.0, 4.5), max_rows=6))
 def test_solution_properties_and_batch_bits(problem):
     a, c = problem
     batch = solve_batch(a, c)
