@@ -11,8 +11,8 @@ move the numbers:
 
 `homotopy.txt` holds the bits of 16-step continuation on fixed random
 problems, or the error it raises: criterion-2 problems, "wide" problems whose
-solves reject steps and fail, and "extreme" ones whose continuation collapses.
-Regenerate it with
+solves reject steps, and "extreme" ones whose Newton polish fails or whose
+continuation collapses.  Regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/homotopy.txt
 """
@@ -26,6 +26,7 @@ import pytest
 from noncolliding import ImplicitProblem, NonConvergenceError, SolverOptions
 from noncolliding.cli import main
 from noncolliding.implicit import _homotopy
+from noncolliding.model import uniform_gamma
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -71,12 +72,6 @@ def test_stdout_matches_golden(name, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
 
 
-def _uniform(d, value):
-    c = np.full((d, d), value)
-    np.fill_diagonal(c, 0.0)
-    return c
-
-
 def homotopy_problems():
     """(group, index, problem) for the continuation guard, from fixed seeds."""
     groups = {
@@ -90,7 +85,7 @@ def homotopy_problems():
         for index in range(count):
             d = int(rng.integers(2, 9))
             a = rng.uniform(-1.0, 1.0, d) * scale(rng)
-            yield group, index, ImplicitProblem(a, _uniform(d, coefficient(rng)))
+            yield group, index, ImplicitProblem(a, uniform_gamma(d, coefficient(rng)))
 
 
 def homotopy_lines():
