@@ -349,7 +349,7 @@ def collision_rate_explicit(system, n, M, seed, T=1.0):
     def run_chunk(start, stop, blocks):
         x, exit_step = system.x0, None
         for k, inc in blocks:
-            rec, _, exit_step = scheme._paths(system, grid, inc, True, inc.shape[1], None, x, k, exit_step)
+            rec, _, exit_step = scheme._paths(system, grid, inc, True, inc.shape[1], x, k, exit_step)
             x = rec[:, -1]
         return np.count_nonzero(exit_step)
 

@@ -147,10 +147,12 @@ def _cmd_simulate(args, emit):
     cfg = _load_config(args)
     system = build_system(cfg.system)
     which = args.scheme or cfg.run.scheme
-    n = args.n or cfg.run.n
+    key, n = ("run.n", cfg.run.n) if args.n is None else ("--n", args.n)
     if n is None:
         raise ConfigError("run.n", "simulate requires a step count")
-    paths = args.paths or cfg.run.paths
+    if not scheme._is_power_of_two(n):
+        raise ConfigError(key, f"step count must be a power of 2, got {n}")
+    paths = cfg.run.paths if args.paths is None else args.paths
     if paths < 1:
         raise ConfigError("--paths", "must be >= 1")
     grid = scheme.TimeGrid(cfg.run.T, n)

@@ -94,6 +94,9 @@ class SolverOptions:
             raise ValueError(f"unknown method {self.method!r}")
 
 
+_DEFAULTS = SolverOptions()
+
+
 @dataclass(frozen=True, eq=False)
 class GapVector:
     """Consecutive gaps x_i = xi_{i+1} - xi_i plus the anchor xi_1."""
@@ -311,7 +314,7 @@ def _newton_row(problem, opts, start=None):
 
 def solve_newton(problem, opts=None):
     """Damped Newton from the decoupled-pair initial guess."""
-    return _newton_row(problem, opts or SolverOptions())[0]
+    return _newton_row(problem, opts or _DEFAULTS)[0]
 
 
 def solve_homotopy(problem, opts=None):
@@ -324,7 +327,7 @@ def solve_homotopy(problem, opts=None):
     velocity checked at an accepted point is the next step's first stage and
     a retry keeps its first stage, so every stage costs one Hessian solve.
     """
-    return _homotopy(problem, opts or SolverOptions())[0]
+    return _homotopy(problem, opts or _DEFAULTS)[0]
 
 
 def _homotopy(problem, opts):
@@ -390,7 +393,7 @@ def solve_fixed_point_nn(problem, opts=None, max_sweeps=200_000):
     Stops once both the sweep-to-sweep change and the residual of the
     recovered positions are within tolerance.
     """
-    return _fixed_point_nn(problem, opts or SolverOptions(), max_sweeps)[0]
+    return _fixed_point_nn(problem, opts or _DEFAULTS, max_sweeps)[0]
 
 
 def _fixed_point_nn(problem, opts, max_sweeps=200_000):
@@ -435,7 +438,7 @@ def solve_alternating_d3(problem, opts=None, max_sweeps=200_000):
     increasing, y even decreasing; this is asserted along the way.  Not
     offered for d >= 4, where the generalized iteration can diverge.
     """
-    return _alternating_d3(problem, opts or SolverOptions(), max_sweeps)[0]
+    return _alternating_d3(problem, opts or _DEFAULTS, max_sweeps)[0]
 
 
 def _alternating_d3(problem, opts, max_sweeps=200_000):
@@ -496,7 +499,7 @@ def solve(problem, opts=None):
     Returns a SolveResult carrying the solution, the method that produced it,
     an iteration count and the final residual max-norm.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULTS
     names = ("newton", "homotopy") if opts.method == "auto" else (opts.method,)
     last = None
     for name in names:
@@ -514,17 +517,16 @@ def solve(problem, opts=None):
     ) from last
 
 
-def solve_batch(a, c, opts=None):
-    """Solve many systems sharing one coefficient matrix c.
+def solve_batch(a, c):
+    """Solve many systems sharing one coefficient matrix c, with the default options.
 
     a has shape (m, d); returns ordered solutions of the same shape.  Every
     row runs the Newton core of `solve` and gets the bits it gets there;
     rows where Newton fails fall back to `solve_homotopy` one at a time, so
     the result meets the same residual tolerance as the scalar path.
     """
-    opts = opts or SolverOptions()
     a = np.asarray(a, dtype=float)
-    xi, _, _, ok = _newton(a, c, _initial_guess(a, c), opts)
+    xi, _, _, ok = _newton(a, c, _initial_guess(a, c), _DEFAULTS)
     for i in np.flatnonzero(~ok):
-        xi[i] = solve_homotopy(ImplicitProblem(a[i], c), opts)
+        xi[i] = solve_homotopy(ImplicitProblem(a[i], c))
     return xi

@@ -8,10 +8,10 @@ one step from state X at time t_k solves
 
 whose unique ordered solution becomes X(t_{k+1}).  The explicit scheme is
 provided for contrast; it can and does leave the ordered chamber, which is
-reported rather than raised.  Every batch of paths, of either scheme, is
-stepped by `_paths`; every Brownian increment is drawn by `_increments`, from a
-counter-based generator, so that dyadic coarsening and replication stay
-exactly reproducible.
+reported rather than raised.  Every path of either scheme, alone or in a
+batch, is stepped by `_paths`; every Brownian increment is drawn by
+`_increments`, from a counter-based generator, so that dyadic coarsening and
+replication stay exactly reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import implicit
-from .implicit import ImplicitProblem, SolverOptions
+from .implicit import ImplicitProblem
 from .model import COORDINATEWISE_DRIFTS, ConstantMatrixDiffusion, DiagonalBoundedDiffusion
 from .model import diffusion_eval, drift_eval
 
@@ -153,57 +153,41 @@ class PathResult:
 
     states: np.ndarray
     min_gap: float
-    solver_iters: np.ndarray
     exited_chamber: bool
     exit_step: int | None = None
 
 
-def step_semi_implicit(system, state, h, dW, opts=None):
-    """One semi-implicit step; returns (new ordered state, solver result)."""
+def step_semi_implicit(system, state, h, dW):
+    """One semi-implicit step; returns (new ordered state, solver result).
+
+    Assembles one state's drift and noise and solves with `implicit.solve`;
+    it is the reference the batched stepper is tested against.
+    """
     state = np.asarray(state, dtype=float)
     if h <= 0:
         raise ValueError("h must be > 0")
     a = state + drift_eval(system.drift, state) * h + diffusion_eval(system.diffusion, state) @ dW
-    problem = ImplicitProblem(a, system.gamma * h)
-    result = implicit.solve(problem, opts or SolverOptions())
+    result = implicit.solve(ImplicitProblem(a, system.gamma * h))
     return result.xi, result
 
 
 def step_explicit(system, state, h, dW):
     """One explicit step; returns (new state, still-ordered flag)."""
     state = np.asarray(state, dtype=float)
+    if h <= 0:
+        raise ValueError("h must be > 0")
     b, noise = _drift_and_noise(system, state[None], np.asarray(dW, dtype=float)[None], explicit=True)
     new = state + b[0] * h + noise[0]
     return new, bool(np.all(np.diff(new) > 0))
 
 
-def simulate(system, grid, path, scheme="semi_implicit", opts=None):
-    """Run the chosen stepper over the grid with the given increments.
-
-    The explicit scheme runs as a batch of one through the batched stepper.
-    The semi-implicit scheme steps one `step_semi_implicit` at a time: it is
-    the scalar reference the batched stepper is tested against, and the only
-    path that reports the solver iterations of every step.
-    """
-    if path.n != grid.n:
-        raise ValueError(f"path has {path.n} increments but grid has {grid.n} steps")
-    if path.d != system.d:
-        raise ValueError("path dimension does not match system dimension")
+def simulate(system, grid, path, scheme="semi_implicit"):
+    """Run the chosen scheme over the grid with the given increments, as a batch of one."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    iters = np.zeros(grid.n, dtype=int)
-    if scheme == "explicit":
-        recorded, min_gap, exit_step = _paths(system, grid, path.increments[None], True, 1, opts)
-        k = int(exit_step[0])
-        return PathResult(recorded[0], min_gap, iters, exited_chamber=k > 0, exit_step=k or None)
-    states = np.empty((grid.n + 1, system.d))
-    states[0] = x = system.x0
-    for k in range(grid.n):
-        x, result = step_semi_implicit(system, x, grid.h, path.increments[k], opts)
-        states[k + 1] = x
-        iters[k] = result.iterations
-    min_gap = float(np.min(np.diff(states, axis=1)))
-    return PathResult(states, min_gap, iters, exited_chamber=False)
+    recorded, min_gap, exit_step = _paths(system, grid, path.increments[None], scheme == "explicit", 1)
+    k = int(exit_step[0])
+    return PathResult(recorded[0], min_gap, exited_chamber=k > 0, exit_step=k or None)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +206,7 @@ def generate_brownian_batch(base_seed, reps, d, T, n_max):
     return _increments(_generators([(int(base_seed), rep) for rep in range(reps)]), d, T, n_max)
 
 
-def simulate_batch(system, grid, increments, record_stride=None, opts=None, scheme="semi_implicit", x0=None):
+def simulate_batch(system, grid, increments, record_stride=None, scheme="semi_implicit", x0=None):
     """Simulate many paths at once with the chosen scheme.
 
     increments has shape (m, n, d) with n == grid.n.  Returns (recorded, min_gap)
@@ -235,13 +219,11 @@ def simulate_batch(system, grid, increments, record_stride=None, opts=None, sche
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    recorded, min_gap, _ = _paths(
-        system, grid, increments, scheme == "explicit", record_stride or 1, opts or SolverOptions(), x0
-    )
+    recorded, min_gap, _ = _paths(system, grid, increments, scheme == "explicit", record_stride or 1, x0)
     return recorded, min_gap
 
 
-def _paths(system, grid, increments, explicit, stride, opts, x0=None, k0=0, exit_step=None):
+def _paths(system, grid, increments, explicit, stride, x0=None, k0=0, exit_step=None):
     """The one loop that steps a batch of paths; see `simulate_batch`.
 
     Also returns exit_step, the step at which each explicit path first left
@@ -270,7 +252,7 @@ def _paths(system, grid, increments, explicit, stride, opts, x0=None, k0=0, exit
     for k in range(n):
         if not explicit:
             b, noise = _drift_and_noise(system, x, increments[:, k])
-            x = implicit.solve_batch(x + b * h + noise, c, opts)
+            x = implicit.solve_batch(x + b * h + noise, c)
         elif live.size:
             b, noise = _drift_and_noise(system, x[live], increments[live, k], explicit=True)
             new = x[live] + b * h + noise

@@ -223,6 +223,14 @@ class TestCli:
     def test_negative_paths_is_validation_error(self, dyson_config):
         assert main(["simulate", "--config", dyson_config, "--paths", "-1"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--paths", "0"), ("--n", "0"), ("--n", "12")])
+    def test_simulate_override_is_validated(self, dyson_config, flag, value, capsys):
+        # a zero override is an override, not a missing one
+        assert main(["simulate", "--config", dyson_config, flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f'error,validation,"{flag}: ')
+
     def test_invalid_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("system:\n  d: 1\n")
@@ -276,7 +284,7 @@ class TestLibraryErrors:
         cfg.write_text(DYSON_YAML.replace("n: 16", "n: 100"))
         code, err = run_cli("simulate", "--config", str(cfg))
         assert code == 2
-        assert err.startswith("error,validation,") and "power of 2" in err
+        assert err.startswith('error,validation,"run.n: ') and "power of 2" in err
         assert "Traceback" not in err
 
     def test_unrepresentable_solution_is_nonconvergence(self):
