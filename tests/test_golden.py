@@ -1,11 +1,14 @@
-"""Byte guards: the stdout of the Monte Carlo subcommands, and continuation
-results, against golden files.
+"""Byte guards: the stdout of every subcommand, and continuation results,
+against golden files.
 
 The config has more replications than one `analysis.CHUNK` of rows and more
 fine steps than one time block, and its step count n = 100 is not a multiple
 of the block, so the golden bytes pin the chunk and block loops of every
-Monte Carlo estimate.  Regenerate a file only for a change that is meant to
-move the numbers:
+Monte Carlo estimate.  The `_precision2` cases print with `output.precision: 2`,
+which applies to the numbers of simulate, converge, moments and collide but
+not to their integer columns (ids, step indices, counts), nor to `check`; at
+two digits a step index or count would otherwise read like `1.3e+02`.
+Regenerate a file only for a change that is meant to move the numbers:
 
     PYTHONPATH=src python -m noncolliding converge --config CFG > tests/golden/converge.csv
 
@@ -55,20 +58,38 @@ run:
   p: 1.0
 """
 
+PRECISION_2 = "output:\n  precision: 2\n"
+SIMULATE = ["simulate", "--n", "128", "--paths", "2"]
+
+# name: (argv, run.error_mode of the config, or None for a command without
+# one, text appended to the config, exit code)
 CASES = {
-    "converge": (["converge"], "grid_sup_Lp"),
-    "converge_terminal": (["converge"], "terminal_L2"),
-    "moments": (["moments", "--times", "11"], "grid_sup_Lp"),
-    "collide": (["collide"], "grid_sup_Lp"),
+    "converge": (["converge"], "grid_sup_Lp", "", 0),
+    "converge_terminal": (["converge"], "terminal_L2", "", 0),
+    "moments": (["moments", "--times", "11"], "grid_sup_Lp", "", 0),
+    "collide": (["collide"], "grid_sup_Lp", "", 0),
+    "collide_precision2": (["collide"], "grid_sup_Lp", PRECISION_2, 0),
+    "simulate": (SIMULATE, "grid_sup_Lp", "", 0),
+    "simulate_explicit": (SIMULATE + ["--scheme", "explicit"], "grid_sup_Lp", "", 0),
+    "simulate_precision2": (SIMULATE, "grid_sup_Lp", PRECISION_2, 0),
+    # 3 * gamma / (d * sigma_sup_sq) = 1.5 < 2: the condition fails
+    "check": (["check", "--p", "1.1"], "grid_sup_Lp", "", 1),
+    "check_precision2": (["check", "--p", "1.1"], "grid_sup_Lp", PRECISION_2, 1),
+    "solve": (["solve", "--a", "0,3,7", "--c-uniform", "2"], None, "", 0),
+    "inequalities_full": (["inequalities", "--kind", "full", "--d", "4", "--p", "1", "--count", "500"], None, "", 0),
+    "inequalities_nn": (["inequalities", "--kind", "nn", "--d", "3", "--p", "1", "--count", "500"], None, "", 0),
+    "chi_bar": (["chi-bar", "--d", "3", "--p", "1"], None, "", 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, tmp_path, capsys):
-    argv, mode = CASES[name]
-    cfg = tmp_path / "golden.yaml"
-    cfg.write_text(CONFIG.format(mode=mode))
-    assert main(argv + ["--config", str(cfg)]) == 0
+    argv, mode, extra, code = CASES[name]
+    if mode is not None:
+        cfg = tmp_path / "golden.yaml"
+        cfg.write_text(CONFIG.format(mode=mode) + extra)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
 
 
