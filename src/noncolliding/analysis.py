@@ -223,7 +223,8 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     """MomentReport at each requested time from M semi-implicit paths.
 
     times defaults to the recorded grid times; a time in [0, T] is reported
-    at the nearest grid time, and a time outside it raises ValueError.  Each
+    at the nearest grid time, and a time outside it, or no time, raises
+    ValueError.  Each
     report carries the inverse-gap bound sum(gap_i(0)^-p) * exp(p * t * Lip(b))
     at its own t.
     """
@@ -232,6 +233,8 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     grid = TimeGrid(T, n)
     grid_times = grid.times()
     times = grid_times if times is None else np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0:
+        raise ValueError("times must not be empty")
     if not np.all((times >= 0.0) & (times <= T)):
         raise ValueError(f"times must lie in [0, T] = [0, {T}]")
     idx = np.array([int(np.argmin(np.abs(grid_times - t))) for t in times])

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, simulate, converge, moments, collide, inequalities,
-chi-bar, check.  All numeric output is CSV with 17 significant digits by
-default, fully determined by (config, seed): running any subcommand twice
-with identical inputs produces byte-identical output.
+chi-bar, check.  All output is CSV, fully determined by (config, seed):
+running any subcommand twice with identical inputs produces byte-identical
+output.  Integers print in full; other numbers to `output.precision` digits
+(simulate, converge, moments, collide) or to 17 (the other subcommands).
 
 Exit codes: 0 success, 1 condition check failed, 2 validation error,
 3 solver non-convergence, 4 I/O error.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +34,13 @@ EXIT_IO = 4
 
 def _fmt(value, precision=17):
     return f"%.{precision}g" % float(value)
+
+
+def _row(values, precision=17):
+    """One CSV row: text as given, Python ints with str, other numbers with _fmt."""
+    return ",".join(
+        v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v, precision) for v in values
+    )
 
 
 def _build_parser():
@@ -89,6 +98,7 @@ def _build_parser():
 
 
 def _load_config(args):
+    """The config named by --config, with --seed applied, and the system it describes."""
     if not args.config:
         raise ConfigError("--config", "this subcommand requires a configuration file")
     try:
@@ -98,10 +108,10 @@ def _load_config(args):
         raise _IOFailure(str(exc))
     cfg = parse_config(text)
     if args.seed is not None:
-        from dataclasses import replace
-
-        cfg = type(cfg)(system=cfg.system, run=replace(cfg.run, seed=args.seed), output=cfg.output)
-    return cfg
+        if args.seed < 0:
+            raise ConfigError("--seed", "must be >= 0")
+        cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
+    return cfg, build_system(cfg.system)
 
 
 class _IOFailure(Exception):
@@ -137,15 +147,12 @@ def _cmd_solve(args, emit):
         raise ConfigError("--c-*", str(exc))
     result = solve(problem, SolverOptions(method=args.method, tol=args.tol))
     emit(",".join(["xi_" + str(i + 1) for i in range(d)] + ["residual", "iterations", "method"]))
-    emit(
-        ",".join([_fmt(v) for v in result.xi] + [_fmt(result.residual_norm), str(result.iterations), result.method])
-    )
+    emit(_row([*result.xi, result.residual_norm, result.iterations, result.method]))
     return EXIT_OK
 
 
 def _cmd_simulate(args, emit):
-    cfg = _load_config(args)
-    system = build_system(cfg.system)
+    cfg, system = _load_config(args)
     which = args.scheme or cfg.run.scheme
     key, n = ("run.n", cfg.run.n) if args.n is None else ("--n", args.n)
     if n is None:
@@ -156,29 +163,21 @@ def _cmd_simulate(args, emit):
     if paths < 1:
         raise ConfigError("--paths", "must be >= 1")
     grid = scheme.TimeGrid(cfg.run.T, n)
-    precision = cfg.output.precision
     emit("path_id,k,t," + ",".join(f"x_{i+1}" for i in range(system.d)) + ",min_gap")
     # replication r draws from replication_seed(seed, r), not from the
     # SeedSequence((seed, r)) key of the studies; the README says why
     seeds = [scheme.replication_seed(cfg.run.seed, rep) for rep in range(paths)]
     inc = np.stack([scheme.generate_brownian(s, system.d, cfg.run.T, n).increments for s in seeds])
     states, _ = scheme.simulate_batch(system, grid, inc, scheme=which)
-    times = grid.times()
-    for rep in range(paths):
-        for k in range(n + 1):
-            state = states[rep, k]
-            row_gap = float(np.min(np.diff(state)))
-            emit(
-                f"{rep},{k},{_fmt(times[k], precision)},"
-                + ",".join(_fmt(v, precision) for v in state)
-                + f",{_fmt(row_gap, precision)}"
-            )
+    times, gaps = grid.times().tolist(), np.diff(states, axis=2).min(axis=2).tolist()
+    for rep, (path, path_gaps) in enumerate(zip(states.tolist(), gaps)):
+        for k, (t, state, gap) in enumerate(zip(times, path, path_gaps)):
+            emit(_row([rep, k, t, *state, gap], cfg.output.precision))
     return EXIT_OK
 
 
 def _cmd_converge(args, emit):
-    cfg = _load_config(args)
-    system = build_system(cfg.system)
+    cfg, system = _load_config(args)
     if cfg.run.levels is None or cfg.run.ref_level is None:
         raise ConfigError("run.levels", "converge requires run.levels and run.ref_level")
     study = analysis.ConvergenceStudy(
@@ -192,44 +191,35 @@ def _cmd_converge(args, emit):
         base_seed=cfg.run.seed,
     )
     est = analysis.run_study(study)
-    precision = cfg.output.precision
     emit("n,error,std_err")
-    for n, e, se in zip(est.levels, est.errors, est.std_errs):
-        emit(f"{n},{_fmt(e, precision)},{_fmt(se, precision)}")
+    for row in zip(est.levels, est.errors, est.std_errs):
+        emit(_row(row, cfg.output.precision))
     emit("slope,intercept,r_squared")
-    emit(f"{_fmt(est.slope, precision)},{_fmt(est.intercept, precision)},{_fmt(est.r_squared, precision)}")
+    emit(_row([est.slope, est.intercept, est.r_squared], cfg.output.precision))
     return EXIT_OK
 
 
 def _cmd_moments(args, emit):
-    cfg = _load_config(args)
-    system = build_system(cfg.system)
+    cfg, system = _load_config(args)
     if cfg.run.n is None:
         raise ConfigError("run.n", "moments requires a step count")
+    if args.times < 1:
+        raise ConfigError("--times", "must be >= 1")
     times = np.linspace(0.0, cfg.run.T, args.times)
     reports = analysis.moment_profile(
         system, cfg.run.T, cfg.run.p, cfg.run.paths, cfg.run.n, base_seed=cfg.run.seed, times=times
     )
-    precision = cfg.output.precision
     gap_cols = [f"inv_gap_{i+1}" for i in range(system.d - 1)]
     se_cols = [f"inv_gap_se_{i+1}" for i in range(system.d - 1)]
     emit("t,p,abs_moment,abs_moment_se," + ",".join(gap_cols + se_cols) + ",bound")
     for r in reports:
-        emit(
-            ",".join(
-                [_fmt(r.t, precision), _fmt(r.p, precision), _fmt(r.est_abs_moment, precision),
-                 _fmt(r.abs_moment_std_err, precision)]
-                + [_fmt(v, precision) for v in r.est_inv_gap_moments]
-                + [_fmt(v, precision) for v in r.inv_gap_std_errs]
-                + [_fmt(r.bound, precision)]
-            )
-        )
+        values = [r.t, r.p, r.est_abs_moment, r.abs_moment_std_err, *r.est_inv_gap_moments, *r.inv_gap_std_errs]
+        emit(_row(values + [r.bound], cfg.output.precision))
     return EXIT_OK
 
 
 def _cmd_collide(args, emit):
-    cfg = _load_config(args)
-    system = build_system(cfg.system)
+    cfg, system = _load_config(args)
     if cfg.run.n is None:
         raise ConfigError("run.n", "collide requires a step count")
     rate = analysis.collision_rate_explicit(system, cfg.run.n, cfg.run.paths, cfg.run.seed, T=cfg.run.T)
@@ -242,10 +232,9 @@ def _cmd_collide(args, emit):
 
     min_gap = min(analysis._replications(cfg.run.seed, cfg.run.paths, system.d, cfg.run.T, cfg.run.n, control))
     control_rate = 0.0 if min_gap > 0 else float("nan")
-    precision = cfg.output.precision
     emit("scheme,n,paths,exit_fraction")
-    emit(f"explicit,{cfg.run.n},{cfg.run.paths},{_fmt(rate, precision)}")
-    emit(f"semi_implicit,{cfg.run.n},{cfg.run.paths},{_fmt(control_rate, precision)}")
+    emit(_row(["explicit", cfg.run.n, cfg.run.paths, rate], cfg.output.precision))
+    emit(_row(["semi_implicit", cfg.run.n, cfg.run.paths, control_rate], cfg.output.precision))
     return EXIT_OK
 
 
@@ -253,16 +242,15 @@ def _cmd_inequalities(args, emit):
     if args.kind == "full":
         if args.d < 2:
             raise ConfigError("--d", "must be >= 2")
+        chi = ""
         violations = analysis.sweep_gap_inequality_full(args.d, args.p, args.count, seed=args.sweep_seed)
-        emit("kind,d,p,count,chi,violations")
-        emit(f"full,{args.d},{_fmt(args.p)},{args.count},,{violations}")
     else:
         if args.d < 3:
             raise ConfigError("--d", "must be >= 3 for the nearest-neighbour inequality")
         chi = analysis.chi_bar(args.d, args.p)
         violations = analysis.sweep_gap_inequality_nn(args.d, args.p, chi, args.count, seed=args.sweep_seed)
-        emit("kind,d,p,count,chi,violations")
-        emit(f"nn,{args.d},{_fmt(args.p)},{args.count},{_fmt(chi)},{violations}")
+    emit("kind,d,p,count,chi,violations")
+    emit(_row([args.kind, args.d, args.p, args.count, chi, violations]))
     return EXIT_OK
 
 
@@ -271,13 +259,12 @@ def _cmd_chi_bar(args, emit):
         raise ConfigError("--d", "must be >= 3")
     chi = analysis.chi_bar(args.d, args.p, resolution=args.resolution)
     emit("d,p,chi")
-    emit(f"{args.d},{_fmt(args.p)},{_fmt(chi)}")
+    emit(_row([args.d, args.p, chi]))
     return EXIT_OK
 
 
 def _cmd_check(args, emit):
-    cfg = _load_config(args)
-    system = build_system(cfg.system)
+    _, system = _load_config(args)
     try:
         if system.is_uniform():
             report = model.check_full_interaction_condition(system, args.p)
@@ -294,7 +281,7 @@ def _cmd_check(args, emit):
         raise ConfigError("check", str(exc))
     emit("check,lhs,rhs,satisfied")
     for c in report.checks:
-        emit(f"\"{c.name}\",{_fmt(c.lhs)},{_fmt(c.rhs)},{str(c.satisfied).lower()}")
+        emit(_row([f'"{c.name}"', c.lhs, c.rhs, str(c.satisfied).lower()]))
     return EXIT_OK if report.satisfied else EXIT_CHECK_FAILED
 
 

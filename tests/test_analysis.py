@@ -174,6 +174,10 @@ class TestMoments:
         with pytest.raises(ValueError, match=r"\[0, T\]"):
             moment_profile(dyson(3, 4.0), 1.0, 2.0, 10, 16, times=[0.5, t])
 
+    def test_rejects_empty_times(self):
+        with pytest.raises(ValueError, match="times must not be empty"):
+            moment_profile(dyson(3, 4.0), 1.0, 2.0, 10, 16, times=[])
+
     def test_chunks_equal_one_batch(self):
         from noncolliding.analysis import CHUNK, _batch_increments
 

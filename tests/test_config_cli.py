@@ -231,6 +231,17 @@ class TestCli:
         assert out == ""
         assert err.startswith(f'error,validation,"{flag}: ')
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["moments", "--times", "0"], "--times"), (["simulate", "--seed", "-3"], "--seed")],
+        ids=["times", "seed"],
+    )
+    def test_flag_out_of_range_names_the_flag(self, dyson_config, argv, flag, capsys):
+        assert main(argv + ["--config", dyson_config]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f'error,validation,"{flag}: must be >= ')
+
     def test_invalid_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("system:\n  d: 1\n")
