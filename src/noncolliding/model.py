@@ -274,7 +274,9 @@ class ParticleSystem:
 
     gamma must be symmetric with zero diagonal, non-negative entries and
     strictly positive first off-diagonal; x0 must be strictly increasing.
-    Instances are immutable and safe to share across workers.
+    The drift must map x0 to a length-d vector and the diffusion to a d x d
+    matrix; each is evaluated once at x0 to check.  Instances are immutable
+    and safe to share across workers.
     """
 
     d: int
@@ -292,6 +294,10 @@ class ParticleSystem:
             raise ValueError(f"x0 must have length {self.d}")
         if np.any(np.diff(x0) <= 0):
             raise ValueError("x0 must be strictly increasing")
+        if np.shape(drift_eval(self.drift, x0)) != (self.d,):
+            raise ValueError(f"drift must give a vector of length {self.d}")
+        if np.shape(diffusion_eval(self.diffusion, x0)) != (self.d, self.d):
+            raise ValueError(f"diffusion must give a {self.d}x{self.d} matrix")
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "x0", x0)
 

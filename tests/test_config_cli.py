@@ -242,6 +242,16 @@ class TestCli:
         assert out == ""
         assert err.startswith(f'error,validation,"{flag}: must be >= ')
 
+    @pytest.mark.parametrize("c", ["[1.0]", "[1.0, 2.0]"], ids=["one_value", "two_values"])
+    def test_drift_of_wrong_length_is_validation_error(self, tmp_path, c, capsys):
+        # a constant drift is not broadcast to the particles
+        cfg = tmp_path / "constant.yaml"
+        cfg.write_text(DYSON_YAML.replace("kind: zero", f"kind: constant\n    c: {c}"))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error,validation,"system: drift must give a vector of length 3')
+
     def test_invalid_config_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("system:\n  d: 1\n")

@@ -157,6 +157,26 @@ class TestParticleSystem:
                 x0=np.array([-1.0, 0.0, 1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "coefficient",
+        [
+            dict(drift=ConstantDrift(np.array([1.0]))),
+            dict(drift=ConstantDrift(np.array([1.0, 2.0]))),
+            dict(drift=CustomDrift(evaluator=lambda x: x[:2], declared_lipschitz=1.0)),
+            dict(diffusion=ConstantMatrixDiffusion(np.eye(2))),
+            dict(diffusion=CustomDiffusion(lambda x: np.ones(3), 0.0, 1.0)),
+        ],
+        ids=["constant_one_value", "constant_two_values", "custom_drift", "matrix_2x2", "custom_vector"],
+    )
+    def test_rejects_coefficient_shapes(self, coefficient):
+        # d = 3: each coefficient is checked once at x0, not broadcast
+        with pytest.raises(ValueError, match=f"^{next(iter(coefficient))} must give"):
+            dyson(3, 1.0, **coefficient)
+
+    def test_common_ou_mean_is_a_length_d_drift(self):
+        sys_ = dyson(3, 1.0, drift=OrnsteinUhlenbeckDrift(0.5, np.array([0.2])))
+        assert np.array_equal(drift_eval(sys_.drift, sys_.x0), 0.5 * (0.2 - sys_.x0))
+
 
 class TestConditions:
     def test_full_interaction_pass(self):
