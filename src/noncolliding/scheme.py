@@ -172,12 +172,16 @@ def step_semi_implicit(system, state, h, dW):
 
 
 def step_explicit(system, state, h, dW):
-    """One explicit step; returns (new state, still-ordered flag)."""
+    """One explicit step; returns (new state, still-ordered flag).
+
+    Assembles one state's interaction, drift and noise directly; it is the
+    reference the batched stepper is tested against.
+    """
     state = np.asarray(state, dtype=float)
     if h <= 0:
         raise ValueError("h must be > 0")
-    b, noise = _drift_and_noise(system, state[None], np.asarray(dW, dtype=float)[None], explicit=True)
-    new = state + b[0] * h + noise[0]
+    b = implicit._interaction(system.gamma, state) + drift_eval(system.drift, state)
+    new = state + b * h + diffusion_eval(system.diffusion, state) @ dW
     return new, bool(np.all(np.diff(new) > 0))
 
 
