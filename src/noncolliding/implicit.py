@@ -14,7 +14,7 @@ One damped-Newton core serves every caller.  It iterates on a batch of rows
 (one problem per row, all sharing c) from the decoupled-pair guess and takes
 the longest step 2^-k, k < 60, whose iterate is strictly ordered and has a
 smaller max-norm residual.  A row stops once its residual is at most `tol`.
-A row whose line search stalls, or that spends `max_iter` steps, is accepted
+A row whose line search stalls, or that spends `MAX_ITER` steps, is accepted
 if its residual is below a per-row roundoff floor and fails otherwise; `solve`
 and `solve_batch` hand a failed row to continuation along an ODE from the
 trivially ordered point J = (1, ..., d).  Every operation of the core acts on
@@ -78,18 +78,20 @@ class ImplicitProblem:
         return is_uniform(self.c)
 
 
+# Newton steps per row, and sweeps of a fixed-point iteration, before a solve fails
+MAX_ITER = 100
+MAX_SWEEPS = 200_000
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     method: str = "auto"
     tol: float = 1e-12
-    max_iter: int = 100
     homotopy_steps: int = 64
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         if self.method != "auto" and self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -266,7 +268,7 @@ def _newton(a, c, xi, opts):
 
     Returns per row the iterate, the accepted steps, the max-norm residual
     and whether the row converged.  A row fails when its start is not
-    strictly ordered, or when it stalls or spends max_iter steps above its
+    strictly ordered, or when it stalls or spends MAX_ITER steps above its
     residual floor.
     """
     m = len(xi)
@@ -277,13 +279,13 @@ def _newton(a, c, xi, opts):
     # the state (rows, x, ar, r, rn, w) covers the rows still iterating
     rows = np.flatnonzero(rnorm < np.inf)
     x, ar, r, rn, w = xi[rows], a[rows], r[rows], rnorm[rows], w[rows]
-    for it in range(opts.max_iter + 1):
+    for it in range(MAX_ITER + 1):
         xi[rows], rnorm[rows], iterations[rows] = x, rn, it
         live = rn > opts.tol
         ok[rows[~live]] = True
         if not live.all():
             rows, x, ar, r, rn, w = (v[live] for v in (rows, x, ar, r, rn, w))
-        if rows.size == 0 or it == opts.max_iter:
+        if rows.size == 0 or it == MAX_ITER:
             break
         delta = _hessian_solve(w, -r)
         x_new, r_new, rn_new, w_new, stuck = _line_search(ar, c, x, rn, delta)
@@ -294,7 +296,7 @@ def _newton(a, c, xi, opts):
         else:
             x, r, rn, w = x_new, r_new, rn_new, w_new
     if rows.size:
-        # these rows spent max_iter steps above tol
+        # these rows spent MAX_ITER steps above tol
         ok[rows] = rn <= _residual_floor(ar, opts.tol, x, w)
     return xi, iterations, rnorm, ok
 
@@ -385,7 +387,7 @@ def _converged_gaps(problem, opts, gaps):
     return gv if r <= _residual_floor(problem.a, opts.tol) else None
 
 
-def solve_fixed_point_nn(problem, opts=None, max_sweeps=200_000):
+def solve_fixed_point_nn(problem, opts=None):
     """Monotone fixed-point iteration for tridiagonal coefficients.
 
     Starts from the decoupled gaps x_i = (da_i + sqrt(da_i^2 + 8 c_i)) / 2 and
@@ -393,10 +395,10 @@ def solve_fixed_point_nn(problem, opts=None, max_sweeps=200_000):
     Stops once both the sweep-to-sweep change and the residual of the
     recovered positions are within tolerance.
     """
-    return _fixed_point_nn(problem, opts or _DEFAULTS, max_sweeps)[0]
+    return _fixed_point_nn(problem, opts or _DEFAULTS)[0]
 
 
-def _fixed_point_nn(problem, opts, max_sweeps=200_000):
+def _fixed_point_nn(problem, opts):
     # solve_fixed_point_nn; returns (GapVector, sweeps)
     if not problem.is_tridiagonal():
         raise ValueError("fixed_point_nn requires tridiagonal coefficients")
@@ -404,7 +406,7 @@ def _fixed_point_nn(problem, opts, max_sweeps=200_000):
     x = _pair_gap(aa, cc)
     if problem.d == 2:
         return GapVector(x, float(_anchor(problem.a, x))), 1
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         x_next = _nn_map(aa, cc, x)
         if np.any(x_next > x * (1.0 + 1e-13) + 1e-300):
             raise NonConvergenceError(
@@ -417,7 +419,7 @@ def _fixed_point_nn(problem, opts, max_sweeps=200_000):
             if gv is not None:
                 return gv, sweep
     raise NonConvergenceError(
-        "fixed-point iteration did not converge", method="fixed_point_nn", iterations=max_sweeps
+        "fixed-point iteration did not converge", method="fixed_point_nn", iterations=MAX_SWEEPS
     )
 
 
@@ -429,7 +431,7 @@ def alternating_d3_initializers(a, b):
     return x1, y1
 
 
-def solve_alternating_d3(problem, opts=None, max_sweeps=200_000):
+def solve_alternating_d3(problem, opts=None):
     """Alternating gap iteration for d = 3 with uniform coefficients.
 
     The problem is rescaled by xi = sqrt(c) * zeta to unit coefficients,
@@ -438,10 +440,10 @@ def solve_alternating_d3(problem, opts=None, max_sweeps=200_000):
     increasing, y even decreasing; this is asserted along the way.  Not
     offered for d >= 4, where the generalized iteration can diverge.
     """
-    return _alternating_d3(problem, opts or _DEFAULTS, max_sweeps)[0]
+    return _alternating_d3(problem, opts or _DEFAULTS)[0]
 
 
-def _alternating_d3(problem, opts, max_sweeps=200_000):
+def _alternating_d3(problem, opts):
     # solve_alternating_d3; returns (GapVector, sweeps)
     if problem.d != 3:
         raise ValueError("alternating_d3 requires d = 3")
@@ -453,7 +455,7 @@ def _alternating_d3(problem, opts, max_sweeps=200_000):
     x, y = alternating_d3_initializers(na, nb)
     slack = 1e-12
     before = None  # iterate n - 1, of the parity of iterate n + 1
-    for n in range(1, max_sweeps):
+    for n in range(1, MAX_SWEEPS):
         px = na - 1.0 / y + 1.0 / (x + y)
         py = nb - 1.0 / x + 1.0 / (x + y)
         x_next = 0.5 * (px + np.sqrt(px**2 + 8.0))
@@ -478,7 +480,7 @@ def _alternating_d3(problem, opts, max_sweeps=200_000):
             if gv is not None:
                 return gv, n
     raise NonConvergenceError(
-        "alternating iteration did not converge", method="alternating_d3", iterations=max_sweeps
+        "alternating iteration did not converge", method="alternating_d3", iterations=MAX_SWEEPS
     )
 
 

@@ -172,11 +172,8 @@ def step_semi_implicit(system, state, h, dW):
 
 
 def step_explicit(system, state, h, dW):
-    """One explicit step; returns (new state, still-ordered flag).
-
-    Assembles one state's interaction, drift and noise directly; it is the
-    reference the batched stepper is tested against.
-    """
+    """One explicit step, assembled from the coefficients directly as the reference
+    the batched stepper is tested against; returns (new state, still-ordered flag)."""
     state = np.asarray(state, dtype=float)
     if h <= 0:
         raise ValueError("h must be > 0")
