@@ -169,9 +169,9 @@ def _cmd_simulate(args, emit):
     seeds = [scheme.replication_seed(cfg.run.seed, rep) for rep in range(paths)]
     inc = np.stack([scheme.generate_brownian(s, system.d, cfg.run.T, n).increments for s in seeds])
     states, _ = scheme.simulate_batch(system, grid, inc, scheme=which)
-    times, gaps = grid.times().tolist(), np.diff(states, axis=2).min(axis=2).tolist()
-    for rep, (path, path_gaps) in enumerate(zip(states.tolist(), gaps)):
-        for k, (t, state, gap) in enumerate(zip(times, path, path_gaps)):
+    times, gaps = grid.times().tolist(), np.diff(states, axis=2).min(axis=2)
+    for rep in range(paths):
+        for k, (t, state, gap) in enumerate(zip(times, states[rep].tolist(), gaps[rep].tolist())):
             emit(_row([rep, k, t, *state, gap], cfg.output.precision))
     return EXIT_OK
 
