@@ -224,9 +224,8 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
 
     times defaults to the recorded grid times; a time in [0, T] is reported
     at the nearest grid time, and a time outside it, or no time, raises
-    ValueError.  Each
-    report carries the inverse-gap bound sum(gap_i(0)^-p) * exp(p * t * Lip(b))
-    at its own t.
+    ValueError.  Each report carries the inverse-gap bound
+    sum(gap_i(0)^-p) * exp(p * t * Lip(b)) at its own t.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
