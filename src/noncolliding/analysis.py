@@ -29,6 +29,7 @@ __all__ = [
     "strong_error",
     "run_study",
     "fit_rate",
+    "level_rule",
     "estimate_moments",
     "moment_profile",
     "collision_rate_explicit",
@@ -51,6 +52,22 @@ CHUNK = 1000
 BLOCK = 64
 
 
+def level_rule(levels, ref_level):
+    """The first dyadic-level rule that levels or ref_level (either may be None)
+    breaks, as (field, message), or None when they keep every rule."""
+    if levels is not None and not all(_is_power_of_two(n) for n in levels):
+        return "levels", "levels must be powers of 2"
+    if ref_level is not None and not _is_power_of_two(ref_level):
+        return "ref_level", "ref_level must be a power of 2"
+    if levels is None or ref_level is None:
+        return None
+    if any(ref_level % n for n in levels):
+        return "levels", "all levels must divide ref_level"
+    if ref_level < 4 * max(levels):
+        return "ref_level", "ref_level must be at least 4x the largest level"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ConvergenceStudy:
     """Common-random-number strong-error experiment specification."""
@@ -68,15 +85,8 @@ class ConvergenceStudy:
         levels = tuple(int(n) for n in self.levels)
         if len(levels) == 0:
             raise ValueError("levels must be non-empty")
-        for n in levels:
-            if not _is_power_of_two(n):
-                raise ValueError("levels must be powers of 2")
-            if self.ref_level % n != 0:
-                raise ValueError("all levels must divide ref_level")
-        if not _is_power_of_two(self.ref_level):
-            raise ValueError("ref_level must be a power of 2")
-        if self.ref_level < 4 * max(levels):
-            raise ValueError("ref_level must be at least 4x the largest level")
+        if broken := level_rule(levels, self.ref_level):
+            raise ValueError(broken[1])
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"error_mode must be one of {ERROR_MODES}")
         if self.error_mode == "grid_sup_Lp" and self.p <= 0:
@@ -351,7 +361,7 @@ def collision_rate_explicit(system, n, M, seed, T=1.0):
     def run_chunk(start, stop, blocks):
         x, exit_step = system.x0, None
         for k, inc in blocks:
-            rec, _, exit_step = scheme._paths(system, grid, inc, True, inc.shape[1], x, k, exit_step)
+            rec, _, exit_step = scheme._paths(system, grid, inc, "explicit", inc.shape[1], x, k, exit_step)
             x = rec[:, -1]
         return np.count_nonzero(exit_step)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, model, scheme
 from .config import build_system, parse_config
 from .errors import ConfigError, NonConvergenceError
-from .implicit import ImplicitProblem, SolverOptions, solve
+from .implicit import METHODS, ImplicitProblem, SolverOptions, solve
 
 __all__ = ["main", "entry_point"]
 
@@ -63,12 +63,11 @@ def _build_parser():
     s.add_argument("--c-uniform", type=float, help="uniform coefficient for all pairs")
     s.add_argument("--c-tridiagonal", help="comma-separated nearest-neighbour coefficients")
     s.add_argument("--c-full", help="full matrix, rows separated by ';'")
-    s.add_argument("--method", default="auto",
-                   choices=["auto", "newton", "homotopy", "fixed_point_nn", "alternating_d3"])
+    s.add_argument("--method", default="auto", choices=("auto", *METHODS))
     s.add_argument("--tol", type=float, default=1e-12)
 
     s = sub.add_parser("simulate", help="simulate sample paths", parents=[common])
-    s.add_argument("--scheme", choices=["semi_implicit", "explicit"])
+    s.add_argument("--scheme", choices=scheme.SCHEMES)
     s.add_argument("--n", type=int, help="override run.n")
     s.add_argument("--paths", type=int, help="override run.paths")
 

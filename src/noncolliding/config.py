@@ -25,9 +25,9 @@ import numpy as np
 import yaml
 
 from . import model
-from .analysis import ERROR_MODES
+from .analysis import ERROR_MODES, level_rule
 from .errors import ConfigError
-from .scheme import SCHEMES, _is_power_of_two
+from .scheme import SCHEMES
 
 __all__ = [
     "SystemConfig",
@@ -39,8 +39,19 @@ __all__ = [
     "build_system",
 ]
 
-DRIFT_KINDS = ("zero", "constant", "ornstein_uhlenbeck", "bounded_smooth")
-DIFFUSION_KINDS = ("constant_matrix", "diagonal_bounded")
+# YAML kind -> model constructor; a block's keys are the constructor's arguments
+GAMMAS = {
+    "uniform": model.uniform_gamma,
+    "tridiagonal": model.tridiagonal_gamma,
+    "matrix": lambda d, rows: np.array(rows, dtype=float),
+}
+DRIFTS = {
+    "zero": model.ZeroDrift,
+    "constant": model.ConstantDrift,
+    "ornstein_uhlenbeck": model.OrnsteinUhlenbeckDrift,
+    "bounded_smooth": model.BoundedSmoothDrift,
+}
+DIFFUSIONS = {"constant_matrix": model.ConstantMatrixDiffusion, "diagonal_bounded": model.DiagonalBoundedDiffusion}
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,15 @@ def _as_vector(value, key):
     return tuple(_as_number(v, key) for v in value)
 
 
+def _as_matrix(value, key, d):
+    if not isinstance(value, list) or len(value) != d:
+        _fail(key, f"must be a list of {d} rows")
+    rows = tuple(_as_vector(row, key) for row in value)
+    if any(len(row) != d for row in rows):
+        _fail(key, f"every row must have {d} entries")
+    return rows
+
+
 def _parse_system(block):
     d = _as_int(_require(block, "d", "system"), "system.d")
     if d < 2:
@@ -120,25 +140,21 @@ def _parse_system(block):
 
     gamma = _require(block, "gamma", "system")
     if not isinstance(gamma, dict) or len(gamma) != 1:
-        _fail("system.gamma", "must be a mapping with exactly one of: uniform, tridiagonal, matrix")
+        _fail("system.gamma", f"must be a mapping with exactly one of: {', '.join(GAMMAS)}")
     gkind, gval = next(iter(gamma.items()))
-    if gkind in ("uniform", "tridiagonal"):
+    if gkind not in GAMMAS:
+        _fail("system.gamma", f"unknown gamma form {gkind!r}")
+    if gkind == "matrix":
+        gvalue = _as_matrix(gval, "system.gamma.matrix", d)
+    else:
         gvalue = _as_number(gval, f"system.gamma.{gkind}")
         if gvalue <= 0:
             _fail(f"system.gamma.{gkind}", "must be > 0")
-    elif gkind == "matrix":
-        if not isinstance(gval, list) or len(gval) != d:
-            _fail("system.gamma.matrix", f"must be a list of {d} rows")
-        gvalue = tuple(_as_vector(row, "system.gamma.matrix") for row in gval)
-        if any(len(row) != d for row in gvalue):
-            _fail("system.gamma.matrix", f"every row must have {d} entries")
-    else:
-        _fail("system.gamma", f"unknown gamma form {gkind!r}")
 
     drift = _require(block, "drift", "system")
     dkind = _require(drift, "kind", "system.drift")
-    if dkind not in DRIFT_KINDS:
-        _fail("system.drift.kind", f"must be one of {DRIFT_KINDS}")
+    if dkind not in DRIFTS:
+        _fail("system.drift.kind", f"must be one of {tuple(DRIFTS)}")
     dparams = {}
     if dkind == "constant":
         dparams["c"] = _as_vector(_require(drift, "c", "system.drift"), "system.drift.c")
@@ -150,16 +166,11 @@ def _parse_system(block):
 
     diffusion = _require(block, "diffusion", "system")
     skind = _require(diffusion, "kind", "system.diffusion")
-    if skind not in DIFFUSION_KINDS:
-        _fail("system.diffusion.kind", f"must be one of {DIFFUSION_KINDS}")
+    if skind not in DIFFUSIONS:
+        _fail("system.diffusion.kind", f"must be one of {tuple(DIFFUSIONS)}")
     sparams = {}
     if skind == "constant_matrix":
-        mat = _require(diffusion, "matrix", "system.diffusion")
-        if not isinstance(mat, list) or len(mat) != d:
-            _fail("system.diffusion.matrix", f"must be a list of {d} rows")
-        sparams["matrix"] = tuple(_as_vector(row, "system.diffusion.matrix") for row in mat)
-        if any(len(row) != d for row in sparams["matrix"]):
-            _fail("system.diffusion.matrix", f"every row must have {d} entries")
+        sparams["matrix"] = _as_matrix(_require(diffusion, "matrix", "system.diffusion"), "system.diffusion.matrix", d)
     else:
         sparams["s0"] = _as_number(_require(diffusion, "s0", "system.diffusion"), "system.diffusion.s0")
         sparams["s1"] = _as_number(diffusion.get("s1", 0.0), "system.diffusion.s1")
@@ -218,18 +229,11 @@ def _parse_run(block):
         if not isinstance(levels, list) or not levels:
             _fail("run.levels", "must be a non-empty list")
         levels = tuple(_as_int(v, "run.levels") for v in levels)
-        if any(not _is_power_of_two(v) for v in levels):
-            _fail("run.levels", "levels must be powers of 2")
     ref_level = block.get("ref_level")
     if ref_level is not None:
         ref_level = _as_int(ref_level, "run.ref_level")
-        if not _is_power_of_two(ref_level):
-            _fail("run.ref_level", "must be a power of 2")
-        if levels is not None:
-            if any(ref_level % v != 0 for v in levels):
-                _fail("run.levels", "all levels must divide ref_level")
-            if ref_level < 4 * max(levels):
-                _fail("run.ref_level", "must be at least 4x the largest level")
+    if broken := level_rule(levels, ref_level):
+        _fail(f"run.{broken[0]}", broken[1])
     paths = _as_int(block.get("paths", 1), "run.paths")
     if paths < 1:
         _fail("run.paths", "must be >= 1")
@@ -314,26 +318,9 @@ def _plain(value):
 def build_system(syscfg):
     """Construct the immutable ParticleSystem described by a SystemConfig."""
     d = syscfg.d
-    if syscfg.gamma_kind == "uniform":
-        gamma = model.uniform_gamma(d, syscfg.gamma_value)
-    elif syscfg.gamma_kind == "tridiagonal":
-        gamma = model.tridiagonal_gamma(d, syscfg.gamma_value)
-    else:
-        gamma = np.array(syscfg.gamma_value, dtype=float)
-    dparams = dict(syscfg.drift_params)
-    if syscfg.drift_kind == "zero":
-        drift = model.ZeroDrift()
-    elif syscfg.drift_kind == "constant":
-        drift = model.ConstantDrift(np.array(dparams["c"], dtype=float))
-    elif syscfg.drift_kind == "ornstein_uhlenbeck":
-        drift = model.OrnsteinUhlenbeckDrift(dparams["theta"], np.array(dparams["mu"], dtype=float))
-    else:
-        drift = model.BoundedSmoothDrift(dparams["beta"])
-    sparams = dict(syscfg.diffusion_params)
-    if syscfg.diffusion_kind == "constant_matrix":
-        diffusion = model.ConstantMatrixDiffusion(np.array(sparams["matrix"], dtype=float))
-    else:
-        diffusion = model.DiagonalBoundedDiffusion(sparams["s0"], sparams.get("s1", 0.0))
+    gamma = GAMMAS[syscfg.gamma_kind](d, syscfg.gamma_value)
+    drift = DRIFTS[syscfg.drift_kind](**dict(syscfg.drift_params))
+    diffusion = DIFFUSIONS[syscfg.diffusion_kind](**dict(syscfg.diffusion_params))
     if syscfg.x0_kind == "linspace":
         x0 = np.linspace(syscfg.x0_value[0], syscfg.x0_value[1], d)
     else:

@@ -92,7 +92,7 @@ class SolverOptions:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.method != "auto" and self.method not in _METHODS:
+        if self.method != "auto" and self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -485,7 +485,7 @@ def _alternating_d3(problem, opts):
 
 
 # method -> solver(problem, opts) returning (positions or GapVector, iterations)
-_METHODS = {
+METHODS = {
     "newton": _newton_row,
     "homotopy": _homotopy,
     "fixed_point_nn": _fixed_point_nn,
@@ -506,7 +506,7 @@ def solve(problem, opts=None):
     last = None
     for name in names:
         try:
-            xi, iterations = _METHODS[name](problem, opts)
+            xi, iterations = METHODS[name](problem, opts)
         except NonConvergenceError as exc:
             last = exc
             continue

@@ -184,9 +184,7 @@ def step_explicit(system, state, h, dW):
 
 def simulate(system, grid, path, scheme="semi_implicit"):
     """Run the chosen scheme over the grid with the given increments, as a batch of one."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    recorded, min_gap, exit_step = _paths(system, grid, path.increments[None], scheme == "explicit", 1)
+    recorded, min_gap, exit_step = _paths(system, grid, path.increments[None], scheme, 1)
     k = int(exit_step[0])
     return PathResult(recorded[0], min_gap, exited_chamber=k > 0, exit_step=k or None)
 
@@ -218,13 +216,11 @@ def simulate_batch(system, grid, increments, record_stride=None, scheme="semi_im
     paths already at x0, and recorded starts with x0: stepping a path one
     block at a time gives the bits of stepping it at once.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    recorded, min_gap, _ = _paths(system, grid, increments, scheme == "explicit", record_stride or 1, x0)
+    recorded, min_gap, _ = _paths(system, grid, increments, scheme, record_stride or 1, x0)
     return recorded, min_gap
 
 
-def _paths(system, grid, increments, explicit, stride, x0=None, k0=0, exit_step=None):
+def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=None):
     """The one loop that steps a batch of paths; see `simulate_batch`.
 
     Also returns exit_step, the step at which each explicit path first left
@@ -235,6 +231,8 @@ def _paths(system, grid, increments, explicit, stride, x0=None, k0=0, exit_step=
     semi-implicit mode solves the m systems of a step together; the explicit
     mode steps only the paths still ordered.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     m, n, d = increments.shape
     if k0 + n > grid.n or (x0 is None and n != grid.n):
         raise ValueError("increment count does not match grid")
@@ -251,12 +249,12 @@ def _paths(system, grid, increments, explicit, stride, x0=None, k0=0, exit_step=
     exit_step = np.zeros(m, dtype=int) if exit_step is None else exit_step.copy()
     live = np.flatnonzero(exit_step == 0)
     for k in range(n):
-        if not explicit:
+        if scheme == "semi_implicit":
             b, noise = _drift_and_noise(system, x, increments[:, k])
             x = implicit.solve_batch(x + b * h + noise, c)
         elif live.size:
-            b, noise = _drift_and_noise(system, x[live], increments[live, k], explicit=True)
-            new = x[live] + b * h + noise
+            b, noise = _drift_and_noise(system, x[live], increments[live, k])
+            new = x[live] + (implicit._interaction(system.gamma, x[live]) + b) * h + noise
             ordered = np.all(np.diff(new, axis=1) > 0, axis=1)
             x[live[ordered]] = new[ordered]
             exit_step[live[~ordered]] = k0 + k + 1
@@ -267,19 +265,16 @@ def _paths(system, grid, increments, explicit, stride, x0=None, k0=0, exit_step=
     return recorded, min_gap, exit_step
 
 
-def _drift_and_noise(system, x, dW, explicit=False):
+def _drift_and_noise(system, x, dW):
     """Drift b(x) and noise sigma(x) dW for a batch of states x of shape (m, d).
 
-    With explicit=True the drift includes the interaction term, as the
-    explicit scheme steps it.  The closed drift and diffusion families act on
-    the whole batch; custom evaluators, written for one state, go row by row.
+    The closed drift and diffusion families act on the whole batch; custom
+    evaluators, written for one state, go row by row.
     """
     if isinstance(system.drift, COORDINATEWISE_DRIFTS):
         b = drift_eval(system.drift, x)
     else:
         b = np.asarray([drift_eval(system.drift, row) for row in x])
-    if explicit:
-        b = implicit._interaction(system.gamma, x) + b
     sigma = system.diffusion
     if isinstance(sigma, DiagonalBoundedDiffusion):
         noise = sigma.diagonal(x) * dW

@@ -342,12 +342,12 @@ class TestBatch:
     def test_blocks_continue_one_run(self, which):
         # weak repulsion on a coarse grid, so explicit paths exit inside blocks
         sys_ = dyson(3, 0.3, x0=[-0.5, 0.0, 0.5])
-        grid, explicit = TimeGrid(1.0, 16), which == "explicit"
+        grid = TimeGrid(1.0, 16)
         inc = generate_brownian_batch(4, 30, 3, 1.0, 16)
-        whole, whole_gap, whole_exit = _paths(sys_, grid, inc, explicit, 1)
+        whole, whole_gap, whole_exit = _paths(sys_, grid, inc, which, 1)
         x, k, exit_step, parts, gaps = np.broadcast_to(sys_.x0, (30, 3)), 0, None, [], []
         for b in (5, 8, 3):
-            rec, gap, exit_step = _paths(sys_, grid, inc[:, k : k + b], explicit, 1, x, k, exit_step)
+            rec, gap, exit_step = _paths(sys_, grid, inc[:, k : k + b], which, 1, x, k, exit_step)
             assert np.array_equal(rec[:, 0], x)
             x, k = rec[:, -1], k + b
             parts.append(rec[:, 1:])
@@ -355,7 +355,7 @@ class TestBatch:
         assert np.array_equal(np.concatenate([whole[:, :1]] + parts, axis=1), whole)
         assert min(gaps) == whole_gap
         assert np.array_equal(exit_step, whole_exit)
-        assert np.count_nonzero(whole_exit) > 0 if explicit else whole_gap > 0
+        assert np.count_nonzero(whole_exit) > 0 if which == "explicit" else whole_gap > 0
 
     def test_short_increments_need_start_states(self):
         sys_ = dyson(3, 4.0)
