@@ -50,6 +50,8 @@ ERROR_MODES = ("grid_sup_Lp", "terminal_L2", "grid_sup_L2")
 # * d) memory whatever the path length; only one block is drawn at a time.
 CHUNK = 1000
 BLOCK = 64
+# chi_bar's grid prescan scores 4 * PRESCAN directions at d = 3, 40 * PRESCAN above
+PRESCAN = 12
 
 
 def level_rule(levels, ref_level):
@@ -450,12 +452,12 @@ def _chi_objective(xi, p):
     return float(np.sum(xi[1:] * xi[:-1] ** p + xi[1:] ** p * xi[:-1]))
 
 
-def chi_bar(d, p, resolution=12):
+def chi_bar(d, p):
     """Maximum of sum(xi_{i+1} xi_i^p + xi_{i+1}^p xi_i) on the positive
     (p+2)-norm unit sphere in dimension d - 1.
 
     Multi-start: the symmetric point, 16 random directions, and the best
-    candidates of a coarse grid scan whose density grows with `resolution`.
+    candidates of a coarse grid scan of PRESCAN-scaled density.
     Each start is refined by constrained sequential quadratic programming.
     The returned value is the sharp constant of the nearest-neighbour gap
     inequality; callers that need it strictly below 2 must check.
@@ -477,13 +479,12 @@ def chi_bar(d, p, resolution=12):
         starts.append(normalize(rng.uniform(0.05, 1.0, m)))
     # coarse grid prescan over simplex directions
     grid_pts = []
-    levels = max(2, int(resolution))
     if m == 2:
-        thetas = np.linspace(0.02, np.pi / 2 - 0.02, levels * 4)
+        thetas = np.linspace(0.02, np.pi / 2 - 0.02, PRESCAN * 4)
         for th in thetas:
             grid_pts.append(normalize(np.array([np.cos(th), np.sin(th)])))
     else:
-        for _ in range(levels * 40):
+        for _ in range(PRESCAN * 40):
             grid_pts.append(normalize(rng.dirichlet(np.ones(m)) + 1e-6))
     grid_pts.sort(key=lambda v: -_chi_objective(v, p))
     starts.extend(grid_pts[:8])

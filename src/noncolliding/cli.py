@@ -88,7 +88,6 @@ def _build_parser():
     s = sub.add_parser("chi-bar", help="sharp nearest-neighbour inequality constant", parents=[common])
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--p", type=float, default=0.0)
-    s.add_argument("--resolution", type=int, default=12)
 
     s = sub.add_parser("check", help="parameter-condition report for the configured system", parents=[common])
     s.add_argument("--p", type=float, required=True)
@@ -107,8 +106,7 @@ def _load_config(args):
         raise _IOFailure(str(exc))
     cfg = parse_config(text)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed", "must be >= 0")
+        _at_least("--seed", args.seed, 0)
         cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
     return cfg, build_system(cfg.system)
 
@@ -117,11 +115,20 @@ class _IOFailure(Exception):
     pass
 
 
+def _at_least(flag, value, least):
+    # NaN and infinity fail too, so no flag value outside the range reaches NumPy
+    if not least <= value < np.inf:
+        raise ConfigError(flag, f"must be >= {least} and finite, got {value}")
+
+
 def _parse_vector(text, key):
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        values = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise ConfigError(key, f"could not parse {text!r} as comma-separated numbers")
+    if not np.isfinite(values).all():
+        raise ConfigError(key, f"every entry must be finite, got {text!r}")
+    return values
 
 
 def _cmd_solve(args, emit):
@@ -138,8 +145,7 @@ def _cmd_solve(args, emit):
             raise ConfigError("--c-tridiagonal", f"need {d - 1} coefficients")
         c = model.tridiagonal_gamma(d, vals)
     else:
-        rows = [_parse_vector(row, "--c-full") for row in args.c_full.split(";")]
-        c = np.array(rows, dtype=float)
+        c = [_parse_vector(row, "--c-full") for row in args.c_full.split(";")]
     try:
         problem = ImplicitProblem(a, c)
     except ValueError as exc:
@@ -159,8 +165,7 @@ def _cmd_simulate(args, emit):
     if not scheme._is_power_of_two(n):
         raise ConfigError(key, f"step count must be a power of 2, got {n}")
     paths = cfg.run.paths if args.paths is None else args.paths
-    if paths < 1:
-        raise ConfigError("--paths", "must be >= 1")
+    _at_least("--paths", paths, 1)
     grid = scheme.TimeGrid(cfg.run.T, n)
     emit("path_id,k,t," + ",".join(f"x_{i+1}" for i in range(system.d)) + ",min_gap")
     # replication r draws from replication_seed(seed, r), not from the
@@ -202,8 +207,7 @@ def _cmd_moments(args, emit):
     cfg, system = _load_config(args)
     if cfg.run.n is None:
         raise ConfigError("run.n", "moments requires a step count")
-    if args.times < 1:
-        raise ConfigError("--times", "must be >= 1")
+    _at_least("--times", args.times, 1)
     times = np.linspace(0.0, cfg.run.T, args.times)
     reports = analysis.moment_profile(
         system, cfg.run.T, cfg.run.p, cfg.run.paths, cfg.run.n, base_seed=cfg.run.seed, times=times
@@ -238,14 +242,14 @@ def _cmd_collide(args, emit):
 
 
 def _cmd_inequalities(args, emit):
+    _at_least("--d", args.d, 2 if args.kind == "full" else 3)
+    _at_least("--p", args.p, 0)
+    _at_least("--count", args.count, 1)
+    _at_least("--sweep-seed", args.sweep_seed, 0)
     if args.kind == "full":
-        if args.d < 2:
-            raise ConfigError("--d", "must be >= 2")
         chi = ""
         violations = analysis.sweep_gap_inequality_full(args.d, args.p, args.count, seed=args.sweep_seed)
     else:
-        if args.d < 3:
-            raise ConfigError("--d", "must be >= 3 for the nearest-neighbour inequality")
         chi = analysis.chi_bar(args.d, args.p)
         violations = analysis.sweep_gap_inequality_nn(args.d, args.p, chi, args.count, seed=args.sweep_seed)
     emit("kind,d,p,count,chi,violations")
@@ -254,30 +258,32 @@ def _cmd_inequalities(args, emit):
 
 
 def _cmd_chi_bar(args, emit):
-    if args.d < 3:
-        raise ConfigError("--d", "must be >= 3")
-    chi = analysis.chi_bar(args.d, args.p, resolution=args.resolution)
+    _at_least("--d", args.d, 3)
+    _at_least("--p", args.p, 0)
+    chi = analysis.chi_bar(args.d, args.p)
     emit("d,p,chi")
     emit(_row([args.d, args.p, chi]))
     return EXIT_OK
 
 
 def _cmd_check(args, emit):
+    _at_least("--p", args.p, 1)
+    if args.chi is not None and not 0 < args.chi < 2:
+        raise ConfigError("--chi", f"must lie in (0, 2), got {args.chi}")
     _, system = _load_config(args)
-    try:
-        if system.is_uniform():
-            report = model.check_full_interaction_condition(system, args.p)
-        elif system.is_tridiagonal():
-            chi = args.chi if args.chi is not None else analysis.chi_bar(system.d, args.p)
-            if chi >= 2:
-                raise ConfigError(
-                    "--chi", f"computed chi = {_fmt(chi)} is not < 2; the condition is not applicable"
-                )
-            report = model.check_nn_condition(system, args.p, chi)
-        else:
-            raise ConfigError("system.gamma", "check requires uniform or tridiagonal gamma")
-    except ValueError as exc:
-        raise ConfigError("check", str(exc))
+    if system.is_uniform():
+        if args.chi is not None:
+            raise ConfigError("--chi", "the full-interaction check of a uniform gamma takes no chi")
+        report = model.check_full_interaction_condition(system, args.p)
+    elif system.is_tridiagonal():
+        chi = args.chi if args.chi is not None else analysis.chi_bar(system.d, args.p)
+        if chi >= 2:
+            raise ConfigError(
+                "--chi", f"computed chi = {_fmt(chi)} is not < 2; the condition is not applicable"
+            )
+        report = model.check_nn_condition(system, args.p, chi)
+    else:
+        raise ConfigError("system.gamma", "check requires uniform or tridiagonal gamma")
     emit("check,lhs,rhs,satisfied")
     for c in report.checks:
         emit(_row([f'"{c.name}"', c.lhs, c.rhs, str(c.satisfied).lower()]))

@@ -109,6 +109,8 @@ def _require(mapping, key, path):
 def _as_number(value, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(key, f"must be a number, got {value!r}")
+    if not np.isfinite(float(value)):
+        _fail(key, "must be finite")
     return float(value)
 
 

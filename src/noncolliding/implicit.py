@@ -90,8 +90,8 @@ class SolverOptions:
     homotopy_steps: int = 64
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if self.method != "auto" and self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 

@@ -239,15 +239,15 @@ def tridiagonal_gamma(d, value):
 def validate_interaction(matrix, d, name):
     """matrix as a float array, checked to be a valid interaction matrix.
 
-    Interaction matrices (gamma of a system, c of a step) are d x d,
+    Interaction matrices (gamma of a system, c of a step) are d x d, finite,
     non-negative, symmetric, zero on the diagonal and strictly positive on
     the first off-diagonal; name is used in the error messages.
     """
     g = np.asarray(matrix, dtype=float)
     if g.shape != (d, d):
         raise ValueError(f"{name} must be a {d}x{d} matrix")
-    if np.any(g < 0):
-        raise ValueError(f"{name} entries must be non-negative")
+    if not np.all((g >= 0) & (g < np.inf)):
+        raise ValueError(f"{name} entries must be non-negative and finite")
     if not np.array_equal(g, g.T):
         raise ValueError(f"{name} must be symmetric")
     if np.any(np.diag(g) != 0):

@@ -111,6 +111,48 @@ class TestParse:
         assert sys_.is_uniform() and sys_.uniform_value() == 4.0
         assert np.allclose(sys_.x0, [-1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "old, new, attribute, want",
+        [
+            ("kind: zero", "kind: constant\n    c: [0.1, 0.2, 0.3]", "drift.c", [0.1, 0.2, 0.3]),
+            ("kind: zero", "kind: ornstein_uhlenbeck\n    theta: 0.5\n    mu: [-1, 0, 1]", "drift.mu", [-1, 0, 1]),
+            ("kind: zero", "kind: bounded_smooth\n    beta: 0.7", "drift.beta", 0.7),
+            ("kind: constant_matrix\n    matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+             "kind: diagonal_bounded\n    s0: 0.8", "diffusion.s1", 0.0),
+            ("uniform: 4.0", "matrix: [[0, 2, 1], [2, 0, 3], [1, 3, 0]]", "gamma", [[0, 2, 1], [2, 0, 3], [1, 3, 0]]),
+        ],
+        ids=["constant", "ornstein_uhlenbeck", "bounded_smooth", "diagonal_bounded", "gamma_matrix"],
+    )
+    def test_every_family_builds_from_its_keys(self, old, new, attribute, want):
+        sys_ = build_system(parse_config(DYSON_YAML.replace(old, new)).system)
+        value = sys_
+        for name in attribute.split("."):
+            value = getattr(value, name)
+        assert np.array_equal(value, want)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [("T: 1.0", "T: .nan", "run.T"), ("T: 1.0", "T: .inf", "run.T"),
+         ("uniform: 4.0", "uniform: .inf", "system.gamma.uniform"),
+         ("linspace: [-1.0, 1.0]", "linspace: [-.inf, 1.0]", "system.x0.linspace")],
+        ids=["T_nan", "T_inf", "gamma_inf", "x0_inf"],
+    )
+    def test_non_finite_number_names_its_key(self, old, new, key):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(DYSON_YAML.replace(old, new))
+        assert str(exc.value) == f"{key}: must be finite"
+
+    @pytest.mark.parametrize(
+        "old, new, key, message",
+        [("ref_level: 128", "ref_level: 96", "run.ref_level", "ref_level must be a power of 2"),
+         ("ref_level: 128", "ref_level: 16", "run.levels", "all levels must divide ref_level")],
+        ids=["ref_not_dyadic", "level_above_ref"],
+    )
+    def test_level_rules_name_their_key(self, old, new, key, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(DYSON_YAML.replace(old, new))
+        assert str(exc.value) == f"{key}: {message}"
+
 
 @pytest.fixture
 def dyson_config(tmp_path):
@@ -131,6 +173,26 @@ class TestCli:
     def test_solve_requires_one_c(self, capsys):
         code = main(["solve", "--a", "0,1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["--c-uniform", "2", "--tol", "nan"], "tol"), (["--c-uniform", "2", "--tol", "inf"], "tol"),
+         (["--c-uniform", "inf"], "--c-*"), (["--c-tridiagonal", "1,nan"], "--c-tridiagonal")],
+        ids=["tol_nan", "tol_inf", "c_inf", "c_nan"],
+    )
+    def test_solve_rejects_non_finite_input(self, argv, key, capsys):
+        # an unchecked NaN tolerance used to report the initial guess as converged
+        assert main(["solve", "--a", "0,1,3", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f'error,validation,"{key}') and "finite" in err
+
+    @pytest.mark.parametrize("a", ["0,inf,3", "nan,1,3"])
+    def test_solve_offsets_must_be_finite(self, a, capsys):
+        assert main(["solve", "--a", a, "--c-uniform", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error,validation,"--a: every entry must be finite')
 
     def test_solve_tridiagonal_one_or_per_pair_values(self, capsys):
         assert main(["solve", "--a", "0,1,3", "--c-tridiagonal", "0.5"]) == 0
@@ -217,6 +279,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "false" in out
 
+    @pytest.mark.parametrize("chi", ["-5", "0", "2", "nan"])
+    def test_check_chi_must_lie_below_two(self, tmp_path, chi, capsys):
+        nn = tmp_path / "nn.yaml"
+        nn.write_text(DYSON_YAML.replace("uniform: 4.0", "tridiagonal: 8.0"))
+        assert main(["check", "--config", str(nn), "--p", "1", "--chi", chi]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error,validation,"--chi: must lie in (0, 2)')
+
+    def test_check_chi_is_refused_for_uniform_gamma(self, dyson_config, capsys):
+        # the full-interaction condition has no chi; one given was ignored before
+        assert main(["check", "--config", dyson_config, "--p", "3", "--chi", "1.9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error,validation,"--chi: ')
+
     def test_missing_config_file_is_io_error(self):
         assert main(["simulate", "--config", "/nonexistent/x.yaml"]) == 4
 
@@ -233,8 +311,20 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv, flag",
-        [(["moments", "--times", "0"], "--times"), (["simulate", "--seed", "-3"], "--seed")],
-        ids=["times", "seed"],
+        [
+            (["moments", "--times", "0"], "--times"),
+            (["simulate", "--seed", "-3"], "--seed"),
+            (["inequalities", "--kind", "full", "--d", "3", "--count", "-5"], "--count"),
+            (["inequalities", "--kind", "full", "--d", "3", "--sweep-seed", "-1"], "--sweep-seed"),
+            (["inequalities", "--kind", "nn", "--d", "3", "--p", "-1"], "--p"),
+            (["inequalities", "--kind", "nn", "--d", "3", "--p", "nan"], "--p"),
+            (["inequalities", "--kind", "full", "--d", "3", "--p", "inf"], "--p"),
+            (["chi-bar", "--d", "3", "--p", "-1"], "--p"),
+            (["check", "--p", "nan"], "--p"),
+            (["check", "--p", "0.5"], "--p"),
+        ],
+        ids=["times", "seed", "count", "sweep_seed", "nn_p_negative", "nn_p_nan", "full_p_inf", "chi_bar_p",
+             "check_p_nan", "check_p_below_one"],
     )
     def test_flag_out_of_range_names_the_flag(self, dyson_config, argv, flag, capsys):
         assert main(argv + ["--config", dyson_config]) == 2
@@ -265,6 +355,10 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "kind,d,p,count,chi,violations"
         assert out[1].endswith(",0")
+
+    def test_chi_bar_has_no_resolution_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["chi-bar", "--d", "3", "--resolution", "4"])
 
     def test_chi_bar_output(self, capsys):
         assert main(["chi-bar", "--d", "3", "--p", "0"]) == 0

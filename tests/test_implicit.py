@@ -297,6 +297,11 @@ class TestDispatch:
         with pytest.raises(ValueError):
             SolverOptions(method="bisection")
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            SolverOptions(tol=tol)
+
     def test_alternating_not_offered_for_d4(self):
         p = ImplicitProblem(np.zeros(4), uniform_c(4, 1.0))
         with pytest.raises(ValueError):

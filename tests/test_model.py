@@ -147,6 +147,17 @@ class TestParticleSystem:
                 x0=np.array([-1.0, 0.0, 1.0]),
             )
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_gamma(self, value):
+        g = uniform_gamma(3, 1.0)
+        g[0, 2] = g[2, 0] = value
+        with pytest.raises(ValueError, match="gamma entries must be non-negative and finite"):
+            ParticleSystem(
+                d=3, gamma=g, drift=ZeroDrift(),
+                diffusion=ConstantMatrixDiffusion(np.eye(3)),
+                x0=np.array([-1.0, 0.0, 1.0]),
+            )
+
     def test_rejects_zero_superdiagonal_gamma(self):
         g = np.zeros((3, 3))
         g[0, 2] = g[2, 0] = 1.0
