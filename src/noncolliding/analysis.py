@@ -91,12 +91,12 @@ class ConvergenceStudy:
             raise ValueError(broken[1])
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"error_mode must be one of {ERROR_MODES}")
-        if self.error_mode == "grid_sup_Lp" and self.p <= 0:
-            raise ValueError("p must be > 0")
+        if self.error_mode == "grid_sup_Lp" and not 0 < self.p < np.inf:
+            raise ValueError("p must be finite and > 0")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.T <= 0:
-            raise ValueError("T must be > 0")
+        if not 0 < self.T < np.inf:
+            raise ValueError("T must be finite and > 0")
         object.__setattr__(self, "levels", levels)
 
 

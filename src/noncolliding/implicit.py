@@ -22,6 +22,16 @@ each row alone, so a row gets the same bits alone as inside any batch.
 Backtracking on F itself (Armijo) is deliberately not used: it would change
 which steps are accepted, and with them the results.
 
+The structure of c chooses the kernel once per solve (`_kernel`).  When d >= 3
+and c has no non-zero entry beyond the first off-diagonal (nearest-neighbour
+coupling), the core carries only the band diag(c, 1) and the neighbour weights
+c_{i,i+1} / gap_i^2: evaluation costs O(d) per row and gives the bits of the
+dense sums, whose other terms are exact zeros, and the tridiagonal Hessians of
+all rows are solved by one LAPACK `dgtsv` call on the rows stacked as one
+system with zero coupling between them.  Every other c, and every c at d = 2,
+where the tridiagonal and dense LU solves round differently, takes the dense
+O(d^2) evaluation and the dense O(d^3) LU solve.
+
 Two structure-specific fixed-point iterations are available for tridiagonal
 coefficients and for d = 3 with uniform coefficients.
 """
@@ -31,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .errors import NonConvergenceError
 from .model import is_tridiagonal, is_uniform, validate_interaction
@@ -140,9 +151,50 @@ def _differences(xi):
     return diff
 
 
+def _kernel(c):
+    """The band diag(c, 1) when c couples only neighbours and d >= 3, else c.
+
+    The functions below that take c accept either form.  A uniform c always
+    has a non-zero corner c[0, -1], which rejects it before the O(d^2) test.
+    """
+    if len(c) < 3 or c[0, -1] != 0 or not is_tridiagonal(c):
+        return c
+    return np.diag(c, 1)
+
+
 def _interaction(c, xi):
-    """sum_{j != i} c_ij / (xi_i - xi_j) along the last axis of xi."""
-    return (c / _differences(xi)).sum(axis=-1)
+    """sum_{j != i} c_ij / (xi_i - xi_j) along the last axis of xi.
+
+    For a band c (see `_kernel`) only the neighbour terms +-c_{i,i+1} / gap_i
+    are summed; the dense sum adds exact zeros to them, so the bits agree.
+    """
+    if c.ndim == 2:
+        return (c / _differences(xi)).sum(axis=-1)
+    t = c / (xi[..., 1:] - xi[..., :-1])
+    s = np.zeros_like(xi)
+    s[..., 1:] = t
+    s[..., :-1] -= t
+    return s
+
+
+def _weights(c, x):
+    # Hessian weights c_ij / (x_i - x_j)^2 at each row of x: (m, d, d) for a
+    # dense c, the neighbour weights (m, d - 1) for a band c
+    if c.ndim == 2:
+        return c / _differences(x) ** 2
+    return c / (x[:, 1:] - x[:, :-1]) ** 2
+
+
+def _row_sums(w, d):
+    # sum_j w_ij of dense (..., d, d) or neighbour (..., d - 1) Hessian
+    # weights; a neighbour row sum w_{i-1} + w_i is the one rounding of the
+    # dense sum, whose other terms are exact zeros
+    if w.shape[-1] == d:
+        return w.sum(axis=-1)
+    s = np.zeros(w.shape[:-1] + (d,))
+    s[..., 1:] = w
+    s[..., :-1] += w
+    return s
 
 
 def _hessian(w):
@@ -154,18 +206,40 @@ def _hessian(w):
 
 
 def _hessian_solve(w, b):
-    """H^{-1} b on each row, for Hessian weights w (m, d, d) and b (m, d).
+    """H^{-1} b on each row, for Hessian weights w (see `_weights`) and b (m, d).
 
     A row whose Hessian is singular in floating point (weights so large that
     the identity is lost) gets NaN, which no line search or continuation
     step accepts; the other rows are solved one by one with the same bits.
     """
     try:
-        return np.linalg.solve(_hessian(w), b[:, :, None])[:, :, 0]
+        if w.ndim == 3:
+            return np.linalg.solve(_hessian(w), b[:, :, None])[:, :, 0]
+        return _tridiagonal_solve(w, b)
     except np.linalg.LinAlgError:
         if len(b) == 1:
             return np.full_like(b, np.nan)
         return np.concatenate([_hessian_solve(w[i : i + 1], b[i : i + 1]) for i in range(len(b))])
+
+
+def _tridiagonal_solve(w, b):
+    """H^{-1} b for neighbour weights w (m, d - 1): one LAPACK `dgtsv` call on
+    the m row systems stacked as one of size m * d, with zero coupling.
+
+    Elimination and back substitution cross from one row to the next only
+    through a zero multiplier, which leaves each row the bits it gets alone
+    while every value is finite.  A non-finite value, given or produced by
+    overflow, would turn that product into NaN, so a solve that is singular
+    or not finite everywhere raises LinAlgError and the rows go one by one.
+    """
+    m, d = b.shape
+    off = np.zeros((m, d))
+    off[:, :-1] = -w
+    off = off.ravel()[:-1]
+    x, info = dgtsv(off, (1.0 + _row_sums(w, d)).ravel(), off, b.reshape(-1, 1))[3:]
+    if info != 0 or not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("singular or overflowing tridiagonal Hessian")
+    return x.reshape(m, d)
 
 
 def residual(problem, xi):
@@ -215,7 +289,7 @@ def _residual_floor(a, tol, x=None, w=None):
     if w is None:
         return base
     eps = np.finfo(float).eps
-    spread = 1.0 + w.sum(axis=-1).max(axis=-1)
+    spread = 1.0 + _row_sums(w, x.shape[-1]).max(axis=-1)
     capped = np.maximum(base, np.minimum(64.0 * eps * amax * spread, 100.0 * base))
     resolved = np.diff(x, axis=-1).min(axis=-1) >= 2.0**20 * eps * amax
     return np.where(resolved, np.maximum(capped, min(tol, 4.0 * eps) * amax * spread), capped)
@@ -225,16 +299,21 @@ def _evaluate(a, c, x):
     """Residual, max-norm residual and Hessian weights at each row of x.
 
     The max-norm is inf on rows that are not strictly ordered; their residual
-    and weights are left undefined.
+    and weights are left undefined.  c is dense or a band (see `_kernel`).
     """
     ordered = (x[:, 1:] > x[:, :-1]).all(axis=1)
     if not ordered.all():
-        r, rn, w = np.empty_like(x), np.full(len(x), np.inf), np.empty(x.shape + x.shape[-1:])
-        r[ordered], rn[ordered], w[ordered] = _evaluate(a[ordered], c, x[ordered])
+        r_in, rn_in, w_in = _evaluate(a[ordered], c, x[ordered])
+        r, rn, w = np.empty_like(x), np.full(len(x), np.inf), np.empty((len(x),) + w_in.shape[1:])
+        r[ordered], rn[ordered], w[ordered] = r_in, rn_in, w_in
         return r, rn, w
-    diff = _differences(x)
-    r = x - a - (c / diff).sum(axis=-1)
-    return r, np.abs(r).max(axis=1), c / diff**2
+    if c.ndim == 2:
+        diff = _differences(x)
+        s, w = (c / diff).sum(axis=-1), c / diff**2
+    else:
+        s, w = _interaction(c, x), _weights(c, x)
+    r = x - a - s
+    return r, np.abs(r).max(axis=1), w
 
 
 def _line_search(a, c, x, rn, delta):
@@ -266,8 +345,8 @@ def _line_search(a, c, x, rn, delta):
 def _newton(a, c, xi, opts):
     """Damped Newton on each row of xi, shape (m, d), for the offsets in a.
 
-    Returns per row the iterate, the accepted steps, the max-norm residual
-    and whether the row converged.  A row fails when its start is not
+    c is dense or a band (see `_kernel`).  Returns per row the iterate, the
+    accepted steps, the max-norm residual and whether the row converged.  A row fails when its start is not
     strictly ordered, or when it stalls or spends MAX_ITER steps above its
     residual floor.
     """
@@ -305,7 +384,7 @@ def _newton_row(problem, opts, start=None):
     """The Newton core on one problem; returns (xi, accepted steps) or raises."""
     a = problem.a[None]
     start = _initial_guess(a, problem.c) if start is None else start[None]
-    xi, iterations, rnorm, ok = _newton(a, problem.c, start, opts)
+    xi, iterations, rnorm, ok = _newton(a, _kernel(problem.c), start, opts)
     if not ok[0]:
         raise NonConvergenceError(
             "newton did not reach tolerance",
@@ -334,7 +413,7 @@ def solve_homotopy(problem, opts=None):
 
 def _homotopy(problem, opts):
     # solve_homotopy; returns (xi, accepted steps + polish iterations)
-    c = problem.c
+    c = _kernel(problem.c)
     big_j = np.arange(1.0, problem.d + 1.0)
     g_j = problem.a - big_j + _interaction(c, big_j)
     g_norm = np.linalg.norm(g_j)
@@ -342,7 +421,7 @@ def _homotopy(problem, opts):
     def velocity(x):
         if not (x[1:] > x[:-1]).all():
             return None
-        return _hessian_solve(c / _differences(x[None]) ** 2, g_j[None])[0]
+        return _hessian_solve(_weights(c, x[None]), g_j[None])[0]
 
     x, k1 = big_j, velocity(big_j)
     t = 0.0
@@ -528,7 +607,7 @@ def solve_batch(a, c):
     the result meets the same residual tolerance as the scalar path.
     """
     a = np.asarray(a, dtype=float)
-    xi, _, _, ok = _newton(a, c, _initial_guess(a, c), _DEFAULTS)
+    xi, _, _, ok = _newton(a, _kernel(c), _initial_guess(a, c), _DEFAULTS)
     for i in np.flatnonzero(~ok):
         xi[i] = solve_homotopy(ImplicitProblem(a[i], c))
     return xi

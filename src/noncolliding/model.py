@@ -292,8 +292,8 @@ class ParticleSystem:
         x0 = _as_vector(self.x0, "x0")
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have length {self.d}")
-        if np.any(np.diff(x0) <= 0):
-            raise ValueError("x0 must be strictly increasing")
+        if not (np.isfinite(x0).all() and (np.diff(x0) > 0).all()):
+            raise ValueError("x0 must be finite and strictly increasing")
         if np.shape(drift_eval(self.drift, x0)) != (self.d,):
             raise ValueError(f"drift must give a vector of length {self.d}")
         if np.shape(diffusion_eval(self.diffusion, x0)) != (self.d, self.d):

@@ -48,9 +48,9 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be > 0")
-        if self.n < 1:
+        if not 0 < self.T < np.inf:
+            raise ValueError("T must be finite and > 0")
+        if not self.n >= 1:
             raise ValueError("n must be >= 1")
 
     @property
@@ -229,7 +229,8 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
     states x0 and the exit steps of the steps before it.  The step h and the
     coefficients gamma * h always come from the whole grid.  The
     semi-implicit mode solves the m systems of a step together; the explicit
-    mode steps only the paths still ordered.
+    mode steps only the paths still ordered, with the interaction summed over
+    neighbours alone when gamma couples only neighbours (`implicit._kernel`).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -242,6 +243,7 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
         raise ValueError("record_stride must divide n")
     h = grid.h
     c = system.gamma * h
+    kernel = implicit._kernel(system.gamma)
     x = np.broadcast_to(system.x0 if x0 is None else x0, (m, d)).copy()
     recorded = np.empty((m, n // stride + 1, d))
     recorded[:, 0] = x
@@ -254,7 +256,7 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
             x = implicit.solve_batch(x + b * h + noise, c)
         elif live.size:
             b, noise = _drift_and_noise(system, x[live], increments[live, k])
-            new = x[live] + (implicit._interaction(system.gamma, x[live]) + b) * h + noise
+            new = x[live] + (implicit._interaction(kernel, x[live]) + b) * h + noise
             ordered = np.all(np.diff(new, axis=1) > 0, axis=1)
             x[live[ordered]] = new[ordered]
             exit_step[live[~ordered]] = k0 + k + 1

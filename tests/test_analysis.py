@@ -61,6 +61,13 @@ class TestStudyValidation:
         with pytest.raises(ValueError):
             ConvergenceStudy(dyson(3, 4.0), 1.0, (16,), 257, 10)
 
+    @pytest.mark.parametrize("field", ["T", "p"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_horizon_and_order(self, field, value):
+        args = {"T": 1.0, "p": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            ConvergenceStudy(dyson(3, 4.0), args["T"], (16,), 256, 10, p=args["p"])
+
     def test_error_mode_checked(self):
         with pytest.raises(ValueError):
             ConvergenceStudy(dyson(3, 4.0), 1.0, (16,), 256, 10, error_mode="weak")

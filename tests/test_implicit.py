@@ -336,3 +336,79 @@ class TestBatch:
         batch = solve_batch(a, c)
         for row, xi_batch in zip(a, batch):
             assert solve(ImplicitProblem(row, c)).xi.tobytes() == xi_batch.tobytes()
+
+
+class TestNeighbourKernel:
+    """The band path of the Newton core, for c that couples only neighbours."""
+
+    @staticmethod
+    def system(rng, d, m):
+        # well-spread ordered rows, so the Hessians are well conditioned
+        c = tridiag_c(rng.uniform(0.05, 2.0, d - 1))
+        x = np.cumsum(rng.uniform(0.5, 1.5, (m, d)), axis=1)
+        w = implicit._weights(implicit._kernel(c), x)
+        return c, x, w
+
+    def test_kernel_chooses_band_only_for_neighbours_at_d3_and_above(self):
+        c = tridiag_c([1.0, 2.0, 3.0])
+        assert np.array_equal(implicit._kernel(c), [1.0, 2.0, 3.0])
+        dense = [uniform_c(2, 1.0), tridiag_c([1.0]), uniform_c(3, 1.0), uniform_c(64, 0.5)]
+        far = tridiag_c([1.0, 2.0, 3.0])
+        far[0, 2] = far[2, 0] = 0.5  # zero corner, non-zero second off-diagonal
+        for c in dense + [far]:
+            assert implicit._kernel(c) is c
+
+    @pytest.mark.parametrize("d", [3, 8, 64, 128])
+    def test_band_solve_matches_dense(self, d):
+        rng = np.random.default_rng(d)
+        c, x, w = self.system(rng, d, 5)
+        b = rng.normal(size=(5, d))
+        band = implicit._hessian_solve(w, b)
+        dense = implicit._hessian_solve(c / implicit._differences(x) ** 2, b)
+        assert np.max(np.abs(band - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("where", ["weight", "rhs"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_row_does_not_reach_its_neighbours(self, where, value):
+        # rows 1 and 3 are bad; the others keep the bits they get alone
+        rng = np.random.default_rng(5)
+        _, _, w = self.system(rng, 6, 5)
+        b = rng.normal(size=(5, 6))
+        (w if where == "weight" else b)[[1, 3], 2] = value
+        x = implicit._hessian_solve(w, b)
+        assert np.isnan(x[[1, 3]]).all()
+        for i in (0, 2, 4):
+            alone = implicit._hessian_solve(w[i : i + 1], b[i : i + 1])
+            assert np.isfinite(alone).all() and alone.tobytes() == x[i : i + 1].tobytes()
+
+    def test_overflowing_row_does_not_reach_its_neighbours(self):
+        # finite weights whose elimination overflows: back substitution would
+        # multiply the row's inf by the zero coupling of the row before it
+        w = np.array([[1.0, 1.0], [1e300, 1e-300], [2.0, 0.5]])
+        b = np.ones((3, 3))
+        x = implicit._hessian_solve(w, b)
+        assert np.isnan(x[1]).all()
+        for i in (0, 2):
+            assert implicit._hessian_solve(w[i : i + 1], b[i : i + 1]).tobytes() == x[i : i + 1].tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_uniform_and_d2_stay_dense(self, d, monkeypatch):
+        # every Hessian solve of these problems is a dense (m, d, d) one
+        shapes = []
+        real = implicit._hessian_solve
+
+        def recording(w, b):
+            shapes.append(w.shape)
+            return real(w, b)
+
+        monkeypatch.setattr(implicit, "_hessian_solve", recording)
+        a = np.random.default_rng(d).uniform(-3.0, 3.0, (4, d))
+        for c in (uniform_c(d, 0.5), tridiag_c(np.full(d - 1, 0.5))):
+            solve_batch(a, c)
+            solve_homotopy(ImplicitProblem(a[0], c))
+            if d >= 3 and not c[0, -1]:
+                assert all(len(s) == 2 for s in shapes)
+            else:
+                assert all(len(s) == 3 and s[1:] == (d, d) for s in shapes)
+            shapes.clear()
+

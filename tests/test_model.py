@@ -137,6 +137,11 @@ class TestParticleSystem:
         with pytest.raises(ValueError):
             dyson(3, 1.0, x0=[0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("x0", [[0.0, np.nan, 1.0], [-np.inf, 0.0, 1.0]])
+    def test_rejects_non_finite_x0(self, x0):
+        with pytest.raises(ValueError, match="x0 must be finite and strictly increasing"):
+            dyson(3, 1.0, x0=x0)
+
     def test_rejects_asymmetric_gamma(self):
         g = uniform_gamma(3, 1.0)
         g[0, 1] = 9.0

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncolliding import ImplicitProblem, NonConvergenceError, residual, solve
-from noncolliding.implicit import _differences, _residual_floor, solve_batch
+from noncolliding.implicit import _differences, _evaluate, _kernel, _residual_floor, _row_sums, solve_batch
 
 TOL = 1e-12  # SolverOptions().tol
 EPS = np.finfo(float).eps
@@ -106,3 +106,23 @@ def test_unrepresentable_gap_raises(log_l, log_shrink):
         except NonConvergenceError:
             continue
         raise AssertionError("an unrepresentable solution was returned")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 64), st.integers(1, 5), st.floats(-4.0, 2.0), st.integers(0, 2**32 - 1))
+def test_neighbour_kernel_has_the_dense_bits(d, m, log_c, seed):
+    # the band evaluation drops only exact zeros of the dense sums: the same
+    # residual on ordered rows, the same max-norm (inf on unordered rows) and
+    # the same weight row sums, which set the Hessian diagonal and the floor
+    rng = np.random.default_rng(seed)
+    c = coefficient_matrix(d, "tridiagonal", 10.0 ** (log_c + rng.uniform(0.0, 1.0, d - 1)))
+    x = np.sort(rng.normal(size=(m, d)), axis=1) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+    x[rng.random(m) < 0.3, ::2] *= -1.0  # some rows unordered
+    a = x + rng.normal(size=(m, d))
+    r, rn, w = _evaluate(a, c, x)
+    r_band, rn_band, w_band = _evaluate(a, _kernel(c), x)
+    ordered = rn < np.inf
+    assert rn.tobytes() == rn_band.tobytes()
+    assert r[ordered].tobytes() == r_band[ordered].tobytes()
+    assert _row_sums(w[ordered], d).tobytes() == _row_sums(w_band[ordered], d).tobytes()
+

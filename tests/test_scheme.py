@@ -65,8 +65,10 @@ def step_loop(sys_, grid, increments, which):
 
 
 # coefficient families for the batched stepper against the one-step functions:
-# coordinate-wise drifts, the two closed diffusion families, and custom
-# evaluators that `_drift_and_noise` applies row by row
+# coordinate-wise drifts, the two closed diffusion families, custom
+# evaluators that `_drift_and_noise` applies row by row, and a per-pair
+# nearest-neighbour gamma, which the batched modes step through the neighbour
+# kernel and `step_explicit` through the dense interaction sum
 FAMILIES = {
     "ou_diagonal_bounded": lambda: dyson(
         3, 4.0,
@@ -85,6 +87,13 @@ FAMILIES = {
             declared_lipschitz=0.1, declared_sup_sq=1.0,
         ),
     ),
+    "nearest_neighbour": lambda: ParticleSystem(
+        d=6,
+        gamma=tridiagonal_gamma(6, [0.5, 1.0, 2.0, 1.0, 0.25]),
+        drift=OrnsteinUhlenbeckDrift(theta=0.4, mu=np.linspace(-1.0, 1.0, 6)),
+        diffusion=DiagonalBoundedDiffusion(s0=0.8, s1=0.2),
+        x0=np.linspace(-1.5, 1.5, 6),
+    ),
 }
 
 
@@ -99,6 +108,11 @@ class TestTimeGrid:
             TimeGrid(0.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf")])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            TimeGrid(T, 4)
 
 
 class TestBrownian:
@@ -299,7 +313,7 @@ class TestBatch:
     def test_batch_matches_scalar_paths(self, family, which):
         sys_ = FAMILIES[family]()
         grid = TimeGrid(1.0, 16)
-        inc = generate_brownian_batch(11, 4, 3, 1.0, 16)
+        inc = generate_brownian_batch(11, 4, sys_.d, 1.0, 16)
         rec, _ = simulate_batch(sys_, grid, inc, scheme=which)
         for m in range(4):
             assert np.array_equal(rec[m], step_loop(sys_, grid, inc[m], which)[0])
@@ -384,4 +398,19 @@ class TestOracles:
         brownian = np.concatenate([np.zeros((m, 1, d)), np.cumsum(inc, axis=1)], axis=1)
         error = np.abs(rec.mean(axis=2) - (np.mean(x0) + brownian.mean(axis=2)))
         assert min_gap > 0
+        assert np.max(error) <= n * SolverOptions().tol
+
+    def test_nearest_neighbour_paths_at_d1024(self):
+        # the neighbour kernel keeps d = 1024 cheap; the same centre-of-mass oracle
+        d, n, m = 1024, 16, 4
+        x0 = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d)
+        sys_ = ParticleSystem(
+            d=d, gamma=tridiagonal_gamma(d, 1.0), drift=ZeroDrift(),
+            diffusion=ConstantMatrixDiffusion(np.eye(d)), x0=x0,
+        )
+        inc = generate_brownian_batch(9, m, d, 1.0, n)
+        rec, min_gap = simulate_batch(sys_, TimeGrid(1.0, n), inc)
+        brownian = np.concatenate([np.zeros((m, 1, d)), np.cumsum(inc, axis=1)], axis=1)
+        error = np.abs(rec.mean(axis=2) - (np.mean(x0) + brownian.mean(axis=2)))
+        assert min_gap > 0 and np.all(np.diff(rec, axis=2) > 0)
         assert np.max(error) <= n * SolverOptions().tol
