@@ -8,6 +8,8 @@ Monte Carlo estimate.  The `_precision2` cases print with `output.precision: 2`,
 which applies to the numbers of simulate, converge, moments and collide but
 not to their integer columns (ids, step indices, counts), nor to `check`; at
 two digits a step index or count would otherwise read like `1.3e+02`.
+`simulate_nn` runs a d = 5 nearest-neighbour system instead, so it pins the
+bits of the neighbour kernel and the tridiagonal Hessian solve.
 Regenerate a file only for a change that is meant to move the numbers:
 
     PYTHONPATH=src python -m noncolliding converge --config CFG > tests/golden/converge.csv
@@ -33,7 +35,7 @@ from noncolliding.model import uniform_gamma
 
 GOLDEN = Path(__file__).parent / "golden"
 
-CONFIG = """
+SYSTEM = """
 system:
   d: 3
   gamma:
@@ -47,7 +49,26 @@ system:
     matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
   x0:
     linspace: [-0.6, 0.6]
-run:
+"""
+
+# nearest-neighbour gamma at d >= 3: the neighbour kernel and tridiagonal solve
+SYSTEM_NN = """
+system:
+  d: 5
+  gamma:
+    tridiagonal: 0.8
+  drift:
+    kind: ornstein_uhlenbeck
+    theta: 0.5
+    mu: [-2.0, -1.0, 0.0, 1.0, 2.0]
+  diffusion:
+    kind: constant_matrix
+    matrix: [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+  x0:
+    linspace: [-1.0, 1.0]
+"""
+
+RUN = """run:
   T: 1.0
   n: 100
   levels: [4, 8, 16]
@@ -61,33 +82,39 @@ run:
 PRECISION_2 = "output:\n  precision: 2\n"
 SIMULATE = ["simulate", "--n", "128", "--paths", "2"]
 
-# name: (argv, run.error_mode of the config, or None for a command without
-# one, text appended to the config, exit code)
+
+def config(mode="grid_sup_Lp", extra="", system=SYSTEM):
+    """Config text: the system, the run with this error_mode, then extra."""
+    return system + RUN.format(mode=mode) + extra
+
+
+# name: (argv, config text or None for a command without one, exit code)
 CASES = {
-    "converge": (["converge"], "grid_sup_Lp", "", 0),
-    "converge_terminal": (["converge"], "terminal_L2", "", 0),
-    "moments": (["moments", "--times", "11"], "grid_sup_Lp", "", 0),
-    "collide": (["collide"], "grid_sup_Lp", "", 0),
-    "collide_precision2": (["collide"], "grid_sup_Lp", PRECISION_2, 0),
-    "simulate": (SIMULATE, "grid_sup_Lp", "", 0),
-    "simulate_explicit": (SIMULATE + ["--scheme", "explicit"], "grid_sup_Lp", "", 0),
-    "simulate_precision2": (SIMULATE, "grid_sup_Lp", PRECISION_2, 0),
+    "converge": (["converge"], config(), 0),
+    "converge_terminal": (["converge"], config("terminal_L2"), 0),
+    "moments": (["moments", "--times", "11"], config(), 0),
+    "collide": (["collide"], config(), 0),
+    "collide_precision2": (["collide"], config(extra=PRECISION_2), 0),
+    "simulate": (SIMULATE, config(), 0),
+    "simulate_explicit": (SIMULATE + ["--scheme", "explicit"], config(), 0),
+    "simulate_precision2": (SIMULATE, config(extra=PRECISION_2), 0),
+    "simulate_nn": (SIMULATE, config(system=SYSTEM_NN), 0),
     # 3 * gamma / (d * sigma_sup_sq) = 1.5 < 2: the condition fails
-    "check": (["check", "--p", "1.1"], "grid_sup_Lp", "", 1),
-    "check_precision2": (["check", "--p", "1.1"], "grid_sup_Lp", PRECISION_2, 1),
-    "solve": (["solve", "--a", "0,3,7", "--c-uniform", "2"], None, "", 0),
-    "inequalities_full": (["inequalities", "--kind", "full", "--d", "4", "--p", "1", "--count", "500"], None, "", 0),
-    "inequalities_nn": (["inequalities", "--kind", "nn", "--d", "3", "--p", "1", "--count", "500"], None, "", 0),
-    "chi_bar": (["chi-bar", "--d", "3", "--p", "1"], None, "", 0),
+    "check": (["check", "--p", "1.1"], config(), 1),
+    "check_precision2": (["check", "--p", "1.1"], config(extra=PRECISION_2), 1),
+    "solve": (["solve", "--a", "0,3,7", "--c-uniform", "2"], None, 0),
+    "inequalities_full": (["inequalities", "--kind", "full", "--d", "4", "--p", "1", "--count", "500"], None, 0),
+    "inequalities_nn": (["inequalities", "--kind", "nn", "--d", "3", "--p", "1", "--count", "500"], None, 0),
+    "chi_bar": (["chi-bar", "--d", "3", "--p", "1"], None, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, tmp_path, capsys):
-    argv, mode, extra, code = CASES[name]
-    if mode is not None:
+    argv, text, code = CASES[name]
+    if text is not None:
         cfg = tmp_path / "golden.yaml"
-        cfg.write_text(CONFIG.format(mode=mode) + extra)
+        cfg.write_text(text)
         argv = argv + ["--config", str(cfg)]
     assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
