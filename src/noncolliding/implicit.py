@@ -154,10 +154,11 @@ def _differences(xi):
 def _kernel(c):
     """The band diag(c, 1) when c couples only neighbours and d >= 3, else c.
 
-    The functions below that take c accept either form.  A uniform c always
-    has a non-zero corner c[0, -1], which rejects it before the O(d^2) test.
+    The functions below that take c accept either form.  The corner c[0, -1]
+    is non-zero for every uniform c, which it rejects before the O(d^2) test,
+    and for every c at d = 2, where it is the first off-diagonal.
     """
-    if len(c) < 3 or c[0, -1] != 0 or not is_tridiagonal(c):
+    if c[0, -1] != 0 or not is_tridiagonal(c):
         return c
     return np.diag(c, 1)
 
@@ -346,9 +347,9 @@ def _newton(a, c, xi, opts):
     """Damped Newton on each row of xi, shape (m, d), for the offsets in a.
 
     c is dense or a band (see `_kernel`).  Returns per row the iterate, the
-    accepted steps, the max-norm residual and whether the row converged.  A row fails when its start is not
-    strictly ordered, or when it stalls or spends MAX_ITER steps above its
-    residual floor.
+    accepted steps, the max-norm residual and whether the row converged.  A
+    row fails when its start is not strictly ordered, or when it stalls or
+    spends MAX_ITER steps above its residual floor.
     """
     m = len(xi)
     xi = xi.copy()
@@ -606,7 +607,7 @@ def solve_batch(a, c):
     rows where Newton fails fall back to `solve_homotopy` one at a time, so
     the result meets the same residual tolerance as the scalar path.
     """
-    a = np.asarray(a, dtype=float)
+    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
     xi, _, _, ok = _newton(a, _kernel(c), _initial_guess(a, c), _DEFAULTS)
     for i in np.flatnonzero(~ok):
         xi[i] = solve_homotopy(ImplicitProblem(a[i], c))
