@@ -14,11 +14,14 @@ One damped-Newton core serves every caller.  It iterates on a batch of rows
 (one problem per row, all sharing c) from the decoupled-pair guess and takes
 the longest step 2^-k, k < 60, whose iterate is strictly ordered and has a
 smaller max-norm residual.  A row stops once its residual is at most `tol`.
-A row whose line search stalls, or that spends `MAX_ITER` steps, is accepted
-if its residual is below a per-row roundoff floor and fails otherwise; `solve`
-and `solve_batch` hand a failed row to continuation along an ODE from the
-trivially ordered point J = (1, ..., d).  Every operation of the core acts on
-each row alone, so a row gets the same bits alone as inside any batch.
+A row whose line search stalls, or that has taken `MAX_ITER` steps, is
+accepted at x + delta, its last Newton correction, when that correction is at
+most min(tol, POLISH_UNITS * eps) * max(1, max|a|) long and keeps the row
+strictly ordered: roundoff, not distance from the solution, then holds the
+residual up.  Any other row fails; `solve` and `solve_batch` hand it to
+continuation along an ODE from the trivially ordered point J = (1, ..., d).
+Every operation of the core acts on each row alone, so a row gets the same
+bits alone as inside any batch.
 Backtracking on F itself (Armijo) is deliberately not used: it would change
 which steps are accepted, and with them the results.
 
@@ -92,6 +95,9 @@ class ImplicitProblem:
 # Newton steps per row, and sweeps of a fixed-point iteration, before a solve fails
 MAX_ITER = 100
 MAX_SWEEPS = 200_000
+# longest last Newton correction, in rounding units eps * max(1, max|a|), that
+# polishes a stalled row
+POLISH_UNITS = 256
 
 
 @dataclass(frozen=True)
@@ -275,27 +281,6 @@ def _initial_guess(a, c):
     return _anchor(a, gaps)[..., None] + np.concatenate([start, np.cumsum(gaps, axis=-1)], axis=-1)
 
 
-def _residual_floor(a, tol, x=None, w=None):
-    """Residual at which a stalled row of a counts as converged.
-
-    The floor is tol * problem scale, raised near collision by the Hessian
-    weights w at the iterate x: moving positions by u = min(tol, 4 eps) *
-    max|a| moves r_i by up to u times 1 + sum_j w_ij, and roundoff keeps
-    doubles from doing better.  That linear bound holds once the smallest gap
-    spans 2^20 units eps * max|a|; on narrower gaps the raise stays capped at
-    100 * tol * scale, so a solution that doubles cannot resolve is refused.
-    """
-    amax = np.maximum(1.0, np.max(np.abs(a), axis=-1))
-    base = tol * amax
-    if w is None:
-        return base
-    eps = np.finfo(float).eps
-    spread = 1.0 + _row_sums(w, x.shape[-1]).max(axis=-1)
-    capped = np.maximum(base, np.minimum(64.0 * eps * amax * spread, 100.0 * base))
-    resolved = np.diff(x, axis=-1).min(axis=-1) >= 2.0**20 * eps * amax
-    return np.where(resolved, np.maximum(capped, min(tol, 4.0 * eps) * amax * spread), capped)
-
-
 def _evaluate(a, c, x):
     """Residual, max-norm residual and Hessian weights at each row of x.
 
@@ -347,9 +332,12 @@ def _newton(a, c, xi, opts):
     """Damped Newton on each row of xi, shape (m, d), for the offsets in a.
 
     c is dense or a band (see `_kernel`).  Returns per row the iterate, the
-    accepted steps, the max-norm residual and whether the row converged.  A
-    row fails when its start is not strictly ordered, or when it stalls or
-    spends MAX_ITER steps above its residual floor.
+    accepted steps, the max-norm residual before any polish and whether the
+    row converged.  A row stops once its residual is at most tol.  A row whose
+    line search stalls, or that has taken MAX_ITER steps, is polished: it is
+    accepted at x + delta, its last Newton correction, when max|delta| <=
+    min(tol, POLISH_UNITS * eps) * max(1, max|a|) and x + delta is strictly
+    ordered.  Every other row fails, as does one whose start is not ordered.
     """
     m = len(xi)
     xi = xi.copy()
@@ -365,19 +353,20 @@ def _newton(a, c, xi, opts):
         ok[rows[~live]] = True
         if not live.all():
             rows, x, ar, r, rn, w = (v[live] for v in (rows, x, ar, r, rn, w))
-        if rows.size == 0 or it == MAX_ITER:
+        if rows.size == 0:
             break
         delta = _hessian_solve(w, -r)
         x_new, r_new, rn_new, w_new, stuck = _line_search(ar, c, x, rn, delta)
+        stuck |= it == MAX_ITER
         if stuck.any():
-            ok[rows[stuck]] = rn[stuck] <= _residual_floor(ar[stuck], opts.tol, x[stuck], w[stuck])
+            polished, step = x[stuck] + delta[stuck], np.abs(delta[stuck]).max(axis=1)
+            unit = min(opts.tol, POLISH_UNITS * np.finfo(float).eps) * np.maximum(1.0, np.abs(ar[stuck]).max(axis=1))
+            good = (step <= unit) & (polished[:, 1:] > polished[:, :-1]).all(axis=1)
+            xi[rows[stuck][good]], ok[rows[stuck][good]] = polished[good], True
             moved = ~stuck
             rows, x, ar, r, rn, w = (v[moved] for v in (rows, x_new, ar, r_new, rn_new, w_new))
         else:
             x, r, rn, w = x_new, r_new, rn_new, w_new
-    if rows.size:
-        # these rows spent MAX_ITER steps above tol
-        ok[rows] = rn <= _residual_floor(ar, opts.tol, x, w)
     return xi, iterations, rnorm, ok
 
 
@@ -461,10 +450,10 @@ def _nn_map(aa, cc, x):
 
 
 def _converged_gaps(problem, opts, gaps):
-    # the gaps as a GapVector if their positions meet the residual floor, else None
+    # the gaps as a GapVector if their residual is at most tol * max(1, max|a|), else None
     gv = GapVector(gaps, float(_anchor(problem.a, gaps)))
     r = np.max(np.abs(residual(problem, gv.to_positions())))
-    return gv if r <= _residual_floor(problem.a, opts.tol) else None
+    return gv if r <= opts.tol * max(1.0, np.max(np.abs(problem.a))) else None
 
 
 def solve_fixed_point_nn(problem, opts=None):
@@ -594,9 +583,13 @@ def solve(problem, opts=None):
             xi = xi.to_positions()
         r = np.max(np.abs(residual(problem, xi)))
         return SolveResult(xi=xi, method=name, iterations=iterations, residual_norm=float(r))
-    raise NonConvergenceError(
-        f"all applicable methods failed: {last}", method=opts.method
-    ) from last
+    # the decoupled-pair gaps: exact at d = 2, and an upper bound on the
+    # solution's gaps when c couples only neighbours
+    unit = np.finfo(float).eps * max(1.0, np.max(np.abs(problem.a)))
+    cause = last
+    if not _pair_gap(np.diff(problem.a), np.diag(problem.c, 1)).min() >= unit:
+        cause = f"the solution's gap is below the spacing of doubles at this scale, {unit:.3g}"
+    raise NonConvergenceError(f"all applicable methods failed: {cause}", method=opts.method) from last
 
 
 def solve_batch(a, c):

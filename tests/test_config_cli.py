@@ -371,6 +371,13 @@ class TestCli:
         code = main(["solve", "--a", "0,1,50", "--c-uniform", "2", "--method", "newton", "--tol", "1e-300"])
         assert code == 3
 
+    def test_roundoff_limited_solve_succeeds(self, capsys):
+        # the exact gap, 2e-10, spans 90 rounding units of |a| = 1e4; one ulp
+        # moves c / gap by about 22, so the printed residual is 2.2, above tol
+        assert main(["solve", "--a", "0,-1e4", "--c-uniform", "1e-6"]) == 0
+        xi = [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")[:2]]
+        assert xi[1] - xi[0] == pytest.approx(2e-10, rel=0.05)
+
 
 def run_cli(*argv):
     """`python -m noncolliding` in a fresh interpreter: (exit code, stderr)."""
@@ -408,4 +415,5 @@ class TestLibraryErrors:
         code, err = run_cli("solve", "--a", "0,-1e8", "--c-uniform", "1e-4")
         assert code == 3
         assert err.startswith("error,nonconvergence,")
+        assert "the solution's gap is below the spacing of doubles at this scale" in err
         assert "Traceback" not in err

@@ -16,7 +16,8 @@ Regenerate a file only for a change that is meant to move the numbers:
 
 `homotopy.txt` holds the bits of 16-step continuation on fixed random
 problems, or the error it raises: criterion-2 problems, "wide" problems whose
-solves reject steps, and "extreme" ones whose Newton polish fails or whose
+solves reject steps, and "extreme" ones near the limit of doubles, where the
+Newton solve that ends continuation stalls and is polished or fails, or where
 continuation collapses.  Regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/homotopy.txt

@@ -1,5 +1,6 @@
 """Unit tests for the per-step implicit-system solvers."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,30 @@ class TestNewton:
             exact = [x[i] - ar[i] - sum(cc / (x[i] - x[j]) for j in range(3) if j != i) for i in range(3)]
             correction = np.linalg.solve(jacobian(p, xi), np.array(exact, dtype=float))
             assert np.max(np.abs(correction)) <= np.finfo(float).eps * np.max(np.abs(row))
+
+    def test_d2_within_four_units_of_closed_form(self):
+        # offsets up to 1e8, c down to 1e-8: every pair whose exact gap spans
+        # at least 4 rounding units eps * max(1, max|a|) solves, near the
+        # closed-form gap g = (da + sqrt(da^2 + 8c)) / 2 taken in decimal
+        rng = np.random.default_rng(12)
+        scale = 10.0 ** rng.uniform(0.0, 8.0, 200)
+        offsets = rng.uniform(-1.0, 1.0, (200, 2)) * scale[:, None]
+        coefficients = 10.0 ** rng.uniform(-8.0, 0.0, 200)
+        solved = 0
+        for a, c in zip(offsets, coefficients):
+            unit = np.finfo(float).eps * max(1.0, np.max(np.abs(a)))
+            with localcontext() as ctx:
+                ctx.prec = 50
+                a1, a2, cc = Decimal(a[0]), Decimal(a[1]), Decimal(c)
+                root = ((a2 - a1) ** 2 + 8 * cc).sqrt()
+                gap = 4 * cc / (root - (a2 - a1)) if a2 < a1 else (a2 - a1 + root) / 2
+                if gap < 4 * Decimal(unit):
+                    continue
+                exact = [(a1 + a2 - gap) / 2, (a1 + a2 + gap) / 2]
+                xi = solve(ImplicitProblem(a, uniform_c(2, c))).xi
+                assert max(abs(Decimal(v) - e) for v, e in zip(xi, exact)) <= 4 * Decimal(unit)
+            solved += 1
+        assert solved > 150
 
     def test_nonconvergence_raised_on_tiny_budget(self, monkeypatch):
         monkeypatch.setattr(implicit, "MAX_ITER", 1)

@@ -3,18 +3,20 @@
 Problems are drawn with d in 2..8, uniform or tridiagonal coefficients c and
 offsets a over several decades.  Inside the range where the ordered solution
 is representable and the solve converges, `solve` must return an ordered
-solution below the residual floor that conserves sum(xi) = sum(a), with the
+solution within sqrt(d) * tol + 4 rounding units of the exact one, with the
 same bits as the same row inside `solve_batch`.  Outside it, every solve
 raises NonConvergenceError or returns an ordered solution, never anything
 else.  The examples are derandomized so the suite is reproducible.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncolliding import ImplicitProblem, NonConvergenceError, residual, solve
-from noncolliding.implicit import _differences, _evaluate, _kernel, _residual_floor, _row_sums, solve_batch
+from noncolliding import ImplicitProblem, NonConvergenceError, solve
+from noncolliding.implicit import _evaluate, _kernel, _row_sums, solve_batch
 
 TOL = 1e-12  # SolverOptions().tol
 EPS = np.finfo(float).eps
@@ -52,15 +54,21 @@ def problems(draw, spread_decades, max_rows):
 
 
 def assert_solution(a, c, xi):
-    """Ordered, residual below the floor, and sum(xi) = sum(a) to roundoff."""
+    """Ordered, and within sqrt(d) * tol + 4 rounding units eps * max(1, max|a|)
+    of the exact solution.
+
+    The distance is one Newton correction J^-1 r, with the residual r at xi
+    taken exactly in rational arithmetic and the Jacobian J = I + diag(sum_j
+    w_ij) - w, w_ij = c_ij / (xi_i - xi_j)^2, built here.  A row that stops at
+    a max-norm residual of tol is within sqrt(d) * tol, because J >= I.
+    """
     assert np.all(np.diff(xi) > 0)
-    problem = ImplicitProblem(a, c)
-    r = np.max(np.abs(residual(problem, xi)))
-    terms = np.abs(c / (xi[:, None] - xi[None, :] + np.eye(len(xi))))
-    floor = _residual_floor(a, TOL, xi, c / _differences(xi) ** 2)
-    assert r <= floor
-    roundoff = 8 * len(xi) * EPS * (np.abs(xi).sum() + np.abs(a).sum() + terms.sum())
-    assert abs(xi.sum() - a.sum()) <= len(xi) * floor + roundoff
+    d = len(xi)
+    x, ar = [Fraction(v) for v in xi], [Fraction(v) for v in a]
+    exact = [x[i] - ar[i] - sum(Fraction(c[i, j]) / (x[i] - x[j]) for j in range(d) if c[i, j]) for i in range(d)]
+    w = c / (xi[:, None] - xi[None, :] + np.eye(d)) ** 2
+    correction = np.linalg.solve(np.eye(d) + np.diag(w.sum(axis=1)) - w, np.array(exact, dtype=float))
+    assert np.max(np.abs(correction)) <= np.sqrt(d) * TOL + 4 * EPS * max(1.0, np.max(np.abs(a)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -113,7 +121,7 @@ def test_unrepresentable_gap_raises(log_l, log_shrink):
 def test_neighbour_kernel_has_the_dense_bits(d, m, log_c, seed):
     # the band evaluation drops only exact zeros of the dense sums: the same
     # residual on ordered rows, the same max-norm (inf on unordered rows) and
-    # the same weight row sums, which set the Hessian diagonal and the floor
+    # the same weight row sums, which set the Hessian diagonal
     rng = np.random.default_rng(seed)
     c = coefficient_matrix(d, "tridiagonal", 10.0 ** (log_c + rng.uniform(0.0, 1.0, d - 1)))
     x = np.sort(rng.normal(size=(m, d)), axis=1) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
