@@ -39,7 +39,6 @@ __all__ = [
     "sweep_gap_inequality_full",
     "sweep_gap_inequality_nn",
     "chi_bar",
-    "trend_statistic",
 ]
 
 ERROR_MODES = ("grid_sup_Lp", "terminal_L2", "grid_sup_L2")
@@ -218,13 +217,6 @@ def fit_rate(estimates):
         intercept=float(intercept),
         r_squared=float(r2),
     )
-
-
-def trend_statistic(levels, errors):
-    """error * sqrt(n / log n) per level; reported, never thresholded."""
-    ns = np.asarray(levels, dtype=float)
-    errs = np.asarray(errors, dtype=float)
-    return errs * np.sqrt(ns / np.log(ns))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from noncolliding.analysis import (
     sample_chamber_points,
     sweep_gap_inequality_full,
     sweep_gap_inequality_nn,
-    trend_statistic,
 )
 
 
@@ -92,13 +91,6 @@ class TestFitRate:
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError):
             fit_rate([(16, 0.1), (32, 0.0), (64, 0.01)])
-
-
-class TestTrendStatistic:
-    def test_formula(self):
-        out = trend_statistic([16, 64], [0.5, 0.25])
-        want = np.array([0.5 * np.sqrt(16 / np.log(16)), 0.25 * np.sqrt(64 / np.log(64))])
-        assert np.allclose(out, want)
 
 
 class TestStrongError:
