@@ -357,7 +357,8 @@ def _newton(a, c, xi, opts):
             break
         delta = _hessian_solve(w, -r)
         x_new, r_new, rn_new, w_new, stuck = _line_search(ar, c, x, rn, delta)
-        stuck |= it == MAX_ITER
+        if it == MAX_ITER:
+            stuck[:] = True
         if stuck.any():
             polished, step = x[stuck] + delta[stuck], np.abs(delta[stuck]).max(axis=1)
             unit = min(opts.tol, POLISH_UNITS * np.finfo(float).eps) * np.maximum(1.0, np.abs(ar[stuck]).max(axis=1))
