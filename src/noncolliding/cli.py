@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, simulate, converge, moments, collide, inequalities,
-chi-bar, check.  All output is CSV, fully determined by (config, seed):
+chi-bar, check.  All output is CSV, written to --out, else to the config's
+output.path, else to stdout, and fully determined by (config, seed):
 running any subcommand twice with identical inputs produces byte-identical
 output.  Integers print in full; other numbers to `output.precision` digits
 (simulate, converge, moments, collide) or to 17 (the other subcommands).
@@ -50,7 +51,7 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override run.seed from the config")
     common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="write CSV here instead of stdout")
+                        help="write CSV here instead of stdout or output.path")
     parser = argparse.ArgumentParser(
         prog="noncolliding",
         description="Structure-preserving simulation of non-colliding particle systems",
@@ -96,7 +97,7 @@ def _build_parser():
 
 
 def _load_config(args):
-    """The config named by --config, with --seed applied, and the system it describes."""
+    """The config named by --config, with --seed and --out applied, and the system it describes."""
     if not args.config:
         raise ConfigError("--config", "this subcommand requires a configuration file")
     try:
@@ -108,6 +109,8 @@ def _load_config(args):
     if args.seed is not None:
         _at_least("--seed", args.seed, 0)
         cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
+    if args.out is None:  # --out wins over output.path
+        args.out = cfg.output.path
     return cfg, build_system(cfg.system)
 
 

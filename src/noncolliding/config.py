@@ -12,6 +12,12 @@ system:             run:                     output:
   x0:                 p: 1.0
     linspace: [-1.0, 1.0]
 
+Each block is parsed in one place against a table of its keys, and a key
+that is not in the table is refused.  The keys of a drift or diffusion block
+besides `kind` are the parameters of the `model` constructor its kind names;
+a parameter without a default is required.  Defaults live only in RunConfig,
+OutputConfig and those constructors: a block passes on the keys it was given.
+
 Every validation failure names the offending key path; YAML syntax errors
 carry the line number.  Seeds are mandatory: reproducibility is a hard
 contract, so there is no wall-clock default.
@@ -19,7 +25,9 @@ contract, so there is no wall-clock default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -98,6 +106,23 @@ def _fail(key, message):
     raise ConfigError(key, message)
 
 
+def _mapping(value, path, keys):
+    """value as a mapping whose keys all lie in keys; an absent (null) block is empty."""
+    if value is None:
+        value = {}
+    if not isinstance(value, dict):
+        _fail(path, "must be a mapping")
+    for key in value:
+        if key not in keys:
+            _fail(f"{path}.{key}", f"unknown key; expected one of ({', '.join(keys)})")
+    return value
+
+
+def _parsed(value, path, parsers):
+    """The keys given in one block, each parsed by parsers[key]."""
+    return {key: parsers[key](v, f"{path}.{key}") for key, v in _mapping(value, path, parsers).items()}
+
+
 def _require(mapping, key, path):
     if not isinstance(mapping, dict):
         _fail(path, "must be a mapping")
@@ -114,9 +139,18 @@ def _as_number(value, key):
     return float(value)
 
 
-def _as_int(value, key):
+def _as_positive(value, key):
+    value = _as_number(value, key)
+    if value <= 0:
+        _fail(key, "must be > 0")
+    return value
+
+
+def _as_int(value, key, least=None):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(key, f"must be an integer, got {value!r}")
+    if least is not None and value < least:
+        _fail(key, f"must be >= {least}")
     return int(value)
 
 
@@ -126,19 +160,64 @@ def _as_vector(value, key):
     return tuple(_as_number(v, key) for v in value)
 
 
-def _as_matrix(value, key, d):
-    if not isinstance(value, list) or len(value) != d:
-        _fail(key, f"must be a list of {d} rows")
+def _as_matrix(value, key):
+    # a square list of rows; the system checks that it is d x d
+    if not isinstance(value, list) or not value:
+        _fail(key, "must be a non-empty list of rows")
     rows = tuple(_as_vector(row, key) for row in value)
-    if any(len(row) != d for row in rows):
-        _fail(key, f"every row must have {d} entries")
+    if any(len(row) != len(rows) for row in rows):
+        _fail(key, f"must be square: every row must have {len(rows)} entries")
     return rows
 
 
+def _as_levels(value, key):
+    if not isinstance(value, list) or not value:
+        _fail(key, "must be a non-empty list")
+    return tuple(_as_int(v, key) for v in value)
+
+
+def _one_of(value, key, choices):
+    if value not in choices:
+        _fail(key, f"must be one of {choices}")
+    return value
+
+
+def _as_precision(value, key):
+    value = _as_int(value, key)
+    if not 1 <= value <= 17:
+        _fail(key, "must be in [1, 17]")
+    return value
+
+
+def _as_path(value, key):
+    if not isinstance(value, str):
+        _fail(key, "must be a string")
+    return value
+
+
+# the parser of each key: a drift or diffusion constructor's parameters, run, output
+PARAMS = {"c": _as_vector, "theta": _as_number, "mu": _as_vector, "beta": _as_number,
+          "matrix": _as_matrix, "s0": _as_number, "s1": _as_number}
+RUN = {"scheme": partial(_one_of, choices=SCHEMES), "T": _as_positive, "n": partial(_as_int, least=1),
+       "levels": _as_levels, "ref_level": _as_int, "paths": partial(_as_int, least=1),
+       "seed": partial(_as_int, least=0), "error_mode": partial(_one_of, choices=ERROR_MODES), "p": _as_positive}
+OUTPUT = {"path": _as_path, "format": partial(_one_of, choices=("csv",)), "precision": _as_precision}
+
+
+def _parse_family(value, path, kinds):
+    """(kind, sorted parameters) of a drift or diffusion block; its keys are the constructor's."""
+    kind = _one_of(_require(value, "kind", path), f"{path}.kind", tuple(kinds))
+    params = inspect.signature(kinds[kind]).parameters
+    _mapping(value, path, ("kind", *params))
+    for name, param in params.items():
+        if param.default is param.empty:
+            _require(value, name, path)
+    return kind, tuple(sorted((k, PARAMS[k](v, f"{path}.{k}")) for k, v in value.items() if k != "kind"))
+
+
 def _parse_system(block):
-    d = _as_int(_require(block, "d", "system"), "system.d")
-    if d < 2:
-        _fail("system.d", "must be >= 2")
+    block = _mapping(block, "system", ("d", "gamma", "drift", "diffusion", "x0"))
+    d = _as_int(_require(block, "d", "system"), "system.d", least=2)
 
     gamma = _require(block, "gamma", "system")
     if not isinstance(gamma, dict) or len(gamma) != 1:
@@ -146,36 +225,11 @@ def _parse_system(block):
     gkind, gval = next(iter(gamma.items()))
     if gkind not in GAMMAS:
         _fail("system.gamma", f"unknown gamma form {gkind!r}")
-    if gkind == "matrix":
-        gvalue = _as_matrix(gval, "system.gamma.matrix", d)
-    else:
-        gvalue = _as_number(gval, f"system.gamma.{gkind}")
-        if gvalue <= 0:
-            _fail(f"system.gamma.{gkind}", "must be > 0")
+    parse = _as_matrix if gkind == "matrix" else _as_positive
+    gvalue = parse(gval, f"system.gamma.{gkind}")
 
-    drift = _require(block, "drift", "system")
-    dkind = _require(drift, "kind", "system.drift")
-    if dkind not in DRIFTS:
-        _fail("system.drift.kind", f"must be one of {tuple(DRIFTS)}")
-    dparams = {}
-    if dkind == "constant":
-        dparams["c"] = _as_vector(_require(drift, "c", "system.drift"), "system.drift.c")
-    elif dkind == "ornstein_uhlenbeck":
-        dparams["theta"] = _as_number(_require(drift, "theta", "system.drift"), "system.drift.theta")
-        dparams["mu"] = _as_vector(_require(drift, "mu", "system.drift"), "system.drift.mu")
-    elif dkind == "bounded_smooth":
-        dparams["beta"] = _as_number(_require(drift, "beta", "system.drift"), "system.drift.beta")
-
-    diffusion = _require(block, "diffusion", "system")
-    skind = _require(diffusion, "kind", "system.diffusion")
-    if skind not in DIFFUSIONS:
-        _fail("system.diffusion.kind", f"must be one of {tuple(DIFFUSIONS)}")
-    sparams = {}
-    if skind == "constant_matrix":
-        sparams["matrix"] = _as_matrix(_require(diffusion, "matrix", "system.diffusion"), "system.diffusion.matrix", d)
-    else:
-        sparams["s0"] = _as_number(_require(diffusion, "s0", "system.diffusion"), "system.diffusion.s0")
-        sparams["s1"] = _as_number(diffusion.get("s1", 0.0), "system.diffusion.s1")
+    dkind, dparams = _parse_family(_require(block, "drift", "system"), "system.drift", DRIFTS)
+    skind, sparams = _parse_family(_require(block, "diffusion", "system"), "system.diffusion", DIFFUSIONS)
 
     x0 = _require(block, "x0", "system")
     if isinstance(x0, dict) and set(x0) == {"linspace"}:
@@ -197,75 +251,21 @@ def _parse_system(block):
         gamma_kind=gkind,
         gamma_value=gvalue,
         drift_kind=dkind,
-        drift_params=tuple(sorted(dparams.items())),
+        drift_params=dparams,
         diffusion_kind=skind,
-        diffusion_params=tuple(sorted(sparams.items())),
+        diffusion_params=sparams,
         x0_kind=x0_kind,
         x0_value=x0_value,
     )
 
 
 def _parse_run(block):
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        _fail("run", "must be a mapping")
-    if "seed" not in block:
+    run = _parsed(block, "run", RUN)
+    if "seed" not in run:
         _fail("run.seed", "missing required key (seeds are mandatory; no wall-clock default)")
-    seed = _as_int(block["seed"], "run.seed")
-    if seed < 0:
-        _fail("run.seed", "must be >= 0")
-    scheme = block.get("scheme", "semi_implicit")
-    if scheme not in SCHEMES:
-        _fail("run.scheme", f"must be one of {SCHEMES}")
-    T = _as_number(block.get("T", 1.0), "run.T")
-    if T <= 0:
-        _fail("run.T", "must be > 0")
-    n = block.get("n")
-    if n is not None:
-        n = _as_int(n, "run.n")
-        if n < 1:
-            _fail("run.n", "must be >= 1")
-    levels = block.get("levels")
-    if levels is not None:
-        if not isinstance(levels, list) or not levels:
-            _fail("run.levels", "must be a non-empty list")
-        levels = tuple(_as_int(v, "run.levels") for v in levels)
-    ref_level = block.get("ref_level")
-    if ref_level is not None:
-        ref_level = _as_int(ref_level, "run.ref_level")
-    if broken := level_rule(levels, ref_level):
+    if broken := level_rule(run.get("levels"), run.get("ref_level")):
         _fail(f"run.{broken[0]}", broken[1])
-    paths = _as_int(block.get("paths", 1), "run.paths")
-    if paths < 1:
-        _fail("run.paths", "must be >= 1")
-    error_mode = block.get("error_mode", "grid_sup_Lp")
-    if error_mode not in ERROR_MODES:
-        _fail("run.error_mode", f"must be one of {ERROR_MODES}")
-    p = _as_number(block.get("p", 2.0), "run.p")
-    if p <= 0:
-        _fail("run.p", "must be > 0")
-    return RunConfig(
-        scheme=scheme, T=T, n=n, levels=levels, ref_level=ref_level,
-        paths=paths, seed=seed, error_mode=error_mode, p=p,
-    )
-
-
-def _parse_output(block):
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        _fail("output", "must be a mapping")
-    fmt = block.get("format", "csv")
-    if fmt != "csv":
-        _fail("output.format", "only 'csv' is supported")
-    precision = _as_int(block.get("precision", 17), "output.precision")
-    if not 1 <= precision <= 17:
-        _fail("output.precision", "must be in [1, 17]")
-    path = block.get("path")
-    if path is not None and not isinstance(path, str):
-        _fail("output.path", "must be a string")
-    return OutputConfig(path=path, format=fmt, precision=precision)
+    return RunConfig(**run)
 
 
 def parse_config(text):
@@ -276,15 +276,10 @@ def parse_config(text):
         mark = getattr(exc, "problem_mark", None)
         line = f" at line {mark.line + 1}" if mark is not None else ""
         raise ConfigError("<syntax>", f"YAML parse error{line}: {getattr(exc, 'problem', exc)}")
-    if not isinstance(raw, dict):
-        _fail("<root>", "config must be a mapping with blocks: system, run, output")
-    known = {"system", "run", "output"}
-    for key in raw:
-        if key not in known:
-            _fail(str(key), "unknown top-level block")
+    raw = _mapping(raw, "<root>", ("system", "run", "output"))
     system = _parse_system(_require(raw, "system", "<root>"))
     run = _parse_run(raw.get("run"))
-    output = _parse_output(raw.get("output"))
+    output = OutputConfig(**_parsed(raw.get("output"), "output", OUTPUT))
     return ExperimentConfig(system=system, run=run, output=output)
 
 
@@ -297,17 +292,7 @@ def serialize_config(cfg):
         "diffusion": {"kind": cfg.system.diffusion_kind, **{k: _plain(v) for k, v in cfg.system.diffusion_params}},
         "x0": list(cfg.system.x0_value) if cfg.system.x0_kind == "explicit" else {"linspace": list(cfg.system.x0_value)},
     }
-    run_block = {"scheme": cfg.run.scheme, "T": cfg.run.T, "paths": cfg.run.paths,
-                 "seed": cfg.run.seed, "error_mode": cfg.run.error_mode, "p": cfg.run.p}
-    if cfg.run.n is not None:
-        run_block["n"] = cfg.run.n
-    if cfg.run.levels is not None:
-        run_block["levels"] = list(cfg.run.levels)
-    if cfg.run.ref_level is not None:
-        run_block["ref_level"] = cfg.run.ref_level
-    out_block = {"format": cfg.output.format, "precision": cfg.output.precision}
-    if cfg.output.path is not None:
-        out_block["path"] = cfg.output.path
+    run_block, out_block = ({k: _plain(v) for k, v in asdict(c).items() if v is not None} for c in (cfg.run, cfg.output))
     return yaml.safe_dump({"system": sys_block, "run": run_block, "output": out_block}, sort_keys=False)
 
 
@@ -320,14 +305,14 @@ def _plain(value):
 def build_system(syscfg):
     """Construct the immutable ParticleSystem described by a SystemConfig."""
     d = syscfg.d
-    gamma = GAMMAS[syscfg.gamma_kind](d, syscfg.gamma_value)
-    drift = DRIFTS[syscfg.drift_kind](**dict(syscfg.drift_params))
-    diffusion = DIFFUSIONS[syscfg.diffusion_kind](**dict(syscfg.diffusion_params))
     if syscfg.x0_kind == "linspace":
         x0 = np.linspace(syscfg.x0_value[0], syscfg.x0_value[1], d)
     else:
         x0 = np.array(syscfg.x0_value, dtype=float)
     try:
+        gamma = GAMMAS[syscfg.gamma_kind](d, syscfg.gamma_value)
+        drift = DRIFTS[syscfg.drift_kind](**dict(syscfg.drift_params))
+        diffusion = DIFFUSIONS[syscfg.diffusion_kind](**dict(syscfg.diffusion_params))
         return model.ParticleSystem(d=d, gamma=gamma, drift=drift, diffusion=diffusion, x0=x0)
     except ValueError as exc:
         raise ConfigError("system", str(exc))

@@ -584,13 +584,16 @@ def solve(problem, opts=None):
             xi = xi.to_positions()
         r = np.max(np.abs(residual(problem, xi)))
         return SolveResult(xi=xi, method=name, iterations=iterations, residual_norm=float(r))
-    # the decoupled-pair gaps: exact at d = 2, and an upper bound on the
-    # solution's gaps when c couples only neighbours
-    unit = np.finfo(float).eps * max(1.0, np.max(np.abs(problem.a)))
-    cause = last
-    if not _pair_gap(np.diff(problem.a), np.diag(problem.c, 1)).min() >= unit:
-        cause = f"the solution's gap is below the spacing of doubles at this scale, {unit:.3g}"
+    cause = _unrepresentable(problem) or last
     raise NonConvergenceError(f"all applicable methods failed: {cause}", method=opts.method) from last
+
+
+def _unrepresentable(problem):
+    # why no ordered double-precision solution exists, else None; the decoupled-pair
+    # gaps are exact at d = 2, and bound the solution's when c couples only neighbours
+    unit = np.finfo(float).eps * max(1.0, np.max(np.abs(problem.a)))
+    if not _pair_gap(np.diff(problem.a), np.diag(problem.c, 1)).min() >= unit:
+        return f"the solution's gap is below the spacing of doubles at this scale, {unit:.3g}"
 
 
 def solve_batch(a, c):
@@ -599,10 +602,17 @@ def solve_batch(a, c):
     a has shape (m, d); returns ordered solutions of the same shape.  Every
     row runs the Newton core of `solve` and gets the bits it gets there;
     rows where Newton fails fall back to `solve_homotopy` one at a time, so
-    the result meets the same residual tolerance as the scalar path.
+    the result meets the same residual tolerance as the scalar path.  A row
+    that fails there too raises with the cause `solve` names.
     """
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
     xi, _, _, ok = _newton(a, _kernel(c), _initial_guess(a, c), _DEFAULTS)
     for i in np.flatnonzero(~ok):
-        xi[i] = solve_homotopy(ImplicitProblem(a[i], c))
+        problem = ImplicitProblem(a[i], c)
+        try:
+            xi[i] = solve_homotopy(problem)
+        except NonConvergenceError as exc:
+            if cause := _unrepresentable(problem):
+                raise NonConvergenceError(cause, method=exc.method) from exc
+            raise
     return xi

@@ -1,6 +1,7 @@
 """Unit tests for YAML config parsing and the command-line front end."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -104,6 +105,14 @@ class TestParse:
         cfg = parse_config(DYSON_YAML)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+    def test_readme_schema_parses(self):
+        # the documented schema must not drift from the parser
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        text = re.search(r"### Config format\n+```yaml\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(text)
+        assert build_system(cfg.system).d == cfg.system.d == 3
+        assert cfg.output.path == "out.csv"
 
     def test_build_system(self):
         sys_ = build_system(parse_config(DYSON_YAML).system)
@@ -294,6 +303,55 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith('error,validation,"--chi: ')
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("paths: 20", "pahts: 20", "run.pahts"),
+            ("seed: 7\n", "seed: 7\noutput:\n  precison: 2\n", "output.precison"),
+            ("kind: constant_matrix\n    matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+             "kind: diagonal_bounded\n    s0: 1.0\n    sl: 1.0", "system.diffusion.sl"),
+            ("kind: zero", "kind: zero\n    theta: 0.5", "system.drift.theta"),
+            ("  d: 3\n", "  d: 3\n  dd: 4\n", "system.dd"),
+        ],
+        ids=["run", "output", "diffusion", "drift", "system"],
+    )
+    def test_misspelt_key_is_refused(self, tmp_path, old, new, key, capsys):
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(DYSON_YAML.replace(old, new))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f'error,validation,"{key}: unknown key; expected one of (')
+
+    def test_misspelt_s1_does_not_pass_check(self, tmp_path, capsys):
+        # without s1 the diffusion bound is smaller, and the condition holds
+        yaml = DYSON_YAML.replace(
+            "kind: constant_matrix\n    matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+            "kind: diagonal_bounded\n    s0: 1.0\n    s1: 1.0",
+        )
+        for text, code in ((yaml, 1), (yaml.replace("s1:", "sl:"), 2)):
+            cfg = tmp_path / "check.yaml"
+            cfg.write_text(text)
+            assert main(["check", "--config", str(cfg), "--p", "1.1"]) == code
+        assert capsys.readouterr().err.startswith('error,validation,"system.diffusion.sl: unknown key')
+
+    def test_output_path_is_written_and_out_wins(self, tmp_path, monkeypatch, capsys):
+        # output.path is relative to the current directory, as --out is
+        (tmp_path / "configs").mkdir()
+        cfg = tmp_path / "configs" / "dyson.yaml"
+        cfg.write_text(DYSON_YAML + "output:\n  path: from_config.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        written = (tmp_path / "from_config.csv").read_text()
+        assert written.startswith("path_id,k,t,x_1,")
+        (tmp_path / "from_config.csv").unlink()
+        assert main(["simulate", "--config", str(cfg), "--out", "from_flag.csv"]) == 0
+        assert (tmp_path / "from_flag.csv").read_text() == written
+        assert not (tmp_path / "from_config.csv").exists()
+        cfg.write_text(DYSON_YAML + "output:\n  path: missing/dir/out.csv\n")
+        assert main(["simulate", "--config", str(cfg)]) == 4
 
     def test_missing_config_file_is_io_error(self):
         assert main(["simulate", "--config", "/nonexistent/x.yaml"]) == 4

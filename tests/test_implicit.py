@@ -362,6 +362,12 @@ class TestBatch:
         for row, xi_batch in zip(a, batch):
             assert solve(ImplicitProblem(row, c)).xi.tobytes() == xi_batch.tobytes()
 
+    def test_unrepresentable_row_names_its_cause(self):
+        # the exact gap, 2e-12, is below one ulp of |xi| ~ 5e7; the batch
+        # names the cause that `solve` names, not the continuation's symptom
+        with pytest.raises(NonConvergenceError, match="the solution's gap is below the spacing of doubles"):
+            solve_batch([[0.0, -1e8]], uniform_c(2, 1e-4))
+
 
 class TestNeighbourKernel:
     """The band path of the Newton core, for c that couples only neighbours."""
