@@ -1,5 +1,6 @@
 """Unit tests for YAML config parsing and the command-line front end."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import noncolliding
-from noncolliding import ConfigError, parse_config, serialize_config, build_system
+from noncolliding import ConfigError, parse_config, serialize_config, build_system, config
 from noncolliding.cli import main
 
 DYSON_YAML = """
@@ -105,6 +106,12 @@ class TestParse:
         cfg = parse_config(DYSON_YAML)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+    def test_every_family_parameter_has_a_parser(self):
+        # a new drift or diffusion family is one DRIFTS or DIFFUSIONS entry
+        for kinds in (config.DRIFTS, config.DIFFUSIONS):
+            for constructor in kinds.values():
+                assert set(inspect.signature(constructor).parameters) <= set(config.PARAMS)
 
     def test_readme_schema_parses(self):
         # the documented schema must not drift from the parser
@@ -326,11 +333,11 @@ class TestCli:
 
     def test_misspelt_s1_does_not_pass_check(self, tmp_path, capsys):
         # without s1 the diffusion bound is smaller, and the condition holds
-        yaml = DYSON_YAML.replace(
+        bounded = DYSON_YAML.replace(
             "kind: constant_matrix\n    matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
             "kind: diagonal_bounded\n    s0: 1.0\n    s1: 1.0",
         )
-        for text, code in ((yaml, 1), (yaml.replace("s1:", "sl:"), 2)):
+        for text, code in ((bounded, 1), (bounded.replace("s1:", "sl:"), 2)):
             cfg = tmp_path / "check.yaml"
             cfg.write_text(text)
             assert main(["check", "--config", str(cfg), "--p", "1.1"]) == code
