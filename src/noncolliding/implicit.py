@@ -25,6 +25,18 @@ bits alone as inside any batch.
 Backtracking on F itself (Armijo) is deliberately not used: it would change
 which steps are accepted, and with them the results.
 
+Particles lie on axis 0 and rows on the last axis: one problem is (d,), a
+batch (d, m), and pair arrays are (d, d, m) with D[i, j] = x_i - x_j, so the
+sums over j run along axis 1.  `solve_batch` chooses once which axis is
+innermost in memory: the rows when m > d, so that each NumPy operation loops
+over the long axis of rows instead of over d; otherwise the particles, the
+order of a single problem, which keeps large d and single solves at their
+speed.  Every array the core makes keeps that order (`copy(order="K")`,
+`*_like`, `_rows`).  NumPy sums an innermost axis pairwise and any other axis
+in order, which agree below 8 terms; `_psum` sums a non-innermost particle
+axis of 8 or more terms in NumPy's pairwise order, so a row gets the same bits
+in either order.
+
 The structure of c chooses the kernel once per solve (`_kernel`).  When d >= 3
 and c has no non-zero entry beyond the first off-diagonal (nearest-neighbour
 coupling), the core carries only the band diag(c, 1) and the neighbour weights
@@ -111,6 +123,9 @@ class SolverOptions:
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if self.method != "auto" and self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        steps = self.homotopy_steps
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise ValueError(f"homotopy_steps must be an integer >= 1, got {steps!r}")
 
 
 _DEFAULTS = SolverOptions()
@@ -125,8 +140,10 @@ class GapVector:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
-        if np.any(x <= 0):
+        if not np.all(x > 0):
             raise ValueError("gaps must be strictly positive")
+        if not np.isfinite(self.anchor):
+            raise ValueError(f"anchor must be finite, got {self.anchor!r}")
         object.__setattr__(self, "x", x)
 
     def to_positions(self):
@@ -148,20 +165,64 @@ def _check_ordered(xi):
     return xi
 
 
-def _differences(xi):
-    # xi_i - xi_j along the last axis of xi, with inf on the diagonal so that
-    # the terms c / diff and the Hessian weights c / diff**2 vanish there
-    idx = np.arange(xi.shape[-1])
-    diff = xi[..., :, None] - xi[..., None, :]
-    diff[..., idx, idx] = np.inf
+def _psum(v, axis):
+    """v.sum(axis) with the bits NumPy gives when that axis is innermost in memory.
+
+    NumPy sums an innermost axis pairwise: 8 accumulators per block of at most
+    128 terms, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    the tail added in order, and longer axes split at n / 2 rounded down to a
+    multiple of 8.  It sums any other axis in order, which agrees below 8 terms.
+    A rows-innermost batch sums its particle axes of 8 or more terms here, in
+    the pairwise order, so a row gets the bits it gets alone.
+    """
+    if v.shape[axis] < 8 or v.strides[axis] == v.itemsize:
+        return np.add.reduce(v, axis)
+    # NumPy adds the sum to its identity 0, which turns -0 into +0
+    return _pairwise(v.transpose((axis,) + tuple(k for k in range(v.ndim) if k != axis))) + 0.0
+
+
+def _pairwise(v):
+    # NumPy's pairwise sum over the first axis of v, which has at least 8 terms
+    n = len(v)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(v[:half]) + _pairwise(v[half:])
+    end = n - n % 8
+    r = v[:8].copy()
+    for i in range(8, end, 8):
+        r += v[i : i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(end, n):
+        s += v[i]
+    return s
+
+
+def _rows(v, keep):
+    """v[..., keep], for an index array or a mask keep, in v's memory order.
+
+    Indexing puts the rows outermost and `take`/`compress` put them innermost,
+    so each keeps one of the two layouts `solve_batch` chooses.
+    """
+    if v.strides[-1] != v.itemsize:
+        return v[..., keep]
+    return np.compress(keep, v, axis=-1) if keep.dtype == bool else np.take(v, keep, axis=-1)
+
+
+def _differences(x):
+    # D[i, j] = x_i - x_j for x of shape (d,) or (d, m), with inf on the
+    # diagonal so that the terms c / D and the Hessian weights c / D**2 vanish there
+    idx = np.arange(len(x))
+    diff = x[:, None] - x[None, :]
+    diff[idx, idx] = np.inf
     return diff
 
 
 def _kernel(c):
     """The band diag(c, 1) when c couples only neighbours and d >= 3, else c.
 
-    The functions below that take c accept either form.  The corner c[0, -1]
-    is non-zero for every uniform c, which it rejects before the O(d^2) test,
+    The functions below that take c accept either form, with one trailing
+    axis of length 1 for each batch axis of x.  The corner c[0, -1] is
+    non-zero for every uniform c, which it rejects before the O(d^2) test,
     and for every c at d = 2, where it is the first off-diagonal.
     """
     if c[0, -1] != 0 or not is_tridiagonal(c):
@@ -169,68 +230,73 @@ def _kernel(c):
     return np.diag(c, 1)
 
 
-def _interaction(c, xi):
-    """sum_{j != i} c_ij / (xi_i - xi_j) along the last axis of xi.
+def _interaction(c, x):
+    """sum_{j != i} c_ij / (x_i - x_j) along the particle axis 0 of x.
 
     For a band c (see `_kernel`) only the neighbour terms +-c_{i,i+1} / gap_i
     are summed; the dense sum adds exact zeros to them, so the bits agree.
     """
-    if c.ndim == 2:
-        return (c / _differences(xi)).sum(axis=-1)
-    t = c / (xi[..., 1:] - xi[..., :-1])
-    s = np.zeros_like(xi)
-    s[..., 1:] = t
-    s[..., :-1] -= t
+    if c.ndim > x.ndim:
+        return _psum(c / _differences(x), 1)
+    t = c / (x[1:] - x[:-1])
+    s = np.zeros_like(x)
+    s[1:] = t
+    s[:-1] -= t
     return s
 
 
 def _weights(c, x):
-    # Hessian weights c_ij / (x_i - x_j)^2 at each row of x: (m, d, d) for a
-    # dense c, the neighbour weights (m, d - 1) for a band c
-    if c.ndim == 2:
+    # Hessian weights c_ij / (x_i - x_j)^2 at x: (d, d, ...) for a dense c,
+    # the neighbour weights (d - 1, ...) for a band c
+    if c.ndim > x.ndim:
         return c / _differences(x) ** 2
-    return c / (x[:, 1:] - x[:, :-1]) ** 2
+    return c / (x[1:] - x[:-1]) ** 2
 
 
 def _row_sums(w, d):
-    # sum_j w_ij of dense (..., d, d) or neighbour (..., d - 1) Hessian
+    # sum_j w_ij of dense (d, d, ...) or neighbour (d - 1, ...) Hessian
     # weights; a neighbour row sum w_{i-1} + w_i is the one rounding of the
     # dense sum, whose other terms are exact zeros
-    if w.shape[-1] == d:
-        return w.sum(axis=-1)
-    s = np.zeros(w.shape[:-1] + (d,))
-    s[..., 1:] = w
-    s[..., :-1] += w
+    if len(w) == d:
+        return _psum(w, 1)
+    s = np.zeros_like(w, shape=(d,) + w.shape[1:])
+    s[1:] = w
+    s[:-1] += w
     return s
 
 
 def _hessian(w):
-    # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (..., d, d)
-    idx = np.arange(w.shape[-1])
+    # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (d, d, ...)
+    idx = np.arange(len(w))
     h = -w
-    h[..., idx, idx] = 1.0 + w.sum(axis=-1)
+    h[idx, idx] = 1.0 + _psum(w, 1)
     return h
 
 
 def _hessian_solve(w, b):
-    """H^{-1} b on each row, for Hessian weights w (see `_weights`) and b (m, d).
+    """H^{-1} b for Hessian weights w (see `_weights`) and b of shape (d,) or (d, m).
 
     A row whose Hessian is singular in floating point (weights so large that
     the identity is lost) gets NaN, which no line search or continuation
     step accepts; the other rows are solved one by one with the same bits.
     """
     try:
-        if w.ndim == 3:
-            return np.linalg.solve(_hessian(w), b[:, :, None])[:, :, 0]
-        return _tridiagonal_solve(w, b)
+        if w.ndim == b.ndim:
+            return _tridiagonal_solve(w, b)
+        if b.ndim == 1:
+            return np.linalg.solve(_hessian(w), b)
+        return np.linalg.solve(_hessian(w).transpose(2, 0, 1), b.T[:, :, None])[:, :, 0].T
     except np.linalg.LinAlgError:
-        if len(b) == 1:
+        if b.ndim == 1:
             return np.full_like(b, np.nan)
-        return np.concatenate([_hessian_solve(w[i : i + 1], b[i : i + 1]) for i in range(len(b))])
+        x = np.empty_like(b)
+        for i in range(b.shape[1]):
+            x[:, i] = _hessian_solve(w[..., i], b[:, i])
+        return x
 
 
 def _tridiagonal_solve(w, b):
-    """H^{-1} b for neighbour weights w (m, d - 1): one LAPACK `dgtsv` call on
+    """H^{-1} b for neighbour weights w (d - 1, ...): one LAPACK `dgtsv` call on
     the m row systems stacked as one of size m * d, with zero coupling.
 
     Elimination and back substitution cross from one row to the next only
@@ -239,14 +305,14 @@ def _tridiagonal_solve(w, b):
     overflow, would turn that product into NaN, so a solve that is singular
     or not finite everywhere raises LinAlgError and the rows go one by one.
     """
-    m, d = b.shape
-    off = np.zeros((m, d))
-    off[:, :-1] = -w
+    d = len(b)
+    off = np.zeros(b.T.shape)
+    off[..., :-1] = -w.T
     off = off.ravel()[:-1]
-    x, info = dgtsv(off, (1.0 + _row_sums(w, d)).ravel(), off, b.reshape(-1, 1))[3:]
+    x, info = dgtsv(off, (1.0 + _row_sums(w, d)).T.ravel(), off, b.T.reshape(-1, 1))[3:]
     if info != 0 or not np.isfinite(x).all():
         raise np.linalg.LinAlgError("singular or overflowing tridiagonal Hessian")
-    return x.reshape(m, d)
+    return x.reshape(b.T.shape).T
 
 
 def residual(problem, xi):
@@ -269,37 +335,42 @@ def _pair_gap(da, c):
 def _anchor(a, gaps):
     # first position that puts mean(xi) at mean(a), as the exact solution has;
     # an elementwise sum, not a matrix product, keeps rows independent
-    d = a.shape[-1]
-    return a.mean(axis=-1) - np.sum((d - 1 - np.arange(d - 1)) * gaps, axis=-1) / d
+    d = len(a)
+    return _psum(a, 0) / d - _psum((np.arange(d - 1.0, 0.0, -1.0) * gaps.T).T, 0) / d
 
 
 def _initial_guess(a, c):
-    # Decoupled-pair gaps for each row of a: exact for d = 2, ordered unless
-    # roundoff cancels a gap.
-    gaps = _pair_gap(np.diff(a, axis=-1), np.diag(c, 1))
-    start = np.zeros(gaps.shape[:-1] + (1,))
-    return _anchor(a, gaps)[..., None] + np.concatenate([start, np.cumsum(gaps, axis=-1)], axis=-1)
+    # Decoupled-pair gaps for a of shape (d,) or (d, m): exact for d = 2,
+    # ordered unless roundoff cancels a gap.
+    gaps = _pair_gap((a[1:] - a[:-1]).T, np.diag(c, 1)).T
+    x = np.empty_like(a)
+    x[0] = 0.0
+    np.cumsum(gaps, axis=0, out=x[1:])
+    x += _anchor(a, gaps)
+    return x
 
 
 def _evaluate(a, c, x):
-    """Residual, max-norm residual and Hessian weights at each row of x.
+    """Residual, max-norm residual and Hessian weights at each row of x (d, m).
 
     The max-norm is inf on rows that are not strictly ordered; their residual
     and weights are left undefined.  c is dense or a band (see `_kernel`).
     """
-    ordered = (x[:, 1:] > x[:, :-1]).all(axis=1)
+    ordered = (x[1:] > x[:-1]).all(axis=0)
     if not ordered.all():
-        r_in, rn_in, w_in = _evaluate(a[ordered], c, x[ordered])
-        r, rn, w = np.empty_like(x), np.full(len(x), np.inf), np.empty((len(x),) + w_in.shape[1:])
-        r[ordered], rn[ordered], w[ordered] = r_in, rn_in, w_in
+        keep = np.flatnonzero(ordered)
+        r_in, rn_in, w_in = _evaluate(_rows(a, keep), c, _rows(x, keep))
+        r, rn = np.empty_like(x), np.full(len(ordered), np.inf)
+        w = np.empty_like(w_in, shape=w_in.shape[:-1] + rn.shape)
+        r[:, keep], rn[keep], w[..., keep] = r_in, rn_in, w_in
         return r, rn, w
-    if c.ndim == 2:
+    if c.ndim > x.ndim:
         diff = _differences(x)
-        s, w = (c / diff).sum(axis=-1), c / diff**2
+        s, w = _psum(c / diff, 1), c / diff**2
     else:
         s, w = _interaction(c, x), _weights(c, x)
     r = x - a - s
-    return r, np.abs(r).max(axis=1), w
+    return r, np.abs(r).max(axis=0), w
 
 
 def _line_search(a, c, x, rn, delta):
@@ -317,42 +388,49 @@ def _line_search(a, c, x, rn, delta):
     for k in range(1, 60):
         if pending.size == 0:
             break
-        trial = x[pending] + 0.5**k * delta[pending]
-        r_t, rn_t, w_t = _evaluate(a[pending], c, trial)
+        trial = _rows(x, pending) + 0.5**k * _rows(delta, pending)
+        r_t, rn_t, w_t = _evaluate(_rows(a, pending), c, trial)
         better = rn_t < rn[pending]
         moved = pending[better]
-        x_new[moved], r[moved], rn_new[moved], w[moved] = trial[better], r_t[better], rn_t[better], w_t[better]
+        x_new[:, moved], r[:, moved], rn_new[moved], w[..., moved] = (
+            _rows(trial, better), _rows(r_t, better), rn_t[better], _rows(w_t, better)
+        )
         pending = pending[~better]
-    stuck = np.zeros(len(x), dtype=bool)
+    stuck = np.zeros(len(rn), dtype=bool)
     stuck[pending] = True
     return x_new, r, rn_new, w, stuck
 
 
-def _newton(a, c, xi, opts):
-    """Damped Newton on each row of xi, shape (m, d), for the offsets in a.
+def _newton(a, c, xi, tol):
+    """Damped Newton on each row of xi, shape (d, m), for the offsets in a.
 
-    c is dense or a band (see `_kernel`).  Returns per row the iterate, the
-    accepted steps, the max-norm residual before any polish and whether the
-    row converged.  A row stops once its residual is at most tol.  A row whose
-    line search stalls, or that has taken MAX_ITER steps, is polished: it is
-    accepted at x + delta, its last Newton correction, when max|delta| <=
-    min(tol, POLISH_UNITS * eps) * max(1, max|a|) and x + delta is strictly
-    ordered.  Every other row fails, as does one whose start is not ordered.
+    c is dense or a band (see `_kernel`), with a trailing axis of length 1.
+    Returns per row the iterate, the accepted steps, the max-norm residual
+    before any polish and whether the row converged.  A row stops once its
+    residual is at most tol.  A row whose line search stalls, or that has
+    taken MAX_ITER steps, is polished: it is accepted at x + delta, its last
+    Newton correction, when max|delta| <= min(tol, POLISH_UNITS * eps) *
+    max(1, max|a|) and x + delta is strictly ordered.  Every other row fails,
+    as does one whose start is not ordered.  The iterate keeps the memory
+    order of xi.
     """
-    m = len(xi)
-    xi = xi.copy()
+    xi = xi.copy(order="K")
     r, rnorm, w = _evaluate(a, c, xi)
-    iterations = np.zeros(m, dtype=int)
-    ok = np.zeros(m, dtype=bool)
-    # the state (rows, x, ar, r, rn, w) covers the rows still iterating
+    iterations = np.zeros(len(rnorm), dtype=int)
+    ok = np.zeros(len(rnorm), dtype=bool)
+    # the state (rows, x, ar, r, rn, w) covers the rows still iterating; a
+    # row's iterate, residual and step count are written back when it leaves
     rows = np.flatnonzero(rnorm < np.inf)
-    x, ar, r, rn, w = xi[rows], a[rows], r[rows], rnorm[rows], w[rows]
+    x, ar, r, w = (_rows(v, rows) for v in (xi, a, r, w))
+    rn = rnorm[rows]
     for it in range(MAX_ITER + 1):
-        xi[rows], rnorm[rows], iterations[rows] = x, rn, it
-        live = rn > opts.tol
-        ok[rows[~live]] = True
+        live = rn > tol
         if not live.all():
-            rows, x, ar, r, rn, w = (v[live] for v in (rows, x, ar, r, rn, w))
+            done = ~live
+            left = rows[done]
+            xi[:, left], rnorm[left], iterations[left], ok[left] = _rows(x, done), rn[done], it, True
+            rows, rn = rows[live], rn[live]
+            x, ar, r, w = (_rows(v, live) for v in (x, ar, r, w))
         if rows.size == 0:
             break
         delta = _hessian_solve(w, -r)
@@ -360,12 +438,15 @@ def _newton(a, c, xi, opts):
         if it == MAX_ITER:
             stuck[:] = True
         if stuck.any():
-            polished, step = x[stuck] + delta[stuck], np.abs(delta[stuck]).max(axis=1)
-            unit = min(opts.tol, POLISH_UNITS * np.finfo(float).eps) * np.maximum(1.0, np.abs(ar[stuck]).max(axis=1))
-            good = (step <= unit) & (polished[:, 1:] > polished[:, :-1]).all(axis=1)
-            xi[rows[stuck][good]], ok[rows[stuck][good]] = polished[good], True
+            left, step = rows[stuck], _rows(delta, stuck)
+            polished = _rows(x, stuck) + step
+            unit = min(tol, POLISH_UNITS * np.finfo(float).eps) * np.maximum(1.0, np.abs(_rows(ar, stuck)).max(axis=0))
+            good = (np.abs(step).max(axis=0) <= unit) & (polished[1:] > polished[:-1]).all(axis=0)
+            xi[:, left], rnorm[left], iterations[left] = _rows(x, stuck), rn[stuck], it
+            xi[:, left[good]], ok[left[good]] = _rows(polished, good), True
             moved = ~stuck
-            rows, x, ar, r, rn, w = (v[moved] for v in (rows, x_new, ar, r_new, rn_new, w_new))
+            rows, rn = rows[moved], rn_new[moved]
+            x, ar, r, w = (_rows(v, moved) for v in (x_new, ar, r_new, w_new))
         else:
             x, r, rn, w = x_new, r_new, rn_new, w_new
     return xi, iterations, rnorm, ok
@@ -373,15 +454,15 @@ def _newton(a, c, xi, opts):
 
 def _newton_row(problem, opts, start=None):
     """The Newton core on one problem; returns (xi, accepted steps) or raises."""
-    a = problem.a[None]
-    start = _initial_guess(a, problem.c) if start is None else start[None]
-    xi, iterations, rnorm, ok = _newton(a, _kernel(problem.c), start, opts)
+    a = problem.a[:, None]
+    start = _initial_guess(a, problem.c) if start is None else start[:, None]
+    xi, iterations, rnorm, ok = _newton(a, _kernel(problem.c)[..., None], start, opts.tol)
     if not ok[0]:
         raise NonConvergenceError(
             "newton did not reach tolerance",
             method="newton", iterations=int(iterations[0]), residual=float(rnorm[0]),
         )
-    return xi[0], int(iterations[0])
+    return xi[:, 0], int(iterations[0])
 
 
 def solve_newton(problem, opts=None):
@@ -412,7 +493,7 @@ def _homotopy(problem, opts):
     def velocity(x):
         if not (x[1:] > x[:-1]).all():
             return None
-        return _hessian_solve(_weights(c, x[None]), g_j[None])[0]
+        return _hessian_solve(_weights(c, x), g_j)
 
     x, k1 = big_j, velocity(big_j)
     t = 0.0
@@ -603,16 +684,20 @@ def solve_batch(a, c):
     row runs the Newton core of `solve` and gets the bits it gets there;
     rows where Newton fails fall back to `solve_homotopy` one at a time, so
     the result meets the same residual tolerance as the scalar path.  A row
-    that fails there too raises with the cause `solve` names.
+    that fails there too raises with the cause `solve` names.  The core runs
+    on a.T, with rows innermost in memory when m > d and particles innermost
+    otherwise (see the module docstring).
     """
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
-    xi, _, _, ok = _newton(a, _kernel(c), _initial_guess(a, c), _DEFAULTS)
+    m, d = a.shape
+    a = np.ascontiguousarray(a.T) if m > d else np.ascontiguousarray(a).T
+    xi, _, _, ok = _newton(a, _kernel(c)[..., None], _initial_guess(a, c), _DEFAULTS.tol)
     for i in np.flatnonzero(~ok):
-        problem = ImplicitProblem(a[i], c)
+        problem = ImplicitProblem(a[:, i], c)
         try:
-            xi[i] = solve_homotopy(problem)
+            xi[:, i] = solve_homotopy(problem)
         except NonConvergenceError as exc:
             if cause := _unrepresentable(problem):
                 raise NonConvergenceError(cause, method=exc.method) from exc
             raise
-    return xi
+    return xi.T

@@ -138,7 +138,12 @@ class CustomDrift:
 
 @dataclass(frozen=True, eq=False)
 class ConstantMatrixDiffusion:
-    """sigma(x) = constant d x d matrix."""
+    """sigma(x) = constant d x d matrix.
+
+    `diagonal` holds the diagonal of a matrix with no other non-zero entry
+    (None otherwise): sigma dW is then diagonal * dW, which has the bits of
+    the matrix product at a fraction of its cost.
+    """
 
     matrix: np.ndarray
 
@@ -147,6 +152,8 @@ class ConstantMatrixDiffusion:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("diffusion matrix must be square")
         object.__setattr__(self, "matrix", m)
+        diagonal = np.diag(m).copy()
+        object.__setattr__(self, "diagonal", diagonal if np.array_equal(m, np.diag(diagonal)) else None)
 
     def __call__(self, x):
         return self.matrix.copy()

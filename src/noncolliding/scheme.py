@@ -243,7 +243,7 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
         raise ValueError("record_stride must divide n")
     h = grid.h
     c = system.gamma * h
-    kernel = implicit._kernel(system.gamma)
+    kernel = implicit._kernel(system.gamma)[..., None]
     x = np.broadcast_to(system.x0 if x0 is None else x0, (m, d)).copy()
     recorded = np.empty((m, n // stride + 1, d))
     recorded[:, 0] = x
@@ -256,7 +256,7 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
             x = implicit.solve_batch(x + b * h + noise, c)
         elif live.size:
             b, noise = _drift_and_noise(system, x[live], increments[live, k])
-            new = x[live] + (implicit._interaction(kernel, x[live]) + b) * h + noise
+            new = x[live] + (implicit._interaction(kernel, x[live].T).T + b) * h + noise
             ordered = np.all(np.diff(new, axis=1) > 0, axis=1)
             x[live[ordered]] = new[ordered]
             exit_step[live[~ordered]] = k0 + k + 1
@@ -280,6 +280,8 @@ def _drift_and_noise(system, x, dW):
     sigma = system.diffusion
     if isinstance(sigma, DiagonalBoundedDiffusion):
         noise = sigma.diagonal(x) * dW
+    elif isinstance(sigma, ConstantMatrixDiffusion) and sigma.diagonal is not None:
+        noise = sigma.diagonal * dW
     elif isinstance(sigma, ConstantMatrixDiffusion):
         # one matrix-vector product per row: a matrix-matrix product would
         # round a row differently depending on how many rows share the batch

@@ -114,6 +114,13 @@ class TestGapVector:
         with pytest.raises(ValueError):
             GapVector(np.array([1.0, 0.0]), anchor=0.0)
 
+    @pytest.mark.parametrize(
+        "gaps, anchor", [([np.nan, 1.0], 0.0), ([1.0, 2.0], np.nan), ([1.0, 2.0], np.inf), ([1.0, 2.0], -np.inf)]
+    )
+    def test_rejects_nan_gap_and_non_finite_anchor(self, gaps, anchor):
+        with pytest.raises(ValueError):
+            GapVector(np.array(gaps), anchor=anchor)
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("method", ALL_METHODS_D2)
@@ -327,6 +334,12 @@ class TestDispatch:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             SolverOptions(tol=tol)
 
+    @pytest.mark.parametrize("steps", [-1, 0, 2.5, True, "16", None])
+    def test_homotopy_steps_must_be_a_positive_integer(self, steps):
+        # a negative count walked t backwards forever and 0 divided by zero
+        with pytest.raises(ValueError, match="homotopy_steps must be an integer >= 1"):
+            SolverOptions(method="homotopy", homotopy_steps=steps)
+
     def test_alternating_not_offered_for_d4(self):
         p = ImplicitProblem(np.zeros(4), uniform_c(4, 1.0))
         with pytest.raises(ValueError):
@@ -369,15 +382,81 @@ class TestBatch:
             solve_batch([[0.0, -1e8]], uniform_c(2, 1e-4))
 
 
+class TestLayout:
+    """Particles on axis 0 and rows last, with either axis innermost in memory."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 200, 1024])
+    @pytest.mark.parametrize("m", [1, 4, 33])
+    @pytest.mark.parametrize("innermost", ["summed", "rows"])
+    def test_psum_has_the_bits_of_an_innermost_sum(self, n, m, innermost):
+        # terms of mixed sign and magnitude, so any other order of the
+        # additions changes the bits
+        rng = np.random.default_rng(1000 * n + m)
+        v = rng.normal(size=(m, 3, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (m, 3, n))
+        pairs = np.ascontiguousarray(v.transpose(1, 2, 0)) if innermost == "rows" else v.transpose(1, 2, 0)
+        expect = np.ascontiguousarray(v.transpose(1, 0, 2)).sum(axis=-1)
+        assert implicit._psum(pairs, 1).tobytes() == expect.tobytes()
+        column = np.ascontiguousarray(pairs[0]) if innermost == "rows" else pairs[0]
+        assert implicit._psum(column, 0).tobytes() == np.ascontiguousarray(v[:, 0]).sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 9, 200])
+    def test_psum_of_negative_zeros_is_positive_zero(self, n):
+        v = np.full((n, 4), -0.0)
+        assert implicit._psum(v, 0).tobytes() == np.ascontiguousarray(v.T).sum(axis=-1).tobytes()
+
+    @staticmethod
+    def _recorded_layouts(monkeypatch):
+        # (particles innermost, rows innermost) of each Hessian solve's right-hand side
+        seen = []
+        real = implicit._hessian_solve
+
+        def recording(w, b):
+            seen.append((b.strides[0] == b.itemsize, b.ndim == 2 and b.strides[1] == b.itemsize))
+            return real(w, b)
+
+        monkeypatch.setattr(implicit, "_hessian_solve", recording)
+        return seen
+
+    def test_more_rows_than_particles_puts_rows_innermost(self, monkeypatch):
+        seen = self._recorded_layouts(monkeypatch)
+        solve_batch(np.random.default_rng(3).uniform(-3.0, 3.0, (1000, 3)), uniform_c(3, 0.5))
+        assert seen and all(rows for _, rows in seen)
+
+    def test_fewer_rows_than_particles_and_one_problem_put_particles_innermost(self, monkeypatch):
+        d = 128
+        rng = np.random.default_rng(5)
+        a = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) + rng.normal(size=(16, d))
+        seen = self._recorded_layouts(monkeypatch)
+        solve_batch(a, uniform_c(d, 0.05))
+        assert seen and all(particles for particles, _ in seen)
+        seen.clear()
+        solve(ImplicitProblem(a[0, :5], uniform_c(5, 0.5)))
+        assert seen and all(particles for particles, _ in seen)
+
+    @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
+    def test_rows_get_the_same_bits_in_either_layout(self, kind):
+        # 16 rows at d = 16 in batches of 8 (particles innermost), in one of
+        # 40 (rows innermost, with NumPy's pairwise sums from `_psum`) and alone
+        d = 16
+        rng = np.random.default_rng(41)
+        c = uniform_c(d, 0.05) if kind == "uniform" else tridiag_c(rng.uniform(0.05, 0.5, d - 1))
+        a = np.linspace(-8.0, 8.0, d) + rng.normal(size=(40, d))
+        small = np.concatenate([solve_batch(a[:8], c), solve_batch(a[8:16], c)])
+        assert solve_batch(a, c)[:16].tobytes() == small.tobytes()
+        alone = np.array([solve(ImplicitProblem(row, c)).xi for row in a[:16]])
+        assert alone.tobytes() == small.tobytes()
+
+
 class TestNeighbourKernel:
     """The band path of the Newton core, for c that couples only neighbours."""
 
     @staticmethod
     def system(rng, d, m):
-        # well-spread ordered rows, so the Hessians are well conditioned
+        # well-spread ordered rows, so the Hessians are well conditioned;
+        # particles on axis 0, rows on axis 1
         c = tridiag_c(rng.uniform(0.05, 2.0, d - 1))
-        x = np.cumsum(rng.uniform(0.5, 1.5, (m, d)), axis=1)
-        w = implicit._weights(implicit._kernel(c), x)
+        x = np.cumsum(rng.uniform(0.5, 1.5, (m, d)), axis=1).T
+        w = implicit._weights(implicit._kernel(c)[:, None], x)
         return c, x, w
 
     def test_kernel_chooses_band_only_for_neighbours_at_d3_and_above(self):
@@ -393,9 +472,9 @@ class TestNeighbourKernel:
     def test_band_solve_matches_dense(self, d):
         rng = np.random.default_rng(d)
         c, x, w = self.system(rng, d, 5)
-        b = rng.normal(size=(5, d))
+        b = rng.normal(size=(5, d)).T
         band = implicit._hessian_solve(w, b)
-        dense = implicit._hessian_solve(c / implicit._differences(x) ** 2, b)
+        dense = implicit._hessian_solve(c[:, :, None] / implicit._differences(x) ** 2, b)
         assert np.max(np.abs(band - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("where", ["weight", "rhs"])
@@ -404,27 +483,27 @@ class TestNeighbourKernel:
         # rows 1 and 3 are bad; the others keep the bits they get alone
         rng = np.random.default_rng(5)
         _, _, w = self.system(rng, 6, 5)
-        b = rng.normal(size=(5, 6))
-        (w if where == "weight" else b)[[1, 3], 2] = value
+        b = rng.normal(size=(5, 6)).T
+        (w if where == "weight" else b)[2, [1, 3]] = value
         x = implicit._hessian_solve(w, b)
-        assert np.isnan(x[[1, 3]]).all()
+        assert np.isnan(x[:, [1, 3]]).all()
         for i in (0, 2, 4):
-            alone = implicit._hessian_solve(w[i : i + 1], b[i : i + 1])
-            assert np.isfinite(alone).all() and alone.tobytes() == x[i : i + 1].tobytes()
+            alone = implicit._hessian_solve(w[:, i : i + 1], b[:, i : i + 1])
+            assert np.isfinite(alone).all() and alone.tobytes() == x[:, i : i + 1].tobytes()
 
     def test_overflowing_row_does_not_reach_its_neighbours(self):
         # finite weights whose elimination overflows: back substitution would
         # multiply the row's inf by the zero coupling of the row before it
-        w = np.array([[1.0, 1.0], [1e300, 1e-300], [2.0, 0.5]])
+        w = np.array([[1.0, 1.0], [1e300, 1e-300], [2.0, 0.5]]).T
         b = np.ones((3, 3))
         x = implicit._hessian_solve(w, b)
-        assert np.isnan(x[1]).all()
+        assert np.isnan(x[:, 1]).all()
         for i in (0, 2):
-            assert implicit._hessian_solve(w[i : i + 1], b[i : i + 1]).tobytes() == x[i : i + 1].tobytes()
+            assert implicit._hessian_solve(w[:, i : i + 1], b[:, i : i + 1]).tobytes() == x[:, i : i + 1].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_uniform_and_d2_stay_dense(self, d, monkeypatch):
-        # every Hessian solve of these problems is a dense (m, d, d) one
+        # every Hessian solve of these problems is a dense (d, d, ...) one
         shapes = []
         real = implicit._hessian_solve
 
@@ -438,8 +517,8 @@ class TestNeighbourKernel:
             solve_batch(a, c)
             solve_homotopy(ImplicitProblem(a[0], c))
             if d >= 3 and not c[0, -1]:
-                assert all(len(s) == 2 for s in shapes)
+                assert all(s[0] == d - 1 for s in shapes)
             else:
-                assert all(len(s) == 3 and s[1:] == (d, d) for s in shapes)
+                assert all(s[:2] == (d, d) for s in shapes)
             shapes.clear()
 

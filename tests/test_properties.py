@@ -127,10 +127,11 @@ def test_neighbour_kernel_has_the_dense_bits(d, m, log_c, seed):
     x = np.sort(rng.normal(size=(m, d)), axis=1) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
     x[rng.random(m) < 0.3, ::2] *= -1.0  # some rows unordered
     a = x + rng.normal(size=(m, d))
-    r, rn, w = _evaluate(a, c, x)
-    r_band, rn_band, w_band = _evaluate(a, _kernel(c), x)
+    # particles on axis 0, rows on axis 1
+    r, rn, w = _evaluate(a.T, c[:, :, None], x.T)
+    r_band, rn_band, w_band = _evaluate(a.T, _kernel(c)[:, None], x.T)
     ordered = rn < np.inf
     assert rn.tobytes() == rn_band.tobytes()
-    assert r[ordered].tobytes() == r_band[ordered].tobytes()
-    assert _row_sums(w[ordered], d).tobytes() == _row_sums(w_band[ordered], d).tobytes()
+    assert r[:, ordered].tobytes() == r_band[:, ordered].tobytes()
+    assert _row_sums(w[..., ordered], d).tobytes() == _row_sums(w_band[..., ordered], d).tobytes()
 

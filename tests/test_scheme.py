@@ -28,6 +28,7 @@ from noncolliding.model import CustomDiffusion
 from noncolliding.scheme import (
     SCHEMES,
     BrownianPath,
+    _drift_and_noise,
     _generators,
     _increments,
     _paths,
@@ -330,6 +331,19 @@ class TestBatch:
             alone = simulate(sys_, grid, path, which).states
             assert np.array_equal(alone, rec[m])
             assert np.array_equal(alone, step_loop(sys_, grid, inc[m], which)[0])
+
+    @pytest.mark.parametrize("d, m", [(3, 1000), (5, 20), (128, 16), (1024, 16)])
+    def test_diagonal_matrix_noise_has_the_product_bits(self, d, m):
+        # a diagonal constant matrix takes the elementwise path; its noise is
+        # byte for byte the matrix product's, and a full matrix keeps the product
+        rng = np.random.default_rng(d)
+        dW = rng.normal(size=(m, d))
+        for matrix in (np.eye(d), np.diag(rng.uniform(0.1, 3.0, d))):
+            sys_ = dyson(d, 1.0, diffusion=ConstantMatrixDiffusion(matrix))
+            assert sys_.diffusion.diagonal is not None
+            _, noise = _drift_and_noise(sys_, np.broadcast_to(sys_.x0, (m, d)), dW)
+            assert noise.tobytes() == (matrix @ dW[..., None])[..., 0].tobytes()
+        assert ConstantMatrixDiffusion(np.eye(d) + np.eye(d, k=1)).diagonal is None
 
     def test_unknown_scheme_rejected(self):
         sys_ = dyson(2, 1.0)
