@@ -28,14 +28,14 @@ which steps are accepted, and with them the results.
 Particles lie on axis 0 and rows on the last axis: one problem is (d,), a
 batch (d, m), and pair arrays are (d, d, m) with D[i, j] = x_i - x_j, so the
 sums over j run along axis 1.  `solve_batch` chooses once which axis is
-innermost in memory: the rows when m > d, so that each NumPy operation loops
-over the long axis of rows instead of over d; otherwise the particles, the
-order of a single problem, which keeps large d and single solves at their
-speed.  Every array the core makes keeps that order (`copy(order="K")`,
-`*_like`, `_rows`).  NumPy sums an innermost axis pairwise and any other axis
-in order, which agree below 8 terms; `_psum` sums a non-innermost particle
-axis of 8 or more terms in NumPy's pairwise order, so a row gets the same bits
-in either order.
+innermost in memory: the rows when m > d and d < 8, so that each NumPy
+operation loops over the long axis of rows instead of over d; otherwise the
+particles, the order of a single problem, which keeps large d and single
+solves at their speed.  Every array the core makes keeps that order
+(`copy(order="K")`, `*_like`, `_rows`, `_empty_rows`).  NumPy sums an
+innermost axis pairwise and any other axis in order, which agree below 8
+terms, so a row gets the same bits in either order: a sum over particles runs
+along an innermost axis or has fewer than 8 terms.
 
 The structure of c chooses the kernel once per solve (`_kernel`).  When d >= 3
 and c has no non-zero entry beyond the first off-diagonal (nearest-neighbour
@@ -53,6 +53,7 @@ coefficients and for d = 3 with uniform coefficients.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ class SolverOptions:
         if self.method != "auto" and self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         steps = self.homotopy_steps
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
             raise ValueError(f"homotopy_steps must be an integer >= 1, got {steps!r}")
 
 
@@ -165,38 +166,6 @@ def _check_ordered(xi):
     return xi
 
 
-def _psum(v, axis):
-    """v.sum(axis) with the bits NumPy gives when that axis is innermost in memory.
-
-    NumPy sums an innermost axis pairwise: 8 accumulators per block of at most
-    128 terms, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
-    the tail added in order, and longer axes split at n / 2 rounded down to a
-    multiple of 8.  It sums any other axis in order, which agrees below 8 terms.
-    A rows-innermost batch sums its particle axes of 8 or more terms here, in
-    the pairwise order, so a row gets the bits it gets alone.
-    """
-    if v.shape[axis] < 8 or v.strides[axis] == v.itemsize:
-        return np.add.reduce(v, axis)
-    # NumPy adds the sum to its identity 0, which turns -0 into +0
-    return _pairwise(v.transpose((axis,) + tuple(k for k in range(v.ndim) if k != axis))) + 0.0
-
-
-def _pairwise(v):
-    # NumPy's pairwise sum over the first axis of v, which has at least 8 terms
-    n = len(v)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise(v[:half]) + _pairwise(v[half:])
-    end = n - n % 8
-    r = v[:8].copy()
-    for i in range(8, end, 8):
-        r += v[i : i + 8]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(end, n):
-        s += v[i]
-    return s
-
-
 def _rows(v, keep):
     """v[..., keep], for an index array or a mask keep, in v's memory order.
 
@@ -206,6 +175,14 @@ def _rows(v, keep):
     if v.strides[-1] != v.itemsize:
         return v[..., keep]
     return np.compress(keep, v, axis=-1) if keep.dtype == bool else np.take(v, keep, axis=-1)
+
+
+def _empty_rows(x, shape):
+    # an empty array of shape (..., m) with the rows innermost in memory when
+    # they are in x, and outermost otherwise
+    if x.strides[-1] == x.itemsize:
+        return np.empty(shape)
+    return np.empty(shape[-1:] + shape[:-1]).transpose(tuple(range(1, len(shape))) + (0,))
 
 
 def _differences(x):
@@ -237,7 +214,7 @@ def _interaction(c, x):
     are summed; the dense sum adds exact zeros to them, so the bits agree.
     """
     if c.ndim > x.ndim:
-        return _psum(c / _differences(x), 1)
+        return (c / _differences(x)).sum(axis=1)
     t = c / (x[1:] - x[:-1])
     s = np.zeros_like(x)
     s[1:] = t
@@ -258,7 +235,7 @@ def _row_sums(w, d):
     # weights; a neighbour row sum w_{i-1} + w_i is the one rounding of the
     # dense sum, whose other terms are exact zeros
     if len(w) == d:
-        return _psum(w, 1)
+        return w.sum(axis=1)
     s = np.zeros_like(w, shape=(d,) + w.shape[1:])
     s[1:] = w
     s[:-1] += w
@@ -269,7 +246,7 @@ def _hessian(w):
     # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (d, d, ...)
     idx = np.arange(len(w))
     h = -w
-    h[idx, idx] = 1.0 + _psum(w, 1)
+    h[idx, idx] = 1.0 + w.sum(axis=1)
     return h
 
 
@@ -279,13 +256,15 @@ def _hessian_solve(w, b):
     A row whose Hessian is singular in floating point (weights so large that
     the identity is lost) gets NaN, which no line search or continuation
     step accepts; the other rows are solved one by one with the same bits.
+    The result has the memory order of b.
     """
     try:
         if w.ndim == b.ndim:
-            return _tridiagonal_solve(w, b)
-        if b.ndim == 1:
+            x = _tridiagonal_solve(w, b)
+        elif b.ndim == 1:
             return np.linalg.solve(_hessian(w), b)
-        return np.linalg.solve(_hessian(w).transpose(2, 0, 1), b.T[:, :, None])[:, :, 0].T
+        else:
+            x = np.linalg.solve(_hessian(w).transpose(2, 0, 1), b.T[:, :, None])[:, :, 0].T
     except np.linalg.LinAlgError:
         if b.ndim == 1:
             return np.full_like(b, np.nan)
@@ -293,6 +272,12 @@ def _hessian_solve(w, b):
         for i in range(b.shape[1]):
             x[:, i] = _hessian_solve(w[..., i], b[:, i])
         return x
+    # both solvers return the particles innermost
+    if x.strides == b.strides:
+        return x
+    out = np.empty_like(b)
+    out[...] = x
+    return out
 
 
 def _tridiagonal_solve(w, b):
@@ -336,7 +321,7 @@ def _anchor(a, gaps):
     # first position that puts mean(xi) at mean(a), as the exact solution has;
     # an elementwise sum, not a matrix product, keeps rows independent
     d = len(a)
-    return _psum(a, 0) / d - _psum((np.arange(d - 1.0, 0.0, -1.0) * gaps.T).T, 0) / d
+    return a.sum(axis=0) / d - (np.arange(d - 1.0, 0.0, -1.0) * gaps.T).T.sum(axis=0) / d
 
 
 def _initial_guess(a, c):
@@ -361,12 +346,12 @@ def _evaluate(a, c, x):
         keep = np.flatnonzero(ordered)
         r_in, rn_in, w_in = _evaluate(_rows(a, keep), c, _rows(x, keep))
         r, rn = np.empty_like(x), np.full(len(ordered), np.inf)
-        w = np.empty_like(w_in, shape=w_in.shape[:-1] + rn.shape)
+        w = _empty_rows(x, w_in.shape[:-1] + rn.shape)
         r[:, keep], rn[keep], w[..., keep] = r_in, rn_in, w_in
         return r, rn, w
     if c.ndim > x.ndim:
         diff = _differences(x)
-        s, w = _psum(c / diff, 1), c / diff**2
+        s, w = (c / diff).sum(axis=1), c / diff**2
     else:
         s, w = _interaction(c, x), _weights(c, x)
     r = x - a - s
@@ -685,12 +670,12 @@ def solve_batch(a, c):
     rows where Newton fails fall back to `solve_homotopy` one at a time, so
     the result meets the same residual tolerance as the scalar path.  A row
     that fails there too raises with the cause `solve` names.  The core runs
-    on a.T, with rows innermost in memory when m > d and particles innermost
-    otherwise (see the module docstring).
+    on a.T, with rows innermost in memory when m > d and d < 8 and particles
+    innermost otherwise (see the module docstring).
     """
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
     m, d = a.shape
-    a = np.ascontiguousarray(a.T) if m > d else np.ascontiguousarray(a).T
+    a = np.ascontiguousarray(a.T) if d < min(m, 8) else np.ascontiguousarray(a).T
     xi, _, _, ok = _newton(a, _kernel(c)[..., None], _initial_guess(a, c), _DEFAULTS.tol)
     for i in np.flatnonzero(~ok):
         problem = ImplicitProblem(a[:, i], c)

@@ -334,11 +334,15 @@ class TestDispatch:
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             SolverOptions(tol=tol)
 
-    @pytest.mark.parametrize("steps", [-1, 0, 2.5, True, "16", None])
+    @pytest.mark.parametrize("steps", [-1, 0, 2.5, True, np.True_, "16", None, np.int64(0)])
     def test_homotopy_steps_must_be_a_positive_integer(self, steps):
         # a negative count walked t backwards forever and 0 divided by zero
         with pytest.raises(ValueError, match="homotopy_steps must be an integer >= 1"):
             SolverOptions(method="homotopy", homotopy_steps=steps)
+
+    @pytest.mark.parametrize("steps", [1, 16, np.int64(16), np.int32(16)])
+    def test_homotopy_steps_accepts_any_integer_type(self, steps):
+        assert SolverOptions(method="homotopy", homotopy_steps=steps).homotopy_steps == steps
 
     def test_alternating_not_offered_for_d4(self):
         p = ImplicitProblem(np.zeros(4), uniform_c(4, 1.0))
@@ -385,63 +389,66 @@ class TestBatch:
 class TestLayout:
     """Particles on axis 0 and rows last, with either axis innermost in memory."""
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 200, 1024])
-    @pytest.mark.parametrize("m", [1, 4, 33])
-    @pytest.mark.parametrize("innermost", ["summed", "rows"])
-    def test_psum_has_the_bits_of_an_innermost_sum(self, n, m, innermost):
-        # terms of mixed sign and magnitude, so any other order of the
-        # additions changes the bits
-        rng = np.random.default_rng(1000 * n + m)
-        v = rng.normal(size=(m, 3, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (m, 3, n))
-        pairs = np.ascontiguousarray(v.transpose(1, 2, 0)) if innermost == "rows" else v.transpose(1, 2, 0)
-        expect = np.ascontiguousarray(v.transpose(1, 0, 2)).sum(axis=-1)
-        assert implicit._psum(pairs, 1).tobytes() == expect.tobytes()
-        column = np.ascontiguousarray(pairs[0]) if innermost == "rows" else pairs[0]
-        assert implicit._psum(column, 0).tobytes() == np.ascontiguousarray(v[:, 0]).sum(axis=-1).tobytes()
-
-    @pytest.mark.parametrize("n", [3, 9, 200])
-    def test_psum_of_negative_zeros_is_positive_zero(self, n):
-        v = np.full((n, 4), -0.0)
-        assert implicit._psum(v, 0).tobytes() == np.ascontiguousarray(v.T).sum(axis=-1).tobytes()
-
     @staticmethod
     def _recorded_layouts(monkeypatch):
-        # (particles innermost, rows innermost) of each Hessian solve's right-hand side
+        # (rows innermost, particles innermost) in memory of the weights, the
+        # right-hand side and the result of each Hessian solve; a single row
+        # has both
         seen = []
         real = implicit._hessian_solve
 
+        def layout(v):
+            return (v.shape[-1] == 1 or v.strides[-1] == v.itemsize, v.strides[-2] == v.itemsize)
+
         def recording(w, b):
-            seen.append((b.strides[0] == b.itemsize, b.ndim == 2 and b.strides[1] == b.itemsize))
-            return real(w, b)
+            x = real(w, b)
+            if b.ndim == 2:
+                seen.append(tuple(map(all, zip(*(layout(v) for v in (w, b, x))))))
+            return x
 
         monkeypatch.setattr(implicit, "_hessian_solve", recording)
         return seen
 
-    def test_more_rows_than_particles_puts_rows_innermost(self, monkeypatch):
+    @pytest.mark.parametrize("c", [uniform_c(3, 0.5), tridiag_c([0.5, 1.0, 0.2, 0.7])], ids=["uniform", "tridiagonal"])
+    def test_more_rows_than_particles_below_d8_puts_rows_innermost(self, monkeypatch, c):
         seen = self._recorded_layouts(monkeypatch)
-        solve_batch(np.random.default_rng(3).uniform(-3.0, 3.0, (1000, 3)), uniform_c(3, 0.5))
-        assert seen and all(rows for _, rows in seen)
+        d = len(c)
+        solve_batch(np.arange(d) + np.random.default_rng(3).uniform(-3.0, 3.0, (1000, d)), c)
+        assert seen and all(rows for rows, _ in seen)
 
-    def test_fewer_rows_than_particles_and_one_problem_put_particles_innermost(self, monkeypatch):
-        d = 128
+    @pytest.mark.parametrize("m, d", [(16, 128), (40, 16)])
+    def test_particles_stay_innermost_for_fewer_rows_or_d8_and_above(self, monkeypatch, m, d):
         rng = np.random.default_rng(5)
-        a = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) + rng.normal(size=(16, d))
+        a = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) + rng.normal(size=(m, d))
         seen = self._recorded_layouts(monkeypatch)
         solve_batch(a, uniform_c(d, 0.05))
-        assert seen and all(particles for particles, _ in seen)
-        seen.clear()
-        solve(ImplicitProblem(a[0, :5], uniform_c(5, 0.5)))
-        assert seen and all(particles for particles, _ in seen)
+        assert seen and all(particles for _, particles in seen)
+
+    def test_one_problem_has_its_particles_innermost(self, monkeypatch):
+        seen = self._recorded_layouts(monkeypatch)
+        solve(ImplicitProblem(np.arange(5.0), uniform_c(5, 0.5)))
+        assert seen and all(particles for _, particles in seen)
+
+    def test_rows_with_no_ordered_trial_keep_the_layout(self):
+        # every row's full Newton step leaves the chamber, so the line search
+        # evaluates no ordered row; the weights it then allocates must keep the
+        # particles innermost, or the sums over j lose NumPy's pairwise order
+        d = 8
+        a = np.zeros((2, d))
+        a[1, 5] = 1e4
+        batch = solve_batch(a, uniform_c(d, 1.0))
+        for row, xi in zip(a, batch):
+            assert solve(ImplicitProblem(row, uniform_c(d, 1.0))).xi.tobytes() == xi.tobytes()
 
     @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
     def test_rows_get_the_same_bits_in_either_layout(self, kind):
-        # 16 rows at d = 16 in batches of 8 (particles innermost), in one of
-        # 40 (rows innermost, with NumPy's pairwise sums from `_psum`) and alone
-        d = 16
+        # 16 rows at d = 7 in batches of 4 (particles innermost), in one of
+        # 40 (rows innermost) and alone
+        d = 7
         rng = np.random.default_rng(41)
         c = uniform_c(d, 0.05) if kind == "uniform" else tridiag_c(rng.uniform(0.05, 0.5, d - 1))
-        a = np.linspace(-8.0, 8.0, d) + rng.normal(size=(40, d))
-        small = np.concatenate([solve_batch(a[:8], c), solve_batch(a[8:16], c)])
+        a = np.linspace(-4.0, 4.0, d) + rng.normal(size=(40, d))
+        small = np.concatenate([solve_batch(a[i : i + 4], c) for i in range(0, 16, 4)])
         assert solve_batch(a, c)[:16].tobytes() == small.tobytes()
         alone = np.array([solve(ImplicitProblem(row, c)).xi for row in a[:16]])
         assert alone.tobytes() == small.tobytes()
