@@ -429,17 +429,6 @@ class TestLayout:
         solve(ImplicitProblem(np.arange(5.0), uniform_c(5, 0.5)))
         assert seen and all(particles for _, particles in seen)
 
-    def test_rows_with_no_ordered_trial_keep_the_layout(self):
-        # every row's full Newton step leaves the chamber, so the line search
-        # evaluates no ordered row; the weights it then allocates must keep the
-        # particles innermost, or the sums over j lose NumPy's pairwise order
-        d = 8
-        a = np.zeros((2, d))
-        a[1, 5] = 1e4
-        batch = solve_batch(a, uniform_c(d, 1.0))
-        for row, xi in zip(a, batch):
-            assert solve(ImplicitProblem(row, uniform_c(d, 1.0))).xi.tobytes() == xi.tobytes()
-
     @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
     def test_rows_get_the_same_bits_in_either_layout(self, kind):
         # 16 rows at d = 7 in batches of 4 (particles innermost), in one of
