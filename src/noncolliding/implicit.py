@@ -31,11 +31,12 @@ sums over j run along axis 1.  `solve_batch` chooses once which axis is
 innermost in memory: the rows when m > d and d < 8, so that each NumPy
 operation loops over the long axis of rows instead of over d; otherwise the
 particles, the order of a single problem, which keeps large d and single
-solves at their speed.  Every array the core makes keeps that order
-(`copy(order="K")`, `*_like`, `_rows`, `_empty_rows`).  NumPy sums an
-innermost axis pairwise and any other axis in order, which agree below 8
-terms, so a row gets the same bits in either order: a sum over particles runs
-along an innermost axis or has fewer than 8 terms.
+solves at their speed.  No gather or scatter decides a row's bits.  NumPy
+sums an innermost axis pairwise and any other axis in order, which agree
+below 8 terms, so below d = 8 every sum over particles gets the same bits in
+either order.  From d = 8 the batch stays particles-innermost, and the copies
+the core makes (`copy(order="K")`, `*_like`) and plain indexing keep that
+order.  `_rows` keeps the rows innermost where they are, for speed only.
 
 The structure of c chooses the kernel once per solve (`_kernel`).  When d >= 3
 and c has no non-zero entry beyond the first off-diagonal (nearest-neighbour
@@ -170,19 +171,11 @@ def _rows(v, keep):
     """v[..., keep], for an index array or a mask keep, in v's memory order.
 
     Indexing puts the rows outermost and `take`/`compress` put them innermost,
-    so each keeps one of the two layouts `solve_batch` chooses.
+    which keeps a rows-innermost batch fast; no row's bits depend on it.
     """
     if v.strides[-1] != v.itemsize:
         return v[..., keep]
     return np.compress(keep, v, axis=-1) if keep.dtype == bool else np.take(v, keep, axis=-1)
-
-
-def _empty_rows(x, shape):
-    # an empty array of shape (..., m) with the rows innermost in memory when
-    # they are in x, and outermost otherwise
-    if x.strides[-1] == x.itemsize:
-        return np.empty(shape)
-    return np.empty(shape[-1:] + shape[:-1]).transpose(tuple(range(1, len(shape))) + (0,))
 
 
 def _differences(x):
@@ -339,23 +332,22 @@ def _evaluate(a, c, x):
     """Residual, max-norm residual and Hessian weights at each row of x (d, m).
 
     The max-norm is inf on rows that are not strictly ordered; their residual
-    and weights are left undefined.  c is dense or a band (see `_kernel`).
+    and weights are those of the stand-in 0, 1, ..., d - 1 and mean nothing.
+    c is dense or a band (see `_kernel`).
     """
-    ordered = (x[1:] > x[:-1]).all(axis=0)
-    if not ordered.all():
-        keep = np.flatnonzero(ordered)
-        r_in, rn_in, w_in = _evaluate(_rows(a, keep), c, _rows(x, keep))
-        r, rn = np.empty_like(x), np.full(len(ordered), np.inf)
-        w = _empty_rows(x, w_in.shape[:-1] + rn.shape)
-        r[:, keep], rn[keep], w[..., keep] = r_in, rn_in, w_in
-        return r, rn, w
+    unordered = ~(x[1:] > x[:-1]).all(axis=0)
+    if unordered.any():
+        x = x.copy(order="K")
+        x[:, unordered] = np.arange(len(x))[:, None]
     if c.ndim > x.ndim:
         diff = _differences(x)
         s, w = (c / diff).sum(axis=1), c / diff**2
     else:
         s, w = _interaction(c, x), _weights(c, x)
     r = x - a - s
-    return r, np.abs(r).max(axis=0), w
+    rn = np.abs(r).max(axis=0)
+    rn[unordered] = np.inf
+    return r, rn, w
 
 
 def _line_search(a, c, x, rn, delta):
@@ -378,7 +370,7 @@ def _line_search(a, c, x, rn, delta):
         better = rn_t < rn[pending]
         moved = pending[better]
         x_new[:, moved], r[:, moved], rn_new[moved], w[..., moved] = (
-            _rows(trial, better), _rows(r_t, better), rn_t[better], _rows(w_t, better)
+            trial[:, better], r_t[:, better], rn_t[better], w_t[..., better]
         )
         pending = pending[~better]
     stuck = np.zeros(len(rn), dtype=bool)
@@ -403,17 +395,16 @@ def _newton(a, c, xi, tol):
     r, rnorm, w = _evaluate(a, c, xi)
     iterations = np.zeros(len(rnorm), dtype=int)
     ok = np.zeros(len(rnorm), dtype=bool)
-    # the state (rows, x, ar, r, rn, w) covers the rows still iterating; a
-    # row's iterate, residual and step count are written back when it leaves
-    rows = np.flatnonzero(rnorm < np.inf)
-    x, ar, r, w = (_rows(v, rows) for v in (xi, a, r, w))
-    rn = rnorm[rows]
+    # the state (rows, x, ar, r, rn, w) covers the rows still iterating and is
+    # the whole batch at first; a row's iterate, residual and step count are
+    # written back when it leaves, at step 0 if its start is not ordered (rn = inf)
+    rows, x, ar, rn = np.arange(len(rnorm)), xi, a, rnorm
     for it in range(MAX_ITER + 1):
-        live = rn > tol
+        live = (rn > tol) & (rn < np.inf)
         if not live.all():
             done = ~live
             left = rows[done]
-            xi[:, left], rnorm[left], iterations[left], ok[left] = _rows(x, done), rn[done], it, True
+            xi[:, left], rnorm[left], iterations[left], ok[left] = x[:, done], rn[done], it, rn[done] <= tol
             rows, rn = rows[live], rn[live]
             x, ar, r, w = (_rows(v, live) for v in (x, ar, r, w))
         if rows.size == 0:
@@ -423,12 +414,12 @@ def _newton(a, c, xi, tol):
         if it == MAX_ITER:
             stuck[:] = True
         if stuck.any():
-            left, step = rows[stuck], _rows(delta, stuck)
-            polished = _rows(x, stuck) + step
-            unit = min(tol, POLISH_UNITS * np.finfo(float).eps) * np.maximum(1.0, np.abs(_rows(ar, stuck)).max(axis=0))
+            left, step = rows[stuck], delta[:, stuck]
+            polished = x[:, stuck] + step
+            unit = min(tol, POLISH_UNITS * np.finfo(float).eps) * np.maximum(1.0, np.abs(ar[:, stuck]).max(axis=0))
             good = (np.abs(step).max(axis=0) <= unit) & (polished[1:] > polished[:-1]).all(axis=0)
-            xi[:, left], rnorm[left], iterations[left] = _rows(x, stuck), rn[stuck], it
-            xi[:, left[good]], ok[left[good]] = _rows(polished, good), True
+            xi[:, left], rnorm[left], iterations[left] = x[:, stuck], rn[stuck], it
+            xi[:, left[good]], ok[left[good]] = polished[:, good], True
             moved = ~stuck
             rows, rn = rows[moved], rn_new[moved]
             x, ar, r, w = (_rows(v, moved) for v in (x_new, ar, r_new, w_new))

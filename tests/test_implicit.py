@@ -379,6 +379,30 @@ class TestBatch:
         for row, xi_batch in zip(a, batch):
             assert solve(ImplicitProblem(row, c)).xi.tobytes() == xi_batch.tobytes()
 
+    @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
+    @pytest.mark.parametrize("d", [3, 12], ids=["rows_innermost", "particles_innermost"])
+    def test_unordered_start_fails_at_step_0(self, d, kind):
+        # the core iterates from the whole batch; a row whose start is not
+        # ordered leaves at once, and the other rows get the bits they get
+        # alone.  The reversed starts are shrunk about their mean, so that one
+        # Newton step would order them: a core that let them iterate fails here
+        rng = np.random.default_rng(d)
+        c = uniform_c(d, 0.3) if kind == "uniform" else tridiag_c(rng.uniform(0.1, 1.0, d - 1))
+        a = np.linspace(-4.0 * d, 4.0 * d, d) + rng.normal(size=(40, d))
+        a = np.ascontiguousarray(a.T) if d < 8 else np.ascontiguousarray(a).T
+        start = implicit._initial_guess(a, c)
+        reversed_ = np.zeros(40, dtype=bool)
+        reversed_[[0, 7, 8, 39]] = True
+        centre = start[:, reversed_].mean(axis=0)
+        start[:, reversed_] = centre - 1e-3 * (start[:, reversed_] - centre)
+        k = implicit._kernel(c)[..., None]
+        xi, iterations, rnorm, ok = implicit._newton(a, k, start, 1e-12)
+        assert xi[:, reversed_].tobytes() == start[:, reversed_].tobytes()
+        assert not iterations[reversed_].any() and np.all(rnorm[reversed_] == np.inf) and not ok[reversed_].any()
+        for i in np.flatnonzero(~reversed_):
+            alone = implicit._newton(a[:, [i]], k, start[:, [i]], 1e-12)
+            assert [v.tobytes() for v in alone] == [v[..., [i]].tobytes() for v in (xi, iterations, rnorm, ok)]
+
     def test_unrepresentable_row_names_its_cause(self):
         # the exact gap, 2e-12, is below one ulp of |xi| ~ 5e7; the batch
         # names the cause that `solve` names, not the continuation's symptom
