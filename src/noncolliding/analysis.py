@@ -231,8 +231,8 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     ValueError.  Each report carries the inverse-gap bound
     sum(gap_i(0)^-p) * exp(p * t * Lip(b)) at its own t.
     """
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    if not 0 <= p < np.inf:
+        raise ValueError("p must be finite and >= 0")
     grid = TimeGrid(T, n)
     grid_times = grid.times()
     times = grid_times if times is None else np.atleast_1d(np.asarray(times, dtype=float))

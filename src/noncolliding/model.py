@@ -67,8 +67,8 @@ class ConstantDrift:
 
     def __post_init__(self):
         c = _as_vector(self.c, "c")
-        if np.any(np.diff(c) < 0):
-            raise ValueError("constant drift vector must be non-decreasing")
+        if not (np.isfinite(c).all() and (np.diff(c) >= 0).all()):
+            raise ValueError("constant drift vector must be finite and non-decreasing")
         object.__setattr__(self, "c", c)
 
     def __call__(self, x):
@@ -86,11 +86,11 @@ class OrnsteinUhlenbeckDrift:
     mu: np.ndarray
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not 0 <= self.theta < np.inf:
+            raise ValueError("theta must be finite and >= 0")
         mu = _as_vector(self.mu, "mu")
-        if np.any(np.diff(mu) < 0):
-            raise ValueError("mu must be non-decreasing")
+        if not (np.isfinite(mu).all() and (np.diff(mu) >= 0).all()):
+            raise ValueError("mu must be finite and non-decreasing")
         object.__setattr__(self, "mu", mu)
 
     def __call__(self, x):
@@ -105,6 +105,10 @@ class BoundedSmoothDrift:
     """Smooth bounded drift b_i(x) = beta * tanh(x_i)."""
 
     beta: float
+
+    def __post_init__(self):
+        if not np.isfinite(self.beta):
+            raise ValueError("beta must be finite")
 
     def __call__(self, x):
         return self.beta * np.tanh(np.asarray(x, dtype=float))
@@ -151,6 +155,8 @@ class ConstantMatrixDiffusion:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("diffusion matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("diffusion matrix must be finite")
         object.__setattr__(self, "matrix", m)
         diagonal = np.diag(m).copy()
         object.__setattr__(self, "diagonal", diagonal if np.array_equal(m, np.diag(diagonal)) else None)
@@ -174,10 +180,10 @@ class DiagonalBoundedDiffusion:
     s1: float = 0.0
 
     def __post_init__(self):
-        if self.s0 <= 0:
-            raise ValueError("s0 must be > 0")
-        if self.s1 < 0:
-            raise ValueError("s1 must be >= 0")
+        if not 0 < self.s0 < np.inf:
+            raise ValueError("s0 must be finite and > 0")
+        if not 0 <= self.s1 < np.inf:
+            raise ValueError("s1 must be finite and >= 0")
 
     def __call__(self, x):
         return np.diag(self.s0 + self.s1 * np.tanh(np.asarray(x, dtype=float)))

@@ -115,6 +115,8 @@ class TestStrongError:
         e1 = run_study(study)
         e2 = run_study(study)
         assert e1.errors == e2.errors
+        # one level alone has the bits of that level in the whole study
+        assert [strong_error(study, n) for n in study.levels] == list(zip(e1.errors, e1.std_errs))
 
     def test_chunk_size_does_not_change_result(self, monkeypatch):
         study = ConvergenceStudy(dyson(3, 4.0), 1.0, (8, 16, 32), 128, 40, base_seed=9)
@@ -163,6 +165,10 @@ class TestMoments:
         for r in reports:
             assert r.bound == pytest.approx(2.0)  # zero drift: no growth factor
             assert r.est_inv_gap_moments.shape == (2,)
+        # one time alone has the bits it has in the profile
+        alone = estimate_moments(sys_, 1.0, 2.0, 200, 64, base_seed=1)
+        assert (alone.est_abs_moment, alone.abs_moment_std_err) == (reports[2].est_abs_moment, reports[2].abs_moment_std_err)
+        assert np.array_equal(alone.est_inv_gap_moments, reports[2].est_inv_gap_moments)
 
     def test_rejects_negative_p(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,10 @@ run:
   seed: 7
 """
 
+NN_YAML = DYSON_YAML.replace("uniform: 4.0", "tridiagonal: 8.0").replace(
+    "x0:\n    linspace: [-1.0, 1.0]", "x0: [-1.0, 0.0, 1.0]"
+)
+
 OU_YAML = """
 system:
   d: 4
@@ -294,6 +298,24 @@ class TestCli:
         assert main(["check", "--config", str(weak), "--p", "1"]) == 1
         out = capsys.readouterr().out
         assert "false" in out
+        # tridiagonal gamma = 8 with an explicit x0: the nearest-neighbour condition holds
+        nn = tmp_path / "nn.yaml"
+        nn.write_text(NN_YAML)
+        assert main(["check", "--config", str(nn), "--p", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            '"gamma/(2*sigma_sup_sq) >= (p+1)/(2-chi)",4,2.702414383919316,true'
+        )
+
+    @pytest.mark.parametrize(
+        "x0, message", [("[-1.0, 1.0]", "must have 3 entries"), ("[-1.0, 1.0, 0.0]", "must be strictly increasing")]
+    )
+    def test_explicit_x0_is_checked(self, tmp_path, x0, message, capsys):
+        cfg = tmp_path / "x0.yaml"
+        cfg.write_text(NN_YAML.replace("[-1.0, 0.0, 1.0]", x0))
+        assert main(["check", "--config", str(cfg), "--p", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f'error,validation,"system.x0: {message}')
 
     @pytest.mark.parametrize("chi", ["-5", "0", "2", "nan"])
     def test_check_chi_must_lie_below_two(self, tmp_path, chi, capsys):

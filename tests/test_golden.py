@@ -121,6 +121,12 @@ def test_stdout_matches_golden(name, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
 
 
+def test_solve_full_matrix_matches_golden(capsys):
+    # the uniform c of the "solve" case, given entry by entry
+    assert main(["solve", "--a", "0,3,7", "--c-full", "0,2,2;2,0,2;2,2,0"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "solve.csv").read_text()
+
+
 def homotopy_problems():
     """(group, index, problem) for the continuation guard, from fixed seeds."""
     groups = {

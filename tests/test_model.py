@@ -17,6 +17,7 @@ from noncolliding import (
     check_nn_condition,
     diffusion_eval,
     drift_eval,
+    moment_profile,
     tridiagonal_gamma,
     uniform_gamma,
 )
@@ -188,6 +189,28 @@ class TestParticleSystem:
         # d = 3: each coefficient is checked once at x0, not broadcast
         with pytest.raises(ValueError, match=f"^{next(iter(coefficient))} must give"):
             dyson(3, 1.0, **coefficient)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: OrnsteinUhlenbeckDrift(theta=v, mu=np.zeros(1)),
+            lambda v: OrnsteinUhlenbeckDrift(theta=0.5, mu=np.array([0.0, v])),
+            lambda v: ConstantDrift(np.array([0.0, v])),
+            lambda v: BoundedSmoothDrift(beta=v),
+            lambda v: DiagonalBoundedDiffusion(s0=v),
+            lambda v: DiagonalBoundedDiffusion(s0=1.0, s1=v),
+            lambda v: ConstantMatrixDiffusion(np.diag([1.0, v])),
+            lambda v: dyson(3, 1.0, drift=OrnsteinUhlenbeckDrift(theta=v, mu=np.zeros(1))),
+            lambda v: moment_profile(dyson(3, 1.0), 1.0, v, 2, 2),
+        ],
+        ids=["ou_theta", "ou_mu", "constant_c", "bounded_beta", "diagonal_s0", "diagonal_s1", "matrix",
+             "system_ou_theta", "moment_profile_p"],
+    )
+    def test_rejects_non_finite_parameter(self, build, value):
+        # NaN passed every comparison-based check (nan < 0 is False)
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
 
     def test_common_ou_mean_is_a_length_d_drift(self):
         sys_ = dyson(3, 1.0, drift=OrnsteinUhlenbeckDrift(0.5, np.array([0.2])))
