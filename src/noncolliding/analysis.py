@@ -53,6 +53,13 @@ BLOCK = 64
 PRESCAN = 12
 
 
+def _check_order(p):
+    # p of a moment, a gap inequality or chi_bar; NaN fails the test
+    if not 0 <= p < np.inf:
+        raise ValueError("p must be finite and >= 0")
+    return p
+
+
 def level_rule(levels, ref_level):
     """The first dyadic-level rule that levels or ref_level (either may be None)
     breaks, as (field, message), or None when they keep every rule."""
@@ -231,8 +238,7 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     ValueError.  Each report carries the inverse-gap bound
     sum(gap_i(0)^-p) * exp(p * t * Lip(b)) at its own t.
     """
-    if not 0 <= p < np.inf:
-        raise ValueError("p must be finite and >= 0")
+    _check_order(p)
     grid = TimeGrid(T, n)
     grid_times = grid.times()
     times = grid_times if times is None else np.atleast_1d(np.asarray(times, dtype=float))
@@ -370,10 +376,9 @@ def _check_chamber(x, p):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValueError("x must be a vector of length >= 2")
-    if np.any(np.diff(x) <= 0):
+    if not (np.diff(x) > 0).all():
         raise ValueError("x must be strictly increasing")
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    _check_order(p)
     return x
 
 
@@ -413,6 +418,8 @@ def _full_sides_batch(pts, p):
 
 
 def _nn_sides_batch(pts, p, chi):
+    if not np.isfinite(chi):
+        raise ValueError("chi must be finite")
     gaps = np.diff(pts, axis=1)
     g1, g2 = gaps[:, :-1], gaps[:, 1:]
     lhs = np.sum(1.0 / (g2 * g1 ** (p + 1.0)) + 1.0 / (g2 ** (p + 1.0) * g1), axis=1)
@@ -422,7 +429,7 @@ def _nn_sides_batch(pts, p, chi):
 
 def sweep_gap_inequality_full(d, p, count, seed=0):
     """Number of violations of the strict full inequality over random points."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(d), int(round(p)))))
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(d), int(round(_check_order(p))))))
     pts = sample_chamber_points(rng, d, count)
     lhs, rhs = _full_sides_batch(pts, p)
     return int(np.count_nonzero(lhs >= rhs))
@@ -430,7 +437,7 @@ def sweep_gap_inequality_full(d, p, count, seed=0):
 
 def sweep_gap_inequality_nn(d, p, chi, count, seed=0):
     """Number of violations of the nearest-neighbour inequality with constant chi."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(d), int(round(p)), 1)))
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(d), int(round(_check_order(p))), 1)))
     pts = sample_chamber_points(rng, d, count)
     lhs, rhs = _nn_sides_batch(pts, p, chi)
     return int(np.count_nonzero(lhs > rhs * (1.0 + 1e-12)))
@@ -456,8 +463,7 @@ def chi_bar(d, p):
     """
     if d < 3:
         raise ValueError("d must be >= 3")
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    _check_order(p)
     m = d - 1
     q = p + 2.0
 

@@ -38,15 +38,15 @@ either order.  From d = 8 the batch stays particles-innermost, and the copies
 the core makes (`copy(order="K")`, `*_like`) and plain indexing keep that
 order.  `_rows` keeps the rows innermost where they are, for speed only.
 
-The structure of c chooses the kernel once per solve (`_kernel`).  When d >= 3
-and c has no non-zero entry beyond the first off-diagonal (nearest-neighbour
-coupling), the core carries only the band diag(c, 1) and the neighbour weights
-c_{i,i+1} / gap_i^2: evaluation costs O(d) per row and gives the bits of the
-dense sums, whose other terms are exact zeros, and the tridiagonal Hessians of
-all rows are solved by one LAPACK `dgtsv` call on the rows stacked as one
-system with zero coupling between them.  Every other c, and every c at d = 2,
-where the tridiagonal and dense LU solves round differently, takes the dense
-O(d^2) evaluation and the dense O(d^3) LU solve.
+`_Coupling` checks c and chooses its kernel (`_kernel`) once per run or
+problem.  When d >= 3 and c has no non-zero entry beyond the first off-diagonal
+(nearest-neighbour coupling), the core carries only the band diag(c, 1) and the
+neighbour weights c_{i,i+1} / gap_i^2: evaluation costs O(d) per row and gives
+the bits of the dense sums, whose other terms are exact zeros, and the
+tridiagonal Hessians of all rows are solved by one LAPACK `dgtsv` call on the
+rows stacked as one system with zero coupling between them.  Every other c, and
+every c at d = 2, where the tridiagonal and dense LU solves round differently,
+takes the dense O(d^2) evaluation and the dense O(d^3) LU solve.
 
 Two structure-specific fixed-point iterations are available for tridiagonal
 coefficients and for d = 3 with uniform coefficients.
@@ -55,13 +55,13 @@ coefficients and for d = 3 with uniform coefficients.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import NonConvergenceError
-from .model import is_tridiagonal, is_uniform, validate_interaction
+from .model import _as_vector, is_tridiagonal, is_uniform, validate_interaction
 
 __all__ = [
     "ImplicitProblem",
@@ -79,31 +79,34 @@ __all__ = [
 ]
 
 
+class _Coupling:
+    """A d x d c, checked by `validate_interaction`, and the kernel `_kernel` picks for it."""
+
+    def __init__(self, c, d):
+        self.c = validate_interaction(c, d, "c")
+        self.kernel = _kernel(self.c)
+
+
 @dataclass(frozen=True, eq=False)
 class ImplicitProblem:
-    """Offsets a and symmetric non-negative coefficients c of the system."""
+    """Finite offsets a and symmetric non-negative coefficients c of the system."""
 
     a: np.ndarray
     c: np.ndarray
+    coupling: _Coupling = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 1:
-            raise ValueError("a must be a vector")
-        if a.shape[0] < 2:
-            raise ValueError("need at least two particles")
+        a = _as_vector(self.a, "a")
+        if not np.isfinite(a).all():
+            raise ValueError("a must be finite")
+        coupling = _Coupling(self.c, a.shape[0])
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", validate_interaction(self.c, a.shape[0], "c"))
+        object.__setattr__(self, "c", coupling.c)
+        object.__setattr__(self, "coupling", coupling)
 
     @property
     def d(self):
         return self.a.shape[0]
-
-    def is_tridiagonal(self):
-        return is_tridiagonal(self.c)
-
-    def is_uniform(self):
-        return is_uniform(self.c)
 
 
 # Newton steps per row, and sweeps of a fixed-point iteration, before a solve fails
@@ -432,7 +435,7 @@ def _newton_row(problem, opts, start=None):
     """The Newton core on one problem; returns (xi, accepted steps) or raises."""
     a = problem.a[:, None]
     start = _initial_guess(a, problem.c) if start is None else start[:, None]
-    xi, iterations, rnorm, ok = _newton(a, _kernel(problem.c)[..., None], start, opts.tol)
+    xi, iterations, rnorm, ok = _newton(a, problem.coupling.kernel[..., None], start, opts.tol)
     if not ok[0]:
         raise NonConvergenceError(
             "newton did not reach tolerance",
@@ -461,7 +464,7 @@ def solve_homotopy(problem, opts=None):
 
 def _homotopy(problem, opts):
     # solve_homotopy; returns (xi, accepted steps + polish iterations)
-    c = _kernel(problem.c)
+    c = problem.coupling.kernel
     big_j = np.arange(1.0, problem.d + 1.0)
     g_j = problem.a - big_j + _interaction(c, big_j)
     g_norm = np.linalg.norm(g_j)
@@ -527,7 +530,7 @@ def solve_fixed_point_nn(problem, opts=None):
 
 def _fixed_point_nn(problem, opts):
     # solve_fixed_point_nn; returns (GapVector, sweeps)
-    if not problem.is_tridiagonal():
+    if not is_tridiagonal(problem.c):
         raise ValueError("fixed_point_nn requires tridiagonal coefficients")
     aa, cc = np.diff(problem.a), np.diag(problem.c, 1)
     x = _pair_gap(aa, cc)
@@ -550,14 +553,6 @@ def _fixed_point_nn(problem, opts):
     )
 
 
-def alternating_d3_initializers(a, b):
-    """Starting pair of the d = 3 alternating iteration in normalized form."""
-    x1 = 0.5 * (a + np.sqrt(a**2 + 8.0))
-    shift = b - (abs(a) + np.sqrt(2.0)) / 2.0
-    y1 = 0.5 * (shift + np.sqrt(shift**2 + 6.0))
-    return x1, y1
-
-
 def solve_alternating_d3(problem, opts=None):
     """Alternating gap iteration for d = 3 with uniform coefficients.
 
@@ -574,19 +569,18 @@ def _alternating_d3(problem, opts):
     # solve_alternating_d3; returns (GapVector, sweeps)
     if problem.d != 3:
         raise ValueError("alternating_d3 requires d = 3")
-    if not problem.is_uniform():
+    if not is_uniform(problem.c):
         raise ValueError("alternating_d3 requires uniform coefficients")
-    c = float(problem.c[0, 1])
-    sq = np.sqrt(c)
+    sq = np.sqrt(float(problem.c[0, 1]))
     na, nb = np.diff(problem.a) / sq
-    x, y = alternating_d3_initializers(na, nb)
+    # the starting pair in normalized form: pair gaps for coefficients 1 and 3/4
+    x, y = _pair_gap(na, 1.0), _pair_gap(nb - (abs(na) + np.sqrt(2.0)) / 2.0, 0.75)
     slack = 1e-12
     before = None  # iterate n - 1, of the parity of iterate n + 1
     for n in range(1, MAX_SWEEPS):
         px = na - 1.0 / y + 1.0 / (x + y)
         py = nb - 1.0 / x + 1.0 / (x + y)
-        x_next = 0.5 * (px + np.sqrt(px**2 + 8.0))
-        y_next = 0.5 * (py + np.sqrt(py**2 + 8.0))
+        x_next, y_next = _pair_gap(px, 1.0), _pair_gap(py, 1.0)
         if before is not None:
             # interleaving of the odd/even subsequences, up to roundoff
             xb, yb = before
@@ -656,7 +650,8 @@ def _unrepresentable(problem):
 def solve_batch(a, c):
     """Solve many systems sharing one coefficient matrix c, with the default options.
 
-    a has shape (m, d); returns ordered solutions of the same shape.  Every
+    a has shape (m, d); returns ordered solutions of the same shape.  c is a
+    matrix, refused as `ImplicitProblem` refuses it, or its `_Coupling`.  Every
     row runs the Newton core of `solve` and gets the bits it gets there;
     rows where Newton fails fall back to `solve_homotopy` one at a time, so
     the result meets the same residual tolerance as the scalar path.  A row
@@ -664,12 +659,13 @@ def solve_batch(a, c):
     on a.T, with rows innermost in memory when m > d and d < 8 and particles
     innermost otherwise (see the module docstring).
     """
-    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+    a = np.asarray(a, dtype=float)
     m, d = a.shape
+    coupling = c if isinstance(c, _Coupling) else _Coupling(c, d)
     a = np.ascontiguousarray(a.T) if d < min(m, 8) else np.ascontiguousarray(a).T
-    xi, _, _, ok = _newton(a, _kernel(c)[..., None], _initial_guess(a, c), _DEFAULTS.tol)
+    xi, _, _, ok = _newton(a, coupling.kernel[..., None], _initial_guess(a, coupling.c), _DEFAULTS.tol)
     for i in np.flatnonzero(~ok):
-        problem = ImplicitProblem(a[:, i], c)
+        problem = ImplicitProblem(a[:, i], coupling.c)
         try:
             xi[:, i] = solve_homotopy(problem)
         except NonConvergenceError as exc:

@@ -252,10 +252,12 @@ def tridiagonal_gamma(d, value):
 def validate_interaction(matrix, d, name):
     """matrix as a float array, checked to be a valid interaction matrix.
 
-    Interaction matrices (gamma of a system, c of a step) are d x d, finite,
-    non-negative, symmetric, zero on the diagonal and strictly positive on
-    the first off-diagonal; name is used in the error messages.
+    Interaction matrices (gamma of a system, c of a step) are d x d for d >= 2,
+    finite, non-negative, symmetric, zero on the diagonal and strictly positive
+    on the first off-diagonal; name is used in the error messages.
     """
+    if d < 2:
+        raise ValueError("need at least two particles")
     g = np.asarray(matrix, dtype=float)
     if g.shape != (d, d):
         raise ValueError(f"{name} must be a {d}x{d} matrix")
@@ -299,8 +301,6 @@ class ParticleSystem:
     x0: np.ndarray
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
         g = validate_interaction(self.gamma, self.d, "gamma")
         x0 = _as_vector(self.x0, "x0")
         if x0.shape != (self.d,):
@@ -354,7 +354,9 @@ class ConditionReport:
         return iter(self.checks)
 
 
-def _require_coordinatewise_drift(system):
+def _check_condition_inputs(system, p):
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
     if not isinstance(system.drift, COORDINATEWISE_DRIFTS):
         raise ValueError(
             "condition checking requires a coordinate-wise drift family; "
@@ -368,9 +370,7 @@ def check_full_interaction_condition(system, p):
     Requires ratio = 3*gamma / (d * sigma_sup_sq) >= 2 and p <= ratio - 1.
     Returns a report with both sides of each inequality.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    _require_coordinatewise_drift(system)
+    _check_condition_inputs(system, p)
     if not system.is_uniform():
         raise ValueError("full-interaction condition is only stated for uniform gamma")
     gamma = system.uniform_value()
@@ -389,11 +389,9 @@ def check_nn_condition(system, p, chi):
     Requires gamma / (2 * sigma_sup_sq) >= (p + 1) / (2 - chi), where chi is
     the sharp gap-inequality constant computed by analysis.chi_bar.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if chi >= 2:
+    _check_condition_inputs(system, p)
+    if not chi < 2:
         raise ValueError("chi must be < 2")
-    _require_coordinatewise_drift(system)
     if not system.is_tridiagonal():
         raise ValueError("nearest-neighbour condition requires tridiagonal gamma")
     vals = system.tridiagonal_values()

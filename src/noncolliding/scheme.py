@@ -229,8 +229,8 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
     states x0 and the exit steps of the steps before it.  The step h and the
     coefficients gamma * h always come from the whole grid.  The
     semi-implicit mode solves the m systems of a step together; the explicit
-    mode steps only the paths still ordered, with the interaction summed over
-    neighbours alone when gamma couples only neighbours (`implicit._kernel`).
+    mode steps only the paths still ordered.  Each call checks its gamma * h,
+    or gamma when explicit, and chooses the kernel once (`implicit._Coupling`).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -242,8 +242,7 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
     if n % stride != 0:
         raise ValueError("record_stride must divide n")
     h = grid.h
-    c = system.gamma * h
-    kernel = implicit._kernel(system.gamma)[..., None]
+    coupling = implicit._Coupling(system.gamma * h if scheme == "semi_implicit" else system.gamma, d)
     x = np.broadcast_to(system.x0 if x0 is None else x0, (m, d)).copy()
     recorded = np.empty((m, n // stride + 1, d))
     recorded[:, 0] = x
@@ -253,10 +252,10 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
     for k in range(n):
         if scheme == "semi_implicit":
             b, noise = _drift_and_noise(system, x, increments[:, k])
-            x = implicit.solve_batch(x + b * h + noise, c)
+            x = implicit.solve_batch(x + b * h + noise, coupling)
         elif live.size:
             b, noise = _drift_and_noise(system, x[live], increments[live, k])
-            new = x[live] + (implicit._interaction(kernel, x[live].T).T + b) * h + noise
+            new = x[live] + (implicit._interaction(coupling.kernel[..., None], x[live].T).T + b) * h + noise
             ordered = np.all(np.diff(new, axis=1) > 0, axis=1)
             x[live[ordered]] = new[ordered]
             exit_step[live[~ordered]] = k0 + k + 1

@@ -32,6 +32,13 @@ from noncolliding.analysis import (
     sweep_gap_inequality_full,
     sweep_gap_inequality_nn,
 )
+from noncolliding.model import check_full_interaction_condition, check_nn_condition, tridiagonal_gamma
+
+
+NN_SYSTEM = ParticleSystem(
+    d=4, gamma=tridiagonal_gamma(4, 8.0), drift=ZeroDrift(),
+    diffusion=ConstantMatrixDiffusion(np.eye(4)), x0=np.linspace(-1.0, 1.0, 4),
+)
 
 
 def dyson(d, gamma, x0=None):
@@ -285,6 +292,30 @@ class TestInequalities:
     def test_nn_needs_three(self):
         with pytest.raises(ValueError):
             verify_gap_inequality_nn(np.array([0.0, 1.0]), 0, 1.5)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda nan: verify_gap_inequality_full([0.0, 1.0, 2.0], nan), "p"),
+            (lambda nan: verify_gap_inequality_nn([0.0, 1.0, 2.0], nan, 1.5), "p"),
+            (lambda nan: verify_gap_inequality_nn([0.0, 1.0, 2.0], 1.0, nan), "chi"),
+            (lambda nan: chi_bar(3, nan), "p"),
+            (lambda nan: sweep_gap_inequality_full(3, nan, 10), "p"),
+            (lambda nan: sweep_gap_inequality_nn(3, nan, 1.5, 10), "p"),
+            (lambda nan: sweep_gap_inequality_nn(3, 1.0, nan, 10), "chi"),
+            (lambda nan: check_full_interaction_condition(dyson(3, 4.0), nan), "p"),
+            (lambda nan: check_nn_condition(NN_SYSTEM, nan, 1.5), "p"),
+            (lambda nan: check_nn_condition(NN_SYSTEM, 1.0, nan), "chi"),
+        ],
+        ids=[
+            "full_p", "nn_p", "nn_chi", "chi_bar_p", "sweep_full_p", "sweep_nn_p", "sweep_nn_chi",
+            "check_full_p", "check_nn_p", "check_nn_chi",
+        ],
+    )
+    def test_nan_parameters_are_refused(self, call, name):
+        # every range check of the inequality layer is written so that NaN fails it
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            call(float("nan"))
 
     def test_sample_points_ordered(self):
         rng = np.random.default_rng(0)

@@ -21,6 +21,7 @@ from noncolliding import (
 )
 from noncolliding import implicit
 from noncolliding.implicit import solve_batch
+from noncolliding.model import is_tridiagonal, is_uniform
 
 
 def uniform_c(d, value):
@@ -42,39 +43,59 @@ ALL_METHODS_D2 = ["newton", "homotopy", "fixed_point_nn"]
 ALL_METHODS_D3 = ["newton", "homotopy", "alternating_d3"]
 
 
+def solve_batch_of_one(a, c):
+    return solve_batch(np.asarray(a)[None], c)
+
+
 class TestProblemValidation:
+    # solve_batch checks its c where ImplicitProblem does, with the same text
+    CONSTRUCTORS = (ImplicitProblem, solve_batch_of_one)
+
+    def refused(self, a, c, message, constructors=CONSTRUCTORS):
+        for make in constructors:
+            with pytest.raises(ValueError, match=message):
+                make(a, c)
+
     def test_rejects_scalar_a(self):
         with pytest.raises(ValueError):
             ImplicitProblem(np.zeros((2, 2)), uniform_c(2, 1.0))
 
     def test_rejects_single_particle(self):
-        with pytest.raises(ValueError):
-            ImplicitProblem(np.array([0.0]), np.zeros((1, 1)))
+        self.refused(np.array([0.0]), np.zeros((1, 1)), "need at least two particles")
 
     def test_rejects_asymmetric_c(self):
         c = uniform_c(3, 1.0)
         c[0, 1] = 2.0
-        with pytest.raises(ValueError):
-            ImplicitProblem(np.zeros(3), c)
+        self.refused(np.zeros(3), c, "c must be symmetric")
 
     def test_rejects_negative_c(self):
         c = uniform_c(3, 1.0)
         c[0, 2] = c[2, 0] = -1.0
-        with pytest.raises(ValueError):
-            ImplicitProblem(np.zeros(3), c)
+        self.refused(np.zeros(3), c, "c entries must be non-negative and finite")
 
     def test_rejects_zero_superdiagonal(self):
-        with pytest.raises(ValueError):
-            ImplicitProblem(np.zeros(3), tridiag_c([1.0, 0.0]))
+        self.refused(np.arange(3.0), tridiag_c([1.0, 0.0]), "c must have strictly positive first off-diagonal")
+
+    def test_rejects_non_zero_diagonal(self):
+        self.refused(np.zeros(3), uniform_c(3, 1.0) + np.eye(3), "c must have zero diagonal")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_a(self, bad):
+        # solve_batch refuses it on its continuation fallback, which builds an
+        # ImplicitProblem for each row that Newton leaves.  An infinite offset
+        # warns of an invalid value in the first guess on the way there, so
+        # only NaN goes through solve_batch here
+        constructors = self.CONSTRUCTORS if np.isnan(bad) else (ImplicitProblem,)
+        self.refused(np.array([0.0, bad, 1.0]), uniform_c(3, 1.0), "a must be finite", constructors)
 
     def test_structure_predicates(self):
         p = ImplicitProblem(np.zeros(3), tridiag_c([1.0, 2.0]))
-        assert p.is_tridiagonal() and not p.is_uniform()
+        assert is_tridiagonal(p.c) and not is_uniform(p.c)
         q = ImplicitProblem(np.zeros(3), uniform_c(3, 1.0))
-        assert q.is_uniform() and not q.is_tridiagonal()
+        assert is_uniform(q.c) and not is_tridiagonal(q.c)
         # d = 2 uniform coefficients are both
         r = ImplicitProblem(np.zeros(2), uniform_c(2, 1.0))
-        assert r.is_uniform() and r.is_tridiagonal()
+        assert is_uniform(r.c) and is_tridiagonal(r.c)
 
 
 class TestResidualJacobian:

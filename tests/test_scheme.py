@@ -24,6 +24,7 @@ from noncolliding import (
     tridiagonal_gamma,
     uniform_gamma,
 )
+from noncolliding import implicit, model
 from noncolliding.model import CustomDiffusion
 from noncolliding.scheme import (
     SCHEMES,
@@ -344,6 +345,26 @@ class TestBatch:
             _, noise = _drift_and_noise(sys_, np.broadcast_to(sys_.x0, (m, d)), dW)
             assert noise.tobytes() == (matrix @ dW[..., None])[..., 0].tobytes()
         assert ConstantMatrixDiffusion(np.eye(d) + np.eye(d, k=1)).diagonal is None
+
+    def test_coefficients_are_checked_and_classified_once_per_run(self, monkeypatch):
+        # one 32-step run chooses the kernel of its gamma * h once, not at every step
+        calls = []
+        real = model.is_tridiagonal
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(model, "is_tridiagonal", counting)
+        monkeypatch.setattr(implicit, "is_tridiagonal", counting)
+        sys_ = ParticleSystem(
+            d=5, gamma=tridiagonal_gamma(5, 1.0), drift=ZeroDrift(),
+            diffusion=ConstantMatrixDiffusion(np.eye(5)), x0=np.linspace(-2.0, 2.0, 5),
+        )
+        inc = generate_brownian_batch(6, 3, 5, 1.0, 32)
+        _, min_gap = simulate_batch(sys_, TimeGrid(1.0, 32), inc)
+        assert min_gap > 0
+        assert calls == [(5, 5)]
 
     def test_unknown_scheme_rejected(self):
         sys_ = dyson(2, 1.0)

@@ -8,6 +8,10 @@ with AttributeError.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from noncolliding import ConstantMatrixDiffusion, ParticleSystem, TimeGrid, ZeroDrift, scheme, tridiagonal_gamma
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -27,3 +31,20 @@ def test_every_traced_attribute_resolves():
     with tracing.patched(tracing.Tracer()):
         pass
     assert [getattr(module, attr) for module, attr, _, _ in targets] == originals
+
+
+def test_batch_counters_count_every_step_and_row():
+    # `--trace 1` reads the rows of each solve_batch call from its first
+    # argument; a change to solve_batch's signature would leave these wrong
+    tracing = load_tracing()
+    d, m, n = 5, 3, 8
+    system = ParticleSystem(
+        d=d, gamma=tridiagonal_gamma(d, 1.0), drift=ZeroDrift(),
+        diffusion=ConstantMatrixDiffusion(np.eye(d)), x0=np.linspace(-1.0, 1.0, d),
+    )
+    increments = scheme.generate_brownian_batch(1, m, d, 1.0, n)
+    with tracing.patched(tracing.Tracer()) as tracer:
+        scheme.simulate_batch(system, TimeGrid(1.0, n), increments)
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    assert metrics["implicit.solve_batch_calls"] == n
+    assert metrics["implicit.rows_solved"] == m * n
