@@ -59,11 +59,9 @@ from .analysis import (
     RateEstimate,
     chi_bar,
     collision_rate_explicit,
-    estimate_moments,
     fit_rate,
     moment_profile,
     run_study,
-    strong_error,
     verify_gap_inequality_full,
     verify_gap_inequality_nn,
 )

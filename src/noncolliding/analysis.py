@@ -26,11 +26,9 @@ __all__ = [
     "ConvergenceStudy",
     "RateEstimate",
     "MomentReport",
-    "strong_error",
     "run_study",
     "fit_rate",
     "level_rule",
-    "estimate_moments",
     "moment_profile",
     "collision_rate_explicit",
     "verify_gap_inequality_full",
@@ -175,16 +173,6 @@ def _per_level_errors(study, levels):
     return samples
 
 
-def strong_error(study, n):
-    """Monte Carlo strong error and standard error at one level."""
-    if n != study.ref_level and n not in study.levels:
-        raise ValueError("n must be one of the study levels (or the reference level)")
-    if n == study.ref_level:
-        return 0.0, 0.0
-    samples = _per_level_errors(study, (int(n),))
-    return _lp_estimate(samples[int(n)], _moment_power(study.error_mode, study.p))
-
-
 def run_study(study):
     """Errors at every level (one shared reference run) plus the rate fit."""
     samples = _per_level_errors(study, study.levels)
@@ -239,6 +227,8 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     sum(gap_i(0)^-p) * exp(p * t * Lip(b)) at its own t.
     """
     _check_order(p)
+    if M < 1:
+        raise ValueError("M must be >= 1")
     grid = TimeGrid(T, n)
     grid_times = grid.times()
     times = grid_times if times is None else np.atleast_1d(np.asarray(times, dtype=float))
@@ -338,14 +328,6 @@ def _walk(system, grid, stride=None):
         return recorded, min_gap
 
     return walk
-
-
-def estimate_moments(system, t, p, M, n, base_seed=0):
-    """Moment estimates at the grid time nearest t on an n-step grid over [0, t]."""
-    if t <= 0:
-        reports = moment_profile(system, 1.0, p, 1, 1, base_seed, times=[0.0])
-        return reports[0]
-    return moment_profile(system, t, p, M, n, base_seed, times=[t])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,8 @@ def _parse_vector(text, key):
 def _cmd_solve(args, emit):
     a = _parse_vector(args.a, "--a")
     d = a.shape[0]
+    if d < 2:
+        raise ConfigError("--a", "need at least two particles")
     given = [x is not None for x in (args.c_uniform, args.c_tridiagonal, args.c_full)]
     if sum(given) != 1:
         raise ConfigError("--c-*", "give exactly one of --c-uniform, --c-tridiagonal, --c-full")
@@ -274,11 +276,11 @@ def _cmd_check(args, emit):
     if args.chi is not None and not 0 < args.chi < 2:
         raise ConfigError("--chi", f"must lie in (0, 2), got {args.chi}")
     _, system = _load_config(args)
-    if system.is_uniform():
+    if model.is_uniform(system.gamma):
         if args.chi is not None:
             raise ConfigError("--chi", "the full-interaction check of a uniform gamma takes no chi")
         report = model.check_full_interaction_condition(system, args.p)
-    elif system.is_tridiagonal():
+    elif model.is_tridiagonal(system.gamma):
         chi = args.chi if args.chi is not None else analysis.chi_bar(system.d, args.p)
         if chi >= 2:
             raise ConfigError(

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NonConvergenceError", "ConfigError"]
+
 
 class NonConvergenceError(RuntimeError):
     """Raised when no applicable solver reaches the residual tolerance.

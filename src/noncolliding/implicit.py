@@ -226,13 +226,10 @@ def _weights(c, x):
     return c / (x[1:] - x[:-1]) ** 2
 
 
-def _row_sums(w, d):
-    # sum_j w_ij of dense (d, d, ...) or neighbour (d - 1, ...) Hessian
-    # weights; a neighbour row sum w_{i-1} + w_i is the one rounding of the
-    # dense sum, whose other terms are exact zeros
-    if len(w) == d:
-        return w.sum(axis=1)
-    s = np.zeros_like(w, shape=(d,) + w.shape[1:])
+def _row_sums(w):
+    # sum_j w_ij of neighbour (d - 1, ...) Hessian weights: w_{i-1} + w_i, the
+    # one rounding of the dense sum, whose other terms are exact zeros
+    s = np.zeros_like(w, shape=(len(w) + 1,) + w.shape[1:])
     s[1:] = w
     s[:-1] += w
     return s
@@ -286,11 +283,10 @@ def _tridiagonal_solve(w, b):
     overflow, would turn that product into NaN, so a solve that is singular
     or not finite everywhere raises LinAlgError and the rows go one by one.
     """
-    d = len(b)
     off = np.zeros(b.T.shape)
     off[..., :-1] = -w.T
     off = off.ravel()[:-1]
-    x, info = dgtsv(off, (1.0 + _row_sums(w, d)).T.ravel(), off, b.T.reshape(-1, 1))[3:]
+    x, info = dgtsv(off, (1.0 + _row_sums(w)).T.ravel(), off, b.T.reshape(-1, 1))[3:]
     if info != 0 or not np.isfinite(x).all():
         raise np.linalg.LinAlgError("singular or overflowing tridiagonal Hessian")
     return x.reshape(b.T.shape).T
@@ -650,17 +646,19 @@ def _unrepresentable(problem):
 def solve_batch(a, c):
     """Solve many systems sharing one coefficient matrix c, with the default options.
 
-    a has shape (m, d); returns ordered solutions of the same shape.  c is a
-    matrix, refused as `ImplicitProblem` refuses it, or its `_Coupling`.  Every
-    row runs the Newton core of `solve` and gets the bits it gets there;
-    rows where Newton fails fall back to `solve_homotopy` one at a time, so
-    the result meets the same residual tolerance as the scalar path.  A row
-    that fails there too raises with the cause `solve` names.  The core runs
-    on a.T, with rows innermost in memory when m > d and d < 8 and particles
-    innermost otherwise (see the module docstring).
+    a has shape (m, d); returns ordered solutions of the same shape.  a and a
+    matrix c are refused as `ImplicitProblem` refuses them; c may also be its
+    `_Coupling`.  Every row runs the Newton core of `solve` and gets the bits
+    it gets there; rows where Newton fails fall back to `solve_homotopy` one
+    at a time, so the result meets the same residual tolerance as the scalar
+    path.  A row that fails there too raises with the cause `solve` names.
+    The core runs on a.T, with rows innermost in memory when m > d and d < 8
+    and particles innermost otherwise (see the module docstring).
     """
     a = np.asarray(a, dtype=float)
     m, d = a.shape
+    if not np.isfinite(a).all():
+        raise ValueError("a must be finite")
     coupling = c if isinstance(c, _Coupling) else _Coupling(c, d)
     a = np.ascontiguousarray(a.T) if d < min(m, 8) else np.ascontiguousarray(a).T
     xi, _, _, ok = _newton(a, coupling.kernel[..., None], _initial_guess(a, coupling.c), _DEFAULTS.tol)

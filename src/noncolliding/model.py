@@ -314,24 +314,6 @@ class ParticleSystem:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "x0", x0)
 
-    # structure helpers used by the condition checkers and solver dispatch
-
-    def is_uniform(self):
-        return is_uniform(self.gamma)
-
-    def uniform_value(self):
-        if not self.is_uniform():
-            raise ValueError("gamma is not uniform")
-        return float(self.gamma[0, 1])
-
-    def is_tridiagonal(self):
-        return is_tridiagonal(self.gamma)
-
-    def tridiagonal_values(self):
-        if not self.is_tridiagonal():
-            raise ValueError("gamma is not tridiagonal")
-        return np.diag(self.gamma, 1).copy()
-
 
 # ---------------------------------------------------------------------------
 # Parameter-condition checks
@@ -349,9 +331,6 @@ class ConditionCheck:
 class ConditionReport:
     satisfied: bool
     checks: tuple
-
-    def __iter__(self):
-        return iter(self.checks)
 
 
 def _check_condition_inputs(system, p):
@@ -371,9 +350,9 @@ def check_full_interaction_condition(system, p):
     Returns a report with both sides of each inequality.
     """
     _check_condition_inputs(system, p)
-    if not system.is_uniform():
+    if not is_uniform(system.gamma):
         raise ValueError("full-interaction condition is only stated for uniform gamma")
-    gamma = system.uniform_value()
+    gamma = float(system.gamma[0, 1])
     sig2 = system.diffusion.sigma_sup_sq()
     ratio = 3.0 * gamma / (system.d * sig2)
     checks = (
@@ -392,12 +371,11 @@ def check_nn_condition(system, p, chi):
     _check_condition_inputs(system, p)
     if not chi < 2:
         raise ValueError("chi must be < 2")
-    if not system.is_tridiagonal():
+    if not is_tridiagonal(system.gamma):
         raise ValueError("nearest-neighbour condition requires tridiagonal gamma")
-    vals = system.tridiagonal_values()
-    if np.any(vals != vals[0]):
+    gamma = float(system.gamma[0, 1])
+    if np.any(np.diag(system.gamma, 1) != gamma):
         raise ValueError("nearest-neighbour condition is only stated for a single gamma value")
-    gamma = float(vals[0])
     sig2 = system.diffusion.sigma_sup_sq()
     lhs = gamma / (2.0 * sig2)
     rhs = (p + 1.0) / (2.0 - chi)

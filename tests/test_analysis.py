@@ -16,13 +16,11 @@ from noncolliding import (
     ZeroDrift,
     chi_bar,
     collision_rate_explicit,
-    estimate_moments,
     fit_rate,
     moment_profile,
     run_study,
     simulate,
     simulate_batch,
-    strong_error,
     uniform_gamma,
     verify_gap_inequality_full,
     verify_gap_inequality_nn,
@@ -101,15 +99,6 @@ class TestFitRate:
 
 
 class TestStrongError:
-    def test_zero_at_reference_level(self):
-        study = ConvergenceStudy(dyson(3, 4.0), 1.0, (16,), 256, 5)
-        assert strong_error(study, 256) == (0.0, 0.0)
-
-    def test_rejects_unknown_level(self):
-        study = ConvergenceStudy(dyson(3, 4.0), 1.0, (16,), 256, 5)
-        with pytest.raises(ValueError):
-            strong_error(study, 8)
-
     def test_errors_decrease_with_level(self):
         study = ConvergenceStudy(dyson(3, 4.0), 1.0, (8, 16, 32), 256, 100, base_seed=5)
         est = run_study(study)
@@ -123,7 +112,11 @@ class TestStrongError:
         e2 = run_study(study)
         assert e1.errors == e2.errors
         # one level alone has the bits of that level in the whole study
-        assert [strong_error(study, n) for n in study.levels] == list(zip(e1.errors, e1.std_errs))
+        from noncolliding import analysis
+
+        power = analysis._moment_power(study.error_mode, study.p)
+        alone = [analysis._lp_estimate(analysis._per_level_errors(study, (n,))[n], power) for n in study.levels]
+        assert alone == list(zip(e1.errors, e1.std_errs))
 
     def test_chunk_size_does_not_change_result(self, monkeypatch):
         study = ConvergenceStudy(dyson(3, 4.0), 1.0, (8, 16, 32), 128, 40, base_seed=9)
@@ -160,7 +153,7 @@ class TestStrongError:
 class TestMoments:
     def test_time_zero_exact(self):
         sys_ = dyson(3, 4.0)  # gaps = (1, 1)
-        rep = estimate_moments(sys_, 0.0, 2.0, 1, 1, base_seed=0)
+        rep = moment_profile(sys_, 1.0, 2.0, 1, 1, base_seed=0, times=[0.0])[0]
         assert rep.est_abs_moment == pytest.approx(np.sum(sys_.x0**2))
         assert np.allclose(rep.est_inv_gap_moments, [1.0, 1.0])
         assert rep.bound == pytest.approx(2.0)
@@ -173,7 +166,7 @@ class TestMoments:
             assert r.bound == pytest.approx(2.0)  # zero drift: no growth factor
             assert r.est_inv_gap_moments.shape == (2,)
         # one time alone has the bits it has in the profile
-        alone = estimate_moments(sys_, 1.0, 2.0, 200, 64, base_seed=1)
+        alone = moment_profile(sys_, 1.0, 2.0, 200, 64, base_seed=1, times=[1.0])[0]
         assert (alone.est_abs_moment, alone.abs_moment_std_err) == (reports[2].est_abs_moment, reports[2].abs_moment_std_err)
         assert np.array_equal(alone.est_inv_gap_moments, reports[2].est_inv_gap_moments)
 
@@ -189,6 +182,11 @@ class TestMoments:
     def test_rejects_empty_times(self):
         with pytest.raises(ValueError, match="times must not be empty"):
             moment_profile(dyson(3, 4.0), 1.0, 2.0, 10, 16, times=[])
+
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_rejects_fewer_than_one_path(self, M):
+        with pytest.raises(ValueError, match=r"M must be >= 1"):
+            moment_profile(dyson(3, 4.0), 1.0, 2.0, M, 16)
 
     def test_chunks_equal_one_batch(self):
         from noncolliding.analysis import CHUNK, _batch_increments

@@ -14,6 +14,7 @@ import pytest
 import noncolliding
 from noncolliding import ConfigError, parse_config, serialize_config, build_system, config
 from noncolliding.cli import main
+from noncolliding.model import is_uniform
 
 DYSON_YAML = """
 system:
@@ -128,7 +129,7 @@ class TestParse:
     def test_build_system(self):
         sys_ = build_system(parse_config(DYSON_YAML).system)
         assert sys_.d == 3
-        assert sys_.is_uniform() and sys_.uniform_value() == 4.0
+        assert is_uniform(sys_.gamma) and sys_.gamma[0, 1] == 4.0
         assert np.allclose(sys_.x0, [-1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize(
@@ -206,6 +207,12 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f'error,validation,"{key}') and "finite" in err
+
+    def test_solve_blames_a_single_offset_on_a(self, capsys):
+        assert main(["solve", "--a", "1", "--c-uniform", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error,validation,"--a: need at least two particles')
 
     @pytest.mark.parametrize("a", ["0,inf,3", "nan,1,3"])
     def test_solve_offsets_must_be_finite(self, a, capsys):

@@ -21,6 +21,7 @@ from noncolliding import (
     tridiagonal_gamma,
     uniform_gamma,
 )
+from noncolliding.model import is_tridiagonal, is_uniform
 
 
 def dyson(d, gamma, x0=None, drift=None, diffusion=None):
@@ -120,8 +121,8 @@ class TestGammaConstructors:
 class TestParticleSystem:
     def test_valid_dyson(self):
         sys_ = dyson(3, 4.0)
-        assert sys_.is_uniform() and sys_.uniform_value() == 4.0
-        assert not sys_.is_tridiagonal()
+        assert is_uniform(sys_.gamma) and sys_.gamma[0, 1] == 4.0
+        assert not is_tridiagonal(sys_.gamma)
 
     def test_tridiagonal_helpers(self):
         sys_ = ParticleSystem(
@@ -131,8 +132,8 @@ class TestParticleSystem:
             diffusion=ConstantMatrixDiffusion(np.eye(3)),
             x0=np.array([-1.0, 0.0, 1.0]),
         )
-        assert sys_.is_tridiagonal()
-        assert np.allclose(sys_.tridiagonal_values(), [2.0, 2.0])
+        assert is_tridiagonal(sys_.gamma)
+        assert np.allclose(np.diag(sys_.gamma, 1), [2.0, 2.0])
 
     def test_rejects_unordered_x0(self):
         with pytest.raises(ValueError):
@@ -222,7 +223,7 @@ class TestConditions:
         # d=3, gamma=4, sigma=I: ratio = 12/3 = 4 >= 2, p <= 3
         report = check_full_interaction_condition(dyson(3, 4.0), p=3)
         assert report.satisfied
-        names = [c.name for c in report]
+        names = [c.name for c in report.checks]
         assert len(names) == 2
 
     def test_full_interaction_fail(self):

@@ -14,6 +14,7 @@ from noncolliding import (
     simulate_batch,
     uniform_gamma,
 )
+from noncolliding.analysis import _batch_increments
 from noncolliding.scheme import generate_brownian_batch
 
 
@@ -63,3 +64,38 @@ def test_pair_gap_is_a_bessel_process(gamma):
     coarse, fine = fits
     assert fine.statistic < 0.5 * coarse.statistic
     assert fine.pvalue > 1e-3
+
+
+def hermite_eigenvalues(rng, d, beta, count):
+    # Dumitriu-Edelman (J. Math. Phys. 43, 2002): the eigenvalues of the
+    # symmetric tridiagonal matrix with diagonal N(0, 1) and off-diagonal
+    # sqrt(chi^2_{beta (d - k)} / 2), k = 1..d-1, have the beta-Hermite law
+    # with density proportional to prod |l_i - l_j|^beta exp(-sum l_i^2 / 2)
+    h = np.zeros((count, d, d))
+    idx = np.arange(d)
+    h[:, idx, idx] = rng.normal(size=(count, d))
+    off = np.sqrt(rng.chisquare(beta * np.arange(d - 1, 0, -1), size=(count, d - 1)) / 2.0)
+    h[:, idx[:-1], idx[1:]] = h[:, idx[1:], idx[:-1]] = off
+    return np.linalg.eigvalsh(h)
+
+
+def test_dyson_positions_have_the_beta_hermite_law():
+    # uniform gamma, zero drift and sigma = I: dX_i = dB_i + sum_j gamma / (X_i - X_j) dt
+    # is Dyson Brownian motion with beta = 2 gamma, and started at 0, X_T has
+    # the law of sqrt(T) times the beta-Hermite eigenvalues.  The start
+    # 1e-3 away from 0 moves the law far less than 2,000 paths can see, so,
+    # as for the Bessel oracle, the gate is the fall of the two-sample KS
+    # statistic of the outer particles from n = 8 to n = 256 and a fit at n = 256.
+    d, gamma, T, paths = 4, 1.0, 1.0, 2000
+    system = ParticleSystem(
+        d=d, gamma=uniform_gamma(d, gamma), drift=ZeroDrift(), diffusion=ConstantMatrixDiffusion(np.eye(d)),
+        x0=np.linspace(-1e-3, 1e-3, d),
+    )
+    law = np.sqrt(T) * hermite_eigenvalues(np.random.default_rng(5), d, 2.0 * gamma, 4000)
+    fits = []
+    for n in (8, 256):
+        recorded, _ = simulate_batch(system, TimeGrid(T, n), _batch_increments(5, 0, paths, d, T, n), n)
+        fits.append([stats.ks_2samp(recorded[:, -1, i], law[:, i]) for i in (0, d - 1)])
+    for coarse, fine in zip(*fits):
+        assert fine.statistic < 0.5 * coarse.statistic
+        assert fine.pvalue > 1e-3
