@@ -46,7 +46,10 @@ the bits of the dense sums, whose other terms are exact zeros, and the
 tridiagonal Hessians of all rows are solved by one LAPACK `dgtsv` call on the
 rows stacked as one system with zero coupling between them.  Every other c, and
 every c at d = 2, where the tridiagonal and dense LU solves round differently,
-takes the dense O(d^2) evaluation and the dense O(d^3) LU solve.
+takes the dense O(d^2) evaluation and the dense O(d^3) LU solve.  The dense
+solves (`_lu_solve`) call the LAPACK gufunc of `np.linalg.solve` directly,
+under the error state it sets: its bits without the cost of its wrapper, and
+a Hessian that is singular in floating point still raises LinAlgError.
 
 Two structure-specific fixed-point iterations are available for tridiagonal
 coefficients and for d = 3 with uniform coefficients.
@@ -54,10 +57,12 @@ coefficients and for d = 3 with uniform coefficients.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dgtsv
 
 from .errors import NonConvergenceError
@@ -163,9 +168,12 @@ class SolveResult:
     residual_norm: float
 
 
-def _check_ordered(xi):
+def _check_ordered(xi, d):
+    # xi as floats if it is a strictly increasing (d,) vector; NaN fails the test
     xi = np.asarray(xi, dtype=float)
-    if np.any(np.diff(xi) <= 0):
+    if xi.shape != (d,):
+        raise ValueError(f"xi must have shape ({d},), got {xi.shape}")
+    if not (np.diff(xi) > 0).all():
         raise ValueError("xi must be strictly increasing")
     return xi
 
@@ -181,10 +189,19 @@ def _rows(v, keep):
     return np.compress(keep, v, axis=-1) if keep.dtype == bool else np.take(v, keep, axis=-1)
 
 
+@functools.cache
+def _diagonal(d):
+    # the index 0, ..., d - 1 of the diagonal of a (d, d, ...) array, shared
+    # by every call at this d and therefore read-only
+    idx = np.arange(d)
+    idx.flags.writeable = False
+    return idx
+
+
 def _differences(x):
     # D[i, j] = x_i - x_j for x of shape (d,) or (d, m), with inf on the
     # diagonal so that the terms c / D and the Hessian weights c / D**2 vanish there
-    idx = np.arange(len(x))
+    idx = _diagonal(len(x))
     diff = x[:, None] - x[None, :]
     diff[idx, idx] = np.inf
     return diff
@@ -237,7 +254,7 @@ def _row_sums(w):
 
 def _hessian(w):
     # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (d, d, ...)
-    idx = np.arange(len(w))
+    idx = _diagonal(len(w))
     h = -w
     h[idx, idx] = 1.0 + w.sum(axis=1)
     return h
@@ -255,9 +272,9 @@ def _hessian_solve(w, b):
         if w.ndim == b.ndim:
             x = _tridiagonal_solve(w, b)
         elif b.ndim == 1:
-            return np.linalg.solve(_hessian(w), b)
+            return _lu_solve(_hessian(w), b)
         else:
-            x = np.linalg.solve(_hessian(w).transpose(2, 0, 1), b.T[:, :, None])[:, :, 0].T
+            x = _lu_solve(_hessian(w).transpose(2, 0, 1), b.T[:, :, None])[:, :, 0].T
     except np.linalg.LinAlgError:
         if b.ndim == 1:
             return np.full_like(b, np.nan)
@@ -271,6 +288,22 @@ def _hessian_solve(w, b):
     out = np.empty_like(b)
     out[...] = x
     return out
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lu_solve(h, b):
+    """h^{-1} b for one (d, d) h and b (d,), or for stacks (m, d, d) and (m, d, 1).
+
+    The LAPACK gufunc that `np.linalg.solve` calls, called directly under the
+    error state it sets: the same bits without the wrapper's checks and
+    conversions, and a singular h raises LinAlgError.
+    """
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return gufunc(h, b, signature="dd->d")
 
 
 def _tridiagonal_solve(w, b):
@@ -293,14 +326,17 @@ def _tridiagonal_solve(w, b):
 
 
 def residual(problem, xi):
-    """r_i = xi_i - a_i - sum_{j != i} c_ij / (xi_i - xi_j)."""
-    xi = _check_ordered(xi)
+    """r_i = xi_i - a_i - sum_{j != i} c_ij / (xi_i - xi_j).
+
+    xi must be strictly increasing and of shape (d,), as for `jacobian`.
+    """
+    xi = _check_ordered(xi, problem.d)
     return xi - problem.a - _interaction(problem.c, xi)
 
 
 def jacobian(problem, xi):
     """Symmetric positive definite matrix I - dg/dx of the system map."""
-    xi = _check_ordered(xi)
+    xi = _check_ordered(xi, problem.d)
     return _hessian(problem.c / _differences(xi) ** 2)
 
 
@@ -322,7 +358,13 @@ def _initial_guess(a, c):
     gaps = _pair_gap((a[1:] - a[:-1]).T, np.diag(c, 1)).T
     x = np.empty_like(a)
     x[0] = 0.0
-    np.cumsum(gaps, axis=0, out=x[1:])
+    if x.strides[0] == x.itemsize:
+        np.cumsum(gaps, axis=0, out=x[1:])
+    else:
+        # rows innermost: d - 1 row additions, the in-order sums of `cumsum`,
+        # which would scan each row's few particles on its own
+        for i, gap in enumerate(gaps):
+            x[i + 1] = x[i] + gap
     x += _anchor(a, gaps)
     return x
 
@@ -355,12 +397,12 @@ def _line_search(a, c, x, rn, delta):
     residual rn.
 
     Returns the new iterate, residual, max-norm residual and Hessian weights
-    of every row, and the mask of the rows that found no step; their entries
-    are undefined.
+    of every row, and the ascending indices of the rows that found no step;
+    their entries are undefined.
     """
     x_new = x + delta
     r, rn_new, w = _evaluate(a, c, x_new)
-    pending = np.flatnonzero(~(rn_new < rn))
+    pending = (~(rn_new < rn)).nonzero()[0]
     for k in range(1, 60):
         if pending.size == 0:
             break
@@ -372,9 +414,7 @@ def _line_search(a, c, x, rn, delta):
             trial[:, better], r_t[:, better], rn_t[better], w_t[..., better]
         )
         pending = pending[~better]
-    stuck = np.zeros(len(rn), dtype=bool)
-    stuck[pending] = True
-    return x_new, r, rn_new, w, stuck
+    return x_new, r, rn_new, w, pending
 
 
 def _newton(a, c, xi, tol):
@@ -404,6 +444,8 @@ def _newton(a, c, xi, tol):
             done = ~live
             left = rows[done]
             xi[:, left], rnorm[left], iterations[left], ok[left] = x[:, done], rn[done], it, rn[done] <= tol
+            if not live.any():
+                break
             rows, rn = rows[live], rn[live]
             x, ar, r, w = (_rows(v, live) for v in (x, ar, r, w))
         if rows.size == 0:
@@ -411,15 +453,16 @@ def _newton(a, c, xi, tol):
         delta = _hessian_solve(w, -r)
         x_new, r_new, rn_new, w_new, stuck = _line_search(ar, c, x, rn, delta)
         if it == MAX_ITER:
-            stuck[:] = True
-        if stuck.any():
+            stuck = np.arange(len(rn))
+        if stuck.size:
             left, step = rows[stuck], delta[:, stuck]
             polished = x[:, stuck] + step
             unit = min(tol, POLISH_UNITS * np.finfo(float).eps) * np.maximum(1.0, np.abs(ar[:, stuck]).max(axis=0))
             good = (np.abs(step).max(axis=0) <= unit) & (polished[1:] > polished[:-1]).all(axis=0)
             xi[:, left], rnorm[left], iterations[left] = x[:, stuck], rn[stuck], it
             xi[:, left[good]], ok[left[good]] = polished[:, good], True
-            moved = ~stuck
+            moved = np.ones(len(rn), dtype=bool)
+            moved[stuck] = False
             rows, rn = rows[moved], rn_new[moved]
             x, ar, r, w = (_rows(v, moved) for v in (x_new, ar, r_new, w_new))
         else:
@@ -463,7 +506,8 @@ def _homotopy(problem, opts):
     c = problem.coupling.kernel
     big_j = np.arange(1.0, problem.d + 1.0)
     g_j = problem.a - big_j + _interaction(c, big_j)
-    g_norm = np.linalg.norm(g_j)
+    # the 2-norm as np.linalg.norm computes it for a real vector
+    g_norm = np.sqrt(g_j.dot(g_j))
 
     def velocity(x):
         if not (x[1:] > x[:-1]).all():
@@ -484,7 +528,7 @@ def _homotopy(problem, opts):
             if k4 is not None:
                 trial = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 v = velocity(trial)
-                if v is not None and np.linalg.norm(v) <= g_norm * (1.0 + 1e-9) + 1e-300:
+                if v is not None and np.sqrt(v.dot(v)) <= g_norm * (1.0 + 1e-9) + 1e-300:
                     break
             step *= 0.5
             if step < 1e-8:

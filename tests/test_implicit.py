@@ -104,6 +104,22 @@ class TestResidualJacobian:
         with pytest.raises(ValueError):
             residual(p, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("function", [residual, jacobian])
+    @pytest.mark.parametrize(
+        "xi, message",
+        [
+            ([0.0, np.nan, 2.0], "strictly increasing"),
+            ([np.nan, 1.0, 2.0], "strictly increasing"),
+            ([0.0, 1.0], r"shape \(3,\)"),
+            ([[0.0, 1.0, 2.0]], r"shape \(3,\)"),
+        ],
+        ids=["nan-inside", "nan-first", "short", "two-dimensional"],
+    )
+    def test_refuses_nan_and_misshapen_xi(self, function, xi, message):
+        p = ImplicitProblem(np.zeros(3), uniform_c(3, 1.0))
+        with pytest.raises(ValueError, match=message):
+            function(p, np.array(xi))
+
     def test_jacobian_closed_form_d2(self):
         # c = 1, gap = 2 => w = 1/4; M = [[1.25, -0.25], [-0.25, 1.25]]
         p = ImplicitProblem(np.array([0.0, 0.0]), uniform_c(2, 1.0))
@@ -481,6 +497,62 @@ class TestLayout:
         assert solve_batch(a, c)[:16].tobytes() == small.tobytes()
         alone = np.array([solve(ImplicitProblem(row, c)).xi for row in a[:16]])
         assert alone.tobytes() == small.tobytes()
+
+
+class TestDenseSolve:
+    """The dense Hessian solve, which calls NumPy's private LAPACK gufunc."""
+
+    @staticmethod
+    def weights(rng, d, m):
+        # symmetric non-negative weights with a zero diagonal, (d, d, m) rows
+        # innermost: every Hessian I + diag(sum_j w_ij) - w is SPD
+        w = rng.uniform(0.0, 3.0, (d, d, m)) ** 3
+        w = w + w.transpose(1, 0, 2)
+        w[np.arange(d), np.arange(d)] = 0.0
+        return w
+
+    @staticmethod
+    def particles_innermost(w, b):
+        return np.ascontiguousarray(w.transpose(2, 0, 1)).transpose(1, 2, 0), np.asfortranarray(b)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_numpy_solve_bit_for_bit(self, d):
+        rng = np.random.default_rng(100 + d)
+        w = self.weights(rng, d, 6)
+        b = rng.normal(size=(d, 6))
+        for i in range(6):
+            expected = np.linalg.solve(implicit._hessian(w[..., i]), b[:, i])
+            assert implicit._hessian_solve(np.ascontiguousarray(w[..., i]), b[:, i]).tobytes() == expected.tobytes()
+        # each layout against its own Hessians: at d = 8 their row sums round differently
+        for w_, b_ in ((w, b), self.particles_innermost(w, b)):
+            stacked = np.linalg.solve(implicit._hessian(w_).transpose(2, 0, 1), b_.T[:, :, None])[:, :, 0].T
+            x = implicit._hessian_solve(w_, b_)
+            assert x.tobytes() == stacked.tobytes()
+            assert x.strides == b_.strides
+
+    @pytest.mark.parametrize("layout", ["rows-innermost", "particles-innermost"])
+    def test_singular_hessian_gives_nan_and_keeps_neighbours(self, layout):
+        # uniform weights of 1e20 lose the identity: each row of the Hessian
+        # sums to 0 in floating point and elimination meets an exact zero pivot
+        d = 4
+        rng = np.random.default_rng(8)
+        w = self.weights(rng, d, 5)
+        w[..., [1, 3]] = 1e20 * (1.0 - np.eye(d))[..., None]
+        b = rng.normal(size=(d, 5))
+        if layout == "particles-innermost":
+            w, b = self.particles_innermost(w, b)
+        h = implicit._hessian(w)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(h[..., 1], b[:, 1])
+        with pytest.raises(np.linalg.LinAlgError):
+            implicit._lu_solve(h[..., 1], b[:, 1])
+        with pytest.raises(np.linalg.LinAlgError):
+            implicit._lu_solve(h.transpose(2, 0, 1), b.T[:, :, None])
+        assert np.isnan(implicit._hessian_solve(w[..., 1], b[:, 1])).all()
+        x = implicit._hessian_solve(w, b)
+        assert np.isnan(x[:, [1, 3]]).all()
+        for i in (0, 2, 4):
+            assert x[:, i].tobytes() == np.linalg.solve(h[..., i], b[:, i]).tobytes()
 
 
 class TestNeighbourKernel:
