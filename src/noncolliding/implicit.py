@@ -198,12 +198,23 @@ def _diagonal(d):
     return idx
 
 
+def _fill_diagonal(a, v):
+    # a[i, i] = v[i] for a of shape (d, d, ...); one problem's array, (d, d)
+    # or (d, d, 1), takes a strided slice of its flat iterator, cheaper than
+    # an index pair
+    d = len(a)
+    if a.size == d * d:
+        a.flat[:: d + 1] = v
+    else:
+        idx = _diagonal(d)
+        a[idx, idx] = v
+
+
 def _differences(x):
     # D[i, j] = x_i - x_j for x of shape (d,) or (d, m), with inf on the
     # diagonal so that the terms c / D and the Hessian weights c / D**2 vanish there
-    idx = _diagonal(len(x))
     diff = x[:, None] - x[None, :]
-    diff[idx, idx] = np.inf
+    _fill_diagonal(diff, np.inf)
     return diff
 
 
@@ -254,9 +265,8 @@ def _row_sums(w):
 
 def _hessian(w):
     # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (d, d, ...)
-    idx = _diagonal(len(w))
     h = -w
-    h[idx, idx] = 1.0 + w.sum(axis=1)
+    _fill_diagonal(h, 1.0 + w.sum(axis=1))
     return h
 
 

@@ -530,6 +530,24 @@ class TestDenseSolve:
             assert x.tobytes() == stacked.tobytes()
             assert x.strides == b_.strides
 
+    @pytest.mark.parametrize("shape", ["one", "one-row", "rows-innermost", "particles-innermost"])
+    def test_hessian_and_differences_fill_every_diagonal(self, shape):
+        # one problem's (d, d) or (d, d, 1) arrays and a batch's (d, d, m), against a loop
+        d, m = 4, (1 if shape == "one-row" else 5)
+        rng = np.random.default_rng(3)
+        w, x = self.weights(rng, d, m), rng.normal(size=(d, m))
+        if shape == "one":
+            w, x = np.ascontiguousarray(w[..., 0]), x[:, 0]
+        elif shape == "particles-innermost":
+            w, x = self.particles_innermost(w, x)
+        h, diff = implicit._hessian(w), implicit._differences(x)
+        expected_h, expected_diff = -w, x[:, None] - x[None, :]
+        for i in range(d):
+            expected_h[i, i] = 1.0 + w[i].sum(axis=0)
+            expected_diff[i, i] = np.inf
+        assert h.tobytes() == expected_h.tobytes()
+        assert diff.tobytes() == expected_diff.tobytes()
+
     @pytest.mark.parametrize("layout", ["rows-innermost", "particles-innermost"])
     def test_singular_hessian_gives_nan_and_keeps_neighbours(self, layout):
         # uniform weights of 1e20 lose the identity: each row of the Hessian
