@@ -57,7 +57,6 @@ coefficients and for d = 3 with uniform coefficients.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -189,15 +188,6 @@ def _rows(v, keep):
     return np.compress(keep, v, axis=-1) if keep.dtype == bool else np.take(v, keep, axis=-1)
 
 
-@functools.cache
-def _diagonal(d):
-    # the index 0, ..., d - 1 of the diagonal of a (d, d, ...) array, shared
-    # by every call at this d and therefore read-only
-    idx = np.arange(d)
-    idx.flags.writeable = False
-    return idx
-
-
 def _fill_diagonal(a, v):
     # a[i, i] = v[i] for a of shape (d, d, ...); one problem's array, (d, d)
     # or (d, d, 1), takes a strided slice of its flat iterator, cheaper than
@@ -206,7 +196,7 @@ def _fill_diagonal(a, v):
     if a.size == d * d:
         a.flat[:: d + 1] = v
     else:
-        idx = _diagonal(d)
+        idx = np.arange(d)
         a[idx, idx] = v
 
 
@@ -368,13 +358,7 @@ def _initial_guess(a, c):
     gaps = _pair_gap((a[1:] - a[:-1]).T, np.diag(c, 1)).T
     x = np.empty_like(a)
     x[0] = 0.0
-    if x.strides[0] == x.itemsize:
-        np.cumsum(gaps, axis=0, out=x[1:])
-    else:
-        # rows innermost: d - 1 row additions, the in-order sums of `cumsum`,
-        # which would scan each row's few particles on its own
-        for i, gap in enumerate(gaps):
-            x[i + 1] = x[i] + gap
+    np.cumsum(gaps, axis=0, out=x[1:])
     x += _anchor(a, gaps)
     return x
 
