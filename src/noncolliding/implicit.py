@@ -38,6 +38,18 @@ either order.  From d = 8 the batch stays particles-innermost, and the copies
 the core makes (`copy(order="K")`, `*_like`) and plain indexing keep that
 order.  `_rows` keeps the rows innermost where they are, for speed only.
 
+The pair arrays of a dense c (the differences, the terms c / D, the Hessian
+weights and the Hessian) live in the scratch that the run's or problem's
+`_Coupling` owns: two (d, d, m) arrays for the largest batch it has solved,
+laid out as NumPy lays out x[:, None] - x[None, :] for the batch's layout, so
+every sum over particles keeps its order and its bits.  A smaller batch uses
+a prefix of the same memory, so after its first solve a run allocates no pair
+array, and no pair array outlives the evaluation or Hessian solve that fills
+it.  An evaluation leaves the differences of its x in the scratch, and a
+Hessian solve at the same x reuses them.  A coupling is therefore not for
+concurrent use; nothing here uses threads.  `jacobian`, `residual` and
+`_interaction` allocate fresh arrays.
+
 `_Coupling` checks c and chooses its kernel (`_kernel`) once per run or
 problem.  When d >= 3 and c has no non-zero entry beyond the first off-diagonal
 (nearest-neighbour coupling), the core carries only the band diag(c, 1) and the
@@ -84,11 +96,50 @@ __all__ = [
 
 
 class _Coupling:
-    """A d x d c, checked by `validate_interaction`, and the kernel `_kernel` picks for it."""
+    """A d x d c, checked by `validate_interaction`, the kernel `_kernel` picks
+    for it, and the scratch that a dense kernel's pair arrays are written to.
+
+    The scratch holds two pair arrays of the largest batch seen and is
+    reused by every later solve, so a coupling is not for concurrent use.
+    """
 
     def __init__(self, c, d):
         self.c = validate_interaction(c, d, "c")
         self.kernel = _kernel(self.c)
+        # the scratch, its pair arrays per shape and layout of x, and the x
+        # whose differences the first pair array holds, else None
+        self._scratch, self._views, self._differenced = np.empty(0), {}, None
+
+    def _pair_scratch(self, x):
+        # two pair arrays of x in the scratch and the first one's diagonal (see `_pairs`)
+        key = x.shape, x.strides[0] == x.itemsize
+        views = self._views.get(key)
+        if views is None:
+            n = len(x) * x.size
+            if self._scratch.size < 2 * n:
+                self._scratch, self._views, self._differenced = np.empty(2 * n), {}, None
+            views = self._views[key] = _pairs(x, self._scratch) + _pairs(x, self._scratch[n:])[:1]
+        return views
+
+    def interaction(self, x):
+        """`_interaction` of the kernel at a batch x (d, m).
+
+        A dense kernel works in the scratch and leaves the differences of x
+        there, which `hessian` at the same x, unchanged, reuses.
+        """
+        if self.kernel.ndim == 1:
+            return _interaction(self.kernel[:, None], x)
+        diff, diagonal, quotient = self._pair_scratch(x)
+        self._differenced = x
+        return np.divide(self.kernel[..., None], _differences(x, (diff, diagonal)), out=quotient).sum(axis=1)
+
+    def hessian(self, x):
+        """The Hessian of F for a dense kernel at x, (d,) or (d, m), in the scratch."""
+        diff, diagonal, _ = self._pair_scratch(x)
+        diff = diff if self._differenced is x else _differences(x, (diff, diagonal))
+        self._differenced = None
+        c = self.kernel if x.ndim == 1 else self.kernel[..., None]
+        return _hessian(np.divide(c, np.square(diff, out=diff), out=diff), (diff, diagonal))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +219,12 @@ class SolveResult:
 
 
 def _check_ordered(xi, d):
-    # xi as floats if it is a strictly increasing (d,) vector; NaN fails the test
+    # xi as floats if it is a finite, strictly increasing (d,) vector
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (d,):
         raise ValueError(f"xi must have shape ({d},), got {xi.shape}")
-    if not (np.diff(xi) > 0).all():
-        raise ValueError("xi must be strictly increasing")
+    if not (np.isfinite(xi).all() and (np.diff(xi) > 0).all()):
+        raise ValueError("xi must be finite and strictly increasing")
     return xi
 
 
@@ -188,23 +239,31 @@ def _rows(v, keep):
     return np.compress(keep, v, axis=-1) if keep.dtype == bool else np.take(v, keep, axis=-1)
 
 
-def _fill_diagonal(a, v):
-    # a[i, i] = v[i] for a of shape (d, d, ...); one problem's array, (d, d)
-    # or (d, d, 1), takes a strided slice of its flat iterator, cheaper than
-    # an index pair
-    d = len(a)
-    if a.size == d * d:
-        a.flat[:: d + 1] = v
-    else:
-        idx = np.arange(d)
-        a[idx, idx] = v
+def _pairs(x, flat=None):
+    """An array for a pair array of x, (d,) or (d, m), and a writable view of
+    its diagonal, in flat (at least d * d * m long) when given, else fresh.
+
+    The array is laid out as x[:, None] - x[None, :] is, which fixes the order
+    of every sum over particles: (d, d) for one problem; (d, d, m) with the
+    rows innermost for a rows-innermost x, else (m, d, d) with its first axis
+    moved last.
+    """
+    d = len(x)
+    flat = np.empty(d * x.size) if flat is None else flat[: d * x.size]
+    if x.ndim == 1:
+        return flat.reshape(d, d), flat[:: d + 1]
+    if x.strides[0] == x.itemsize:
+        return flat.reshape(-1, d, d).transpose(1, 2, 0), flat.reshape(-1, d * d)[:, :: d + 1].T
+    return flat.reshape(d, d, -1), flat.reshape(d * d, -1)[:: d + 1]
 
 
-def _differences(x):
+def _differences(x, out=None):
     # D[i, j] = x_i - x_j for x of shape (d,) or (d, m), with inf on the
-    # diagonal so that the terms c / D and the Hessian weights c / D**2 vanish there
-    diff = x[:, None] - x[None, :]
-    _fill_diagonal(diff, np.inf)
+    # diagonal so that the terms c / D and the Hessian weights c / D**2
+    # vanish there; written to out, pair arrays from `_pairs`, or fresh ones
+    diff, diagonal = out or _pairs(x)
+    np.subtract(x[:, None], x[None, :], out=diff)
+    diagonal[...] = np.inf
     return diff
 
 
@@ -253,40 +312,41 @@ def _row_sums(w):
     return s
 
 
-def _hessian(w):
-    # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (d, d, ...)
-    h = -w
-    _fill_diagonal(h, 1.0 + w.sum(axis=1))
+def _hessian(w, out):
+    # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (d, d, ...),
+    # written to out, pair arrays from `_pairs` that may hold w
+    s = w.sum(axis=1)
+    h = np.negative(w, out=out[0])
+    np.add(1.0, s, out=out[1])
     return h
 
 
-def _hessian_solve(w, b):
-    """H^{-1} b for Hessian weights w (see `_weights`) and b of shape (d,) or (d, m).
+def _hessian_solve(coupling, x, b):
+    """H^{-1} b for the Hessian H of F at x and b, both (d,) or (d, m).
 
+    A dense Hessian is formed in the coupling's scratch (`_Coupling.hessian`).
     A row whose Hessian is singular in floating point (weights so large that
     the identity is lost) gets NaN, which no line search or continuation
     step accepts; the other rows are solved one by one with the same bits.
     The result has the memory order of b.
     """
     try:
-        if w.ndim == b.ndim:
-            x = _tridiagonal_solve(w, b)
-        elif b.ndim == 1:
-            return _lu_solve(_hessian(w), b)
+        if coupling.kernel.ndim == 2:
+            y = _lu_solve(coupling.hessian(x), b)
         else:
-            x = _lu_solve(_hessian(w).transpose(2, 0, 1), b.T[:, :, None])[:, :, 0].T
+            y = _tridiagonal_solve(_weights(coupling.kernel if x.ndim == 1 else coupling.kernel[:, None], x), b)
     except np.linalg.LinAlgError:
         if b.ndim == 1:
             return np.full_like(b, np.nan)
-        x = np.empty_like(b)
+        y = np.empty_like(b)
         for i in range(b.shape[1]):
-            x[:, i] = _hessian_solve(w[..., i], b[:, i])
-        return x
+            y[:, i] = _hessian_solve(coupling, x[:, i], b[:, i])
+        return y
     # both solvers return the particles innermost
-    if x.strides == b.strides:
-        return x
+    if y.strides == b.strides:
+        return y
     out = np.empty_like(b)
-    out[...] = x
+    out[...] = y
     return out
 
 
@@ -296,14 +356,16 @@ def _raise_singular(err, flag):
 
 @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _lu_solve(h, b):
-    """h^{-1} b for one (d, d) h and b (d,), or for stacks (m, d, d) and (m, d, 1).
+    """h^{-1} b for one (d, d) h and b (d,), or for the m systems on the last
+    axis of (d, d, m) and (d, m).
 
     The LAPACK gufunc that `np.linalg.solve` calls, called directly under the
     error state it sets: the same bits without the wrapper's checks and
     conversions, and a singular h raises LinAlgError.
     """
-    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
-    return gufunc(h, b, signature="dd->d")
+    if b.ndim == 1:
+        return _umath_linalg.solve1(h, b, signature="dd->d")
+    return _umath_linalg.solve(h.transpose(2, 0, 1), b.T[:, :, None], signature="dd->d")[:, :, 0].T
 
 
 def _tridiagonal_solve(w, b):
@@ -337,7 +399,7 @@ def residual(problem, xi):
 def jacobian(problem, xi):
     """Symmetric positive definite matrix I - dg/dx of the system map."""
     xi = _check_ordered(xi, problem.d)
-    return _hessian(problem.c / _differences(xi) ** 2)
+    return _hessian(_weights(problem.c, xi), _pairs(xi))
 
 
 def _pair_gap(da, c):
@@ -363,58 +425,49 @@ def _initial_guess(a, c):
     return x
 
 
-def _evaluate(a, c, x):
-    """Residual, max-norm residual and Hessian weights at each row of x (d, m).
+def _evaluate(a, coupling, x):
+    """Residual and max-norm residual at each row of x (d, m).
 
     The max-norm is inf on rows that are not strictly ordered; their residual
-    and weights are those of the stand-in 0, 1, ..., d - 1 and mean nothing.
-    c is dense or a band (see `_kernel`).
+    is that of the stand-in 0, 1, ..., d - 1 and means nothing.
     """
     unordered = ~(x[1:] > x[:-1]).all(axis=0)
     if unordered.any():
         x = x.copy(order="K")
         x[:, unordered] = np.arange(len(x))[:, None]
-    if c.ndim > x.ndim:
-        diff = _differences(x)
-        s, w = (c / diff).sum(axis=1), c / diff**2
-    else:
-        s, w = _interaction(c, x), _weights(c, x)
-    r = x - a - s
+    r = x - a - coupling.interaction(x)
     rn = np.abs(r).max(axis=0)
     rn[unordered] = np.inf
-    return r, rn, w
+    return r, rn
 
 
-def _line_search(a, c, x, rn, delta):
+def _line_search(a, coupling, x, rn, delta):
     """Full Newton step on every row of x, halved up to 59 times on the rows
     where it leaves the ordered chamber or does not lower the max-norm
     residual rn.
 
-    Returns the new iterate, residual, max-norm residual and Hessian weights
-    of every row, and the ascending indices of the rows that found no step;
-    their entries are undefined.
+    Returns the new iterate, residual and max-norm residual of every row, and
+    the ascending indices of the rows that found no step; their entries are
+    undefined.
     """
     x_new = x + delta
-    r, rn_new, w = _evaluate(a, c, x_new)
+    r, rn_new = _evaluate(a, coupling, x_new)
     pending = (~(rn_new < rn)).nonzero()[0]
     for k in range(1, 60):
         if pending.size == 0:
             break
         trial = _rows(x, pending) + 0.5**k * _rows(delta, pending)
-        r_t, rn_t, w_t = _evaluate(_rows(a, pending), c, trial)
+        r_t, rn_t = _evaluate(_rows(a, pending), coupling, trial)
         better = rn_t < rn[pending]
         moved = pending[better]
-        x_new[:, moved], r[:, moved], rn_new[moved], w[..., moved] = (
-            trial[:, better], r_t[:, better], rn_t[better], w_t[..., better]
-        )
+        x_new[:, moved], r[:, moved], rn_new[moved] = trial[:, better], r_t[:, better], rn_t[better]
         pending = pending[~better]
-    return x_new, r, rn_new, w, pending
+    return x_new, r, rn_new, pending
 
 
-def _newton(a, c, xi, tol):
+def _newton(a, coupling, xi, tol):
     """Damped Newton on each row of xi, shape (d, m), for the offsets in a.
 
-    c is dense or a band (see `_kernel`), with a trailing axis of length 1.
     Returns per row the iterate, the accepted steps, the max-norm residual
     before any polish and whether the row converged.  A row stops once its
     residual is at most tol.  A row whose line search stalls, or that has
@@ -425,10 +478,10 @@ def _newton(a, c, xi, tol):
     order of xi.
     """
     xi = xi.copy(order="K")
-    r, rnorm, w = _evaluate(a, c, xi)
+    r, rnorm = _evaluate(a, coupling, xi)
     iterations = np.zeros(len(rnorm), dtype=int)
     ok = np.zeros(len(rnorm), dtype=bool)
-    # the state (rows, x, ar, r, rn, w) covers the rows still iterating and is
+    # the state (rows, x, ar, r, rn) covers the rows still iterating and is
     # the whole batch at first; a row's iterate, residual and step count are
     # written back when it leaves, at step 0 if its start is not ordered (rn = inf)
     rows, x, ar, rn = np.arange(len(rnorm)), xi, a, rnorm
@@ -441,11 +494,11 @@ def _newton(a, c, xi, tol):
             if not live.any():
                 break
             rows, rn = rows[live], rn[live]
-            x, ar, r, w = (_rows(v, live) for v in (x, ar, r, w))
+            x, ar, r = (_rows(v, live) for v in (x, ar, r))
         if rows.size == 0:
             break
-        delta = _hessian_solve(w, -r)
-        x_new, r_new, rn_new, w_new, stuck = _line_search(ar, c, x, rn, delta)
+        delta = _hessian_solve(coupling, x, -r)
+        x_new, r_new, rn_new, stuck = _line_search(ar, coupling, x, rn, delta)
         if it == MAX_ITER:
             stuck = np.arange(len(rn))
         if stuck.size:
@@ -458,9 +511,9 @@ def _newton(a, c, xi, tol):
             moved = np.ones(len(rn), dtype=bool)
             moved[stuck] = False
             rows, rn = rows[moved], rn_new[moved]
-            x, ar, r, w = (_rows(v, moved) for v in (x_new, ar, r_new, w_new))
+            x, ar, r = (_rows(v, moved) for v in (x_new, ar, r_new))
         else:
-            x, r, rn, w = x_new, r_new, rn_new, w_new
+            x, r, rn = x_new, r_new, rn_new
     return xi, iterations, rnorm, ok
 
 
@@ -468,7 +521,7 @@ def _newton_row(problem, opts, start=None):
     """The Newton core on one problem; returns (xi, accepted steps) or raises."""
     a = problem.a[:, None]
     start = _initial_guess(a, problem.c) if start is None else start[:, None]
-    xi, iterations, rnorm, ok = _newton(a, problem.coupling.kernel[..., None], start, opts.tol)
+    xi, iterations, rnorm, ok = _newton(a, problem.coupling, start, opts.tol)
     if not ok[0]:
         raise NonConvergenceError(
             "newton did not reach tolerance",
@@ -497,16 +550,15 @@ def solve_homotopy(problem, opts=None):
 
 def _homotopy(problem, opts):
     # solve_homotopy; returns (xi, accepted steps + polish iterations)
-    c = problem.coupling.kernel
     big_j = np.arange(1.0, problem.d + 1.0)
-    g_j = problem.a - big_j + _interaction(c, big_j)
+    g_j = problem.a - big_j + _interaction(problem.coupling.kernel, big_j)
     # the 2-norm as np.linalg.norm computes it for a real vector
     g_norm = np.sqrt(g_j.dot(g_j))
 
     def velocity(x):
         if not (x[1:] > x[:-1]).all():
             return None
-        return _hessian_solve(_weights(c, x), g_j)
+        return _hessian_solve(problem.coupling, x, g_j)
 
     x, k1 = big_j, velocity(big_j)
     t = 0.0
@@ -699,7 +751,7 @@ def solve_batch(a, c):
         raise ValueError("a must be finite")
     coupling = c if isinstance(c, _Coupling) else _Coupling(c, d)
     a = np.ascontiguousarray(a.T) if d < min(m, 8) else np.ascontiguousarray(a).T
-    xi, _, _, ok = _newton(a, coupling.kernel[..., None], _initial_guess(a, coupling.c), _DEFAULTS.tol)
+    xi, _, _, ok = _newton(a, coupling, _initial_guess(a, coupling.c), _DEFAULTS.tol)
     for i in np.flatnonzero(~ok):
         problem = ImplicitProblem(a[:, i], coupling.c)
         try:

@@ -255,7 +255,7 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
             x = implicit.solve_batch(x + b * h + noise, coupling)
         elif live.size:
             b, noise = _drift_and_noise(system, x[live], increments[live, k])
-            new = x[live] + (implicit._interaction(coupling.kernel[..., None], x[live].T).T + b) * h + noise
+            new = x[live] + (coupling.interaction(x[live].T).T + b) * h + noise
             ordered = np.all(np.diff(new, axis=1) > 0, axis=1)
             x[live[ordered]] = new[ordered]
             exit_step[live[~ordered]] = k0 + k + 1

@@ -1,5 +1,6 @@
 """Unit tests for the per-step implicit-system solvers."""
 
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -37,6 +38,13 @@ def tridiag_c(values):
     c[idx, idx + 1] = values
     c[idx + 1, idx] = values
     return c
+
+
+def dense_coupling(c):
+    # the coupling of c with its dense kernel, also where c couples only neighbours
+    coupling = implicit._Coupling(c, len(c))
+    coupling.kernel = coupling.c
+    return coupling
 
 
 ALL_METHODS_D2 = ["newton", "homotopy", "fixed_point_nn"]
@@ -119,6 +127,18 @@ class TestResidualJacobian:
         p = ImplicitProblem(np.zeros(3), uniform_c(3, 1.0))
         with pytest.raises(ValueError, match=message):
             function(p, np.array(xi))
+
+    @pytest.mark.parametrize("function", [residual, jacobian])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_refuses_infinite_xi(self, function, value, where):
+        # (-inf, 1, 2) and (0, 1, inf) are increasing, and inf - inf on the
+        # diagonal of the differences would give NaN
+        p = ImplicitProblem(np.zeros(3), uniform_c(3, 1.0))
+        xi = np.array([0.0, 1.0, 2.0])
+        xi[where] = value
+        with pytest.raises(ValueError, match="xi must be finite"):
+            function(p, xi)
 
     def test_jacobian_closed_form_d2(self):
         # c = 1, gap = 2 => w = 1/4; M = [[1.25, -0.25], [-0.25, 1.25]]
@@ -277,9 +297,9 @@ class TestHomotopy:
         calls = []
         real = implicit._hessian_solve
 
-        def counting(w, b):
-            calls.append((w.tobytes(), b.tobytes()))
-            return real(w, b)
+        def counting(coupling, x, b):
+            calls.append((x.tobytes(), b.tobytes()))
+            return real(coupling, x, b)
 
         monkeypatch.setattr(implicit, "_hessian_solve", counting)
         opts = SolverOptions(method="homotopy", homotopy_steps=16)
@@ -427,7 +447,7 @@ class TestBatch:
         reversed_[[0, 7, 8, 39]] = True
         centre = start[:, reversed_].mean(axis=0)
         start[:, reversed_] = centre - 1e-3 * (start[:, reversed_] - centre)
-        k = implicit._kernel(c)[..., None]
+        k = implicit._Coupling(c, d)
         xi, iterations, rnorm, ok = implicit._newton(a, k, start, 1e-12)
         assert xi[:, reversed_].tobytes() == start[:, reversed_].tobytes()
         assert not iterations[reversed_].any() and np.all(rnorm[reversed_] == np.inf) and not ok[reversed_].any()
@@ -442,25 +462,106 @@ class TestBatch:
             solve_batch([[0.0, -1e8]], uniform_c(2, 1e-4))
 
 
+class TestScratch:
+    """The pair arrays of a dense c, which live in the scratch of the run's `_Coupling`."""
+
+    @staticmethod
+    def dyson(d, m, seed):
+        # uniform c = gamma * h for gamma = 1, h = 1/64 and rows spread like
+        # the semicircle, as one step of Dyson Brownian motion
+        rng = np.random.default_rng(seed)
+        return uniform_c(d, 1.0 / 64), np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) + rng.normal(size=(m, d))
+
+    def test_second_solve_allocates_no_pair_array(self):
+        d, m = 64, 16
+        c, a = self.dyson(d, m, 1)
+        k = implicit._Coupling(c, d)
+        solve_batch(a, k)
+        a = self.dyson(d, m, 2)[1]
+        tracemalloc.start()
+        try:
+            solve_batch(a, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * m * 8
+
+    def test_results_never_share_the_scratch(self):
+        c, a = self.dyson(16, 5, 3)
+        k = implicit._Coupling(c, 16)
+        xi = solve_batch(a, k)
+        assert not np.shares_memory(xi, k._scratch)
+        p = ImplicitProblem(a[0], c)
+        x = solve(p).xi
+        for result in (x, jacobian(p, x), solve_homotopy(p)):
+            assert not np.shares_memory(result, p.coupling._scratch)
+
+    def test_first_result_survives_a_second_call(self):
+        c, a = self.dyson(16, 5, 4)
+        k = implicit._Coupling(c, 16)
+        first = solve_batch(a, k)
+        kept = first.copy()
+        solve_batch(self.dyson(16, 40, 5)[1], k)
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("d", [5, 16], ids=["rows-then-particles-innermost", "particles-innermost"])
+    def test_smaller_batch_after_a_larger_one_has_fresh_bits(self, d):
+        # 40 rows at d = 5 run rows innermost and 3 rows particles innermost,
+        # in the prefix of the scratch that the 40 rows left
+        rng = np.random.default_rng(d)
+        c = rng.uniform(0.05, 1.0, (d, d))
+        c = c + c.T
+        np.fill_diagonal(c, 0.0)
+        a = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) + rng.normal(size=(43, d))
+        k = implicit._Coupling(c, d)
+        solve_batch(a[:40], k)
+        assert solve_batch(a[40:], k).tobytes() == solve_batch(a[40:], c).tobytes()
+
+    @pytest.mark.parametrize("layout", ["rows-innermost", "particles-innermost"])
+    def test_singular_row_in_a_grown_scratch_gives_nan_and_keeps_neighbours(self, layout):
+        TestDenseSolve.check_singular_rows(layout, grown=True)
+
+    @pytest.mark.parametrize("layout", ["rows-innermost", "particles-innermost"])
+    def test_hessian_reuses_only_the_differences_of_its_x(self, layout):
+        # the Hessian right after an evaluation at the same x, after one at
+        # another x, and in a fresh coupling are the same bits
+        c, a = self.dyson(6, 8, 6)
+        x, y = a.T + 0.0, a.T[::-1] * -1.0
+        if layout == "rows-innermost":
+            x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        else:
+            x, y = np.asfortranarray(x), np.asfortranarray(y)
+        k = implicit._Coupling(c, 6)
+        k.interaction(x)
+        reused = k.hessian(x).copy()
+        k.interaction(y)
+        assert k.hessian(x).tobytes() == reused.tobytes()
+        assert implicit._Coupling(c, 6).hessian(x).tobytes() == reused.tobytes()
+        assert reused.tobytes() == TestDenseSolve.hessian(c, x).tobytes()
+
+
 class TestLayout:
     """Particles on axis 0 and rows last, with either axis innermost in memory."""
 
     @staticmethod
     def _recorded_layouts(monkeypatch):
-        # (rows innermost, particles innermost) in memory of the weights, the
-        # right-hand side and the result of each Hessian solve; a single row
-        # has both
+        # (rows innermost, particles innermost) in memory of the iterate, the
+        # right-hand side, the result and, for a dense c, the two scratch pair
+        # arrays of each Hessian solve; a single row has both
         seen = []
         real = implicit._hessian_solve
 
         def layout(v):
             return (v.shape[-1] == 1 or v.strides[-1] == v.itemsize, v.strides[-2] == v.itemsize)
 
-        def recording(w, b):
-            x = real(w, b)
+        def recording(coupling, x, b):
+            delta = real(coupling, x, b)
             if b.ndim == 2:
-                seen.append(tuple(map(all, zip(*(layout(v) for v in (w, b, x))))))
-            return x
+                dense = coupling.kernel.ndim == 2
+                pairs = coupling._pair_scratch(x)[::2] if dense else ()
+                arrays = (x, b, delta) + pairs
+                seen.append(tuple(map(all, zip(*(layout(v) for v in arrays)))))
+            return delta
 
         monkeypatch.setattr(implicit, "_hessian_solve", recording)
         return seen
@@ -503,44 +604,86 @@ class TestDenseSolve:
     """The dense Hessian solve, which calls NumPy's private LAPACK gufunc."""
 
     @staticmethod
-    def weights(rng, d, m):
-        # symmetric non-negative weights with a zero diagonal, (d, d, m) rows
-        # innermost: every Hessian I + diag(sum_j w_ij) - w is SPD
-        w = rng.uniform(0.0, 3.0, (d, d, m)) ** 3
-        w = w + w.transpose(1, 0, 2)
-        w[np.arange(d), np.arange(d)] = 0.0
-        return w
+    def system(rng, d, m):
+        # a dense symmetric non-negative c and ordered rows x (d, m), rows innermost
+        c = rng.uniform(0.0, 3.0, (d, d)) ** 3
+        c = c + c.T
+        np.fill_diagonal(c, 0.0)
+        return implicit._Coupling(c, d), np.cumsum(rng.uniform(0.1, 1.5, (d, m)), axis=0)
 
     @staticmethod
-    def particles_innermost(w, b):
-        return np.ascontiguousarray(w.transpose(2, 0, 1)).transpose(1, 2, 0), np.asfortranarray(b)
+    def hessian(c, x):
+        # I + diag(sum_j w_ij) - w for w = c / (x_i - x_j)^2, with the
+        # pair arrays of a fresh x[:, None] - x[None, :]
+        diff = x[:, None] - x[None, :]
+        diff[np.arange(len(x)), np.arange(len(x))] = np.inf
+        w = c.reshape(c.shape + (1,) * (x.ndim - 1)) / diff**2
+        h = -w
+        h[np.arange(len(x)), np.arange(len(x))] = 1.0 + w.sum(axis=1)
+        return h
+
+    @staticmethod
+    def particles_innermost(x, b):
+        return np.asfortranarray(x), np.asfortranarray(b)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_matches_numpy_solve_bit_for_bit(self, d):
         rng = np.random.default_rng(100 + d)
-        w = self.weights(rng, d, 6)
+        k, x = self.system(rng, d, 6)
         b = rng.normal(size=(d, 6))
         for i in range(6):
-            expected = np.linalg.solve(implicit._hessian(w[..., i]), b[:, i])
-            assert implicit._hessian_solve(np.ascontiguousarray(w[..., i]), b[:, i]).tobytes() == expected.tobytes()
+            expected = np.linalg.solve(self.hessian(k.c, x[:, i]), b[:, i])
+            assert implicit._hessian_solve(k, x[:, i], b[:, i]).tobytes() == expected.tobytes()
         # each layout against its own Hessians: at d = 8 their row sums round differently
-        for w_, b_ in ((w, b), self.particles_innermost(w, b)):
-            stacked = np.linalg.solve(implicit._hessian(w_).transpose(2, 0, 1), b_.T[:, :, None])[:, :, 0].T
-            x = implicit._hessian_solve(w_, b_)
-            assert x.tobytes() == stacked.tobytes()
-            assert x.strides == b_.strides
+        for x_, b_ in ((x, b), self.particles_innermost(x, b)):
+            stacked = np.linalg.solve(self.hessian(k.c, x_).transpose(2, 0, 1), b_.T[:, :, None])[:, :, 0].T
+            delta = implicit._hessian_solve(k, x_, b_)
+            assert delta.tobytes() == stacked.tobytes()
+            assert delta.strides == b_.strides
+
+    @pytest.mark.parametrize("shape", ["one", "one-row", "rows-innermost", "particles-innermost", "fewer-rows"])
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_pairs_are_laid_out_as_the_differences(self, shape, scratch):
+        # the sums over particles follow the memory order of the pair arrays,
+        # which must be NumPy's for x[:, None] - x[None, :], in a coupling's
+        # scratch (grown by a larger batch first) as in fresh arrays
+        d, m = 4, {"one-row": 1, "fewer-rows": 3}.get(shape, 5)
+        x = np.random.default_rng(3).normal(size=(d, m))
+        if shape == "one":
+            x = x[:, 0]
+        elif shape == "particles-innermost":
+            x = np.asfortranarray(x)
+        if scratch:
+            k = implicit._Coupling(uniform_c(d, 1.0), d)
+            k._pair_scratch(np.zeros((d, 40)))
+            pairs, diagonal, quotient = k._pair_scratch(x)
+            assert np.shares_memory(pairs, k._scratch) and np.shares_memory(quotient, k._scratch)
+            assert not np.shares_memory(pairs, quotient)
+        else:
+            pairs, diagonal = implicit._pairs(x)
+            quotient = pairs
+        fresh = x[:, None] - x[None, :]
+        for v in (pairs, quotient):
+            # the stride of an axis of length 1 is never used
+            assert [s for s, n in zip(v.strides, v.shape) if n > 1] == [
+                s for s, n in zip(fresh.strides, fresh.shape) if n > 1
+            ]
+        pairs[...] = 0.0
+        diagonal[...] = 1.0
+        assert np.array_equal(pairs, np.eye(d).reshape((d, d) + (1,) * (x.ndim - 1)) + np.zeros_like(pairs))
 
     @pytest.mark.parametrize("shape", ["one", "one-row", "rows-innermost", "particles-innermost"])
     def test_hessian_and_differences_fill_every_diagonal(self, shape):
         # one problem's (d, d) or (d, d, 1) arrays and a batch's (d, d, m), against a loop
         d, m = 4, (1 if shape == "one-row" else 5)
         rng = np.random.default_rng(3)
-        w, x = self.weights(rng, d, m), rng.normal(size=(d, m))
+        k, x = self.system(rng, d, m)
+        w = rng.uniform(0.0, 3.0, (d, d, m))
         if shape == "one":
             w, x = np.ascontiguousarray(w[..., 0]), x[:, 0]
         elif shape == "particles-innermost":
-            w, x = self.particles_innermost(w, x)
-        h, diff = implicit._hessian(w), implicit._differences(x)
+            x = np.asfortranarray(x)
+        h, diff = implicit._hessian(w, implicit._pairs(x)), implicit._differences(x, k._pair_scratch(x)[:2])
         expected_h, expected_diff = -w, x[:, None] - x[None, :]
         for i in range(d):
             expected_h[i, i] = 1.0 + w[i].sum(axis=0)
@@ -550,27 +693,38 @@ class TestDenseSolve:
 
     @pytest.mark.parametrize("layout", ["rows-innermost", "particles-innermost"])
     def test_singular_hessian_gives_nan_and_keeps_neighbours(self, layout):
-        # uniform weights of 1e20 lose the identity: each row of the Hessian
-        # sums to 0 in floating point and elimination meets an exact zero pivot
+        self.check_singular_rows(layout, grown=False)
+
+    @classmethod
+    def check_singular_rows(cls, layout, grown):
+        # c_ij = (i - j)^2 and rows 1 and 3 at 2^-33 (0, 1, 2, 3) give uniform
+        # weights 2^66, which lose the identity: each row of the Hessian sums
+        # to 0 in floating point and elimination meets an exact zero pivot.
+        # grown: the coupling's scratch was grown by a 40-row solve first
         d = 4
         rng = np.random.default_rng(8)
-        w = self.weights(rng, d, 5)
-        w[..., [1, 3]] = 1e20 * (1.0 - np.eye(d))[..., None]
+        c = np.subtract.outer(np.arange(d), np.arange(d)) ** 2.0
+        k = implicit._Coupling(c, d)
+        if grown:
+            solve_batch(np.arange(d) + rng.normal(size=(40, d)), k)
+        x = np.cumsum(rng.uniform(0.5, 1.5, (d, 5)), axis=0)
+        x[:, [1, 3]] = 2.0**-33 * np.arange(d)[:, None]
         b = rng.normal(size=(d, 5))
         if layout == "particles-innermost":
-            w, b = self.particles_innermost(w, b)
-        h = implicit._hessian(w)
+            x, b = cls.particles_innermost(x, b)
+        h = cls.hessian(c, x)
+        assert np.all(h[..., [1, 3]] == 2.0**66 * (d * np.eye(d) - 1.0)[..., None])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(h[..., 1], b[:, 1])
         with pytest.raises(np.linalg.LinAlgError):
             implicit._lu_solve(h[..., 1], b[:, 1])
         with pytest.raises(np.linalg.LinAlgError):
-            implicit._lu_solve(h.transpose(2, 0, 1), b.T[:, :, None])
-        assert np.isnan(implicit._hessian_solve(w[..., 1], b[:, 1])).all()
-        x = implicit._hessian_solve(w, b)
-        assert np.isnan(x[:, [1, 3]]).all()
+            implicit._lu_solve(h, b)
+        assert np.isnan(implicit._hessian_solve(k, x[:, 1], b[:, 1])).all()
+        delta = implicit._hessian_solve(k, x, b)
+        assert np.isnan(delta[:, [1, 3]]).all()
         for i in (0, 2, 4):
-            assert x[:, i].tobytes() == np.linalg.solve(h[..., i], b[:, i]).tobytes()
+            assert delta[:, i].tobytes() == np.linalg.solve(h[..., i], b[:, i]).tobytes()
 
 
 class TestNeighbourKernel:
@@ -582,8 +736,7 @@ class TestNeighbourKernel:
         # particles on axis 0, rows on axis 1
         c = tridiag_c(rng.uniform(0.05, 2.0, d - 1))
         x = np.cumsum(rng.uniform(0.5, 1.5, (m, d)), axis=1).T
-        w = implicit._weights(implicit._kernel(c)[:, None], x)
-        return c, x, w
+        return c, x
 
     def test_kernel_chooses_band_only_for_neighbours_at_d3_and_above(self):
         c = tridiag_c([1.0, 2.0, 3.0])
@@ -597,45 +750,54 @@ class TestNeighbourKernel:
     @pytest.mark.parametrize("d", [3, 8, 64, 128])
     def test_band_solve_matches_dense(self, d):
         rng = np.random.default_rng(d)
-        c, x, w = self.system(rng, d, 5)
+        c, x = self.system(rng, d, 5)
         b = rng.normal(size=(5, d)).T
-        band = implicit._hessian_solve(w, b)
-        dense = implicit._hessian_solve(c[:, :, None] / implicit._differences(x) ** 2, b)
+        band = implicit._hessian_solve(implicit._Coupling(c, d), x, b)
+        dense = implicit._hessian_solve(dense_coupling(c), x, b)
         assert np.max(np.abs(band - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("where", ["weight", "rhs"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_row_does_not_reach_its_neighbours(self, where, value):
-        # rows 1 and 3 are bad; the others keep the bits they get alone
+        # rows 1 and 3 are bad: a weight made inf by a gap whose square is 0,
+        # or NaN by a NaN position, or such a right-hand side; the others keep
+        # the bits they get alone
         rng = np.random.default_rng(5)
-        _, _, w = self.system(rng, 6, 5)
+        c, x = self.system(rng, 6, 5)
+        k = implicit._Coupling(c, 6)
         b = rng.normal(size=(5, 6)).T
-        (w if where == "weight" else b)[2, [1, 3]] = value
-        x = implicit._hessian_solve(w, b)
-        assert np.isnan(x[:, [1, 3]]).all()
+        if where == "weight":
+            x[3, [1, 3]] = x[2, [1, 3]] + 1e-200 if value == np.inf else value
+        else:
+            b[2, [1, 3]] = value
+        with np.errstate(divide="ignore"):
+            delta = implicit._hessian_solve(k, x, b)
+        assert np.isnan(delta[:, [1, 3]]).all()
         for i in (0, 2, 4):
-            alone = implicit._hessian_solve(w[:, i : i + 1], b[:, i : i + 1])
-            assert np.isfinite(alone).all() and alone.tobytes() == x[:, i : i + 1].tobytes()
+            alone = implicit._hessian_solve(k, x[:, i : i + 1], b[:, i : i + 1])
+            assert np.isfinite(alone).all() and alone.tobytes() == delta[:, i : i + 1].tobytes()
 
     def test_overflowing_row_does_not_reach_its_neighbours(self):
-        # finite weights whose elimination overflows: back substitution would
-        # multiply the row's inf by the zero coupling of the row before it
-        w = np.array([[1.0, 1.0], [1e300, 1e-300], [2.0, 0.5]]).T
+        # finite weights whose elimination overflows (row 1: about 1e300 and
+        # 1e-300): back substitution would multiply the row's inf by the zero
+        # coupling of the row before it
+        k = implicit._Coupling(tridiag_c([1.0, 1.0]), 3)
+        x = np.array([[0.0, 1.0, 2.0], [0.0, 1e-150, 1e150], [0.0, 0.5, 2.5]]).T
         b = np.ones((3, 3))
-        x = implicit._hessian_solve(w, b)
-        assert np.isnan(x[:, 1]).all()
+        delta = implicit._hessian_solve(k, x, b)
+        assert np.isnan(delta[:, 1]).all()
         for i in (0, 2):
-            assert implicit._hessian_solve(w[:, i : i + 1], b[:, i : i + 1]).tobytes() == x[:, i : i + 1].tobytes()
+            assert implicit._hessian_solve(k, x[:, i : i + 1], b[:, i : i + 1]).tobytes() == delta[:, i : i + 1].tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_uniform_and_d2_stay_dense(self, d, monkeypatch):
-        # every Hessian solve of these problems is a dense (d, d, ...) one
+        # every Hessian solve of these problems is a dense (d, d) one
         shapes = []
         real = implicit._hessian_solve
 
-        def recording(w, b):
-            shapes.append(w.shape)
-            return real(w, b)
+        def recording(coupling, x, b):
+            shapes.append(coupling.kernel.shape)
+            return real(coupling, x, b)
 
         monkeypatch.setattr(implicit, "_hessian_solve", recording)
         a = np.random.default_rng(d).uniform(-3.0, 3.0, (4, d))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncolliding import ImplicitProblem, NonConvergenceError, solve
-from noncolliding.implicit import _evaluate, _kernel, _row_sums, solve_batch
+from noncolliding.implicit import _Coupling, _evaluate, _kernel, _row_sums, _weights, solve_batch
 
 TOL = 1e-12  # SolverOptions().tol
 EPS = np.finfo(float).eps
@@ -128,10 +128,13 @@ def test_neighbour_kernel_has_the_dense_bits(d, m, log_c, seed):
     x[rng.random(m) < 0.3, ::2] *= -1.0  # some rows unordered
     a = x + rng.normal(size=(m, d))
     # particles on axis 0, rows on axis 1
-    r, rn, w = _evaluate(a.T, c[:, :, None], x.T)
-    r_band, rn_band, w_band = _evaluate(a.T, _kernel(c)[:, None], x.T)
+    band, dense = _Coupling(c, d), _Coupling(c, d)
+    dense.kernel = c
+    r, rn = _evaluate(a.T, dense, x.T)
+    r_band, rn_band = _evaluate(a.T, band, x.T)
     ordered = rn < np.inf
     assert rn.tobytes() == rn_band.tobytes()
     assert r[:, ordered].tobytes() == r_band[:, ordered].tobytes()
-    assert w[..., ordered].sum(axis=1).tobytes() == _row_sums(w_band[..., ordered]).tobytes()
+    w, w_band = _weights(c[:, :, None], x.T[:, ordered]), _weights(_kernel(c)[:, None], x.T[:, ordered])
+    assert w.sum(axis=1).tobytes() == _row_sums(w_band).tobytes()
 
