@@ -39,8 +39,9 @@ the core makes (`copy(order="K")`, `*_like`) and plain indexing keep that
 order.  `_rows` keeps the rows innermost where they are, for speed only.
 
 The pair arrays of a dense c (the differences, the terms c / D, the Hessian
-weights and the Hessian) live in the scratch that the run's or problem's
-`_Coupling` owns: two (d, d, m) arrays for the largest batch it has solved,
+weights and the Hessian) live in the scratch that the run's `_Coupling`
+owns (a solve of one problem takes an empty copy of the problem's, so that
+no problem keeps a scratch): two (d, d, m) arrays for the largest batch,
 laid out as NumPy lays out x[:, None] - x[None, :] for the batch's layout, so
 every sum over particles keeps its order and its bits.  A smaller batch uses
 a prefix of the same memory, so after its first solve a run allocates no pair
@@ -106,9 +107,19 @@ class _Coupling:
     def __init__(self, c, d):
         self.c = validate_interaction(c, d, "c")
         self.kernel = _kernel(self.c)
+        self._empty()
+
+    def _empty(self):
         # the scratch, its pair arrays per shape and layout of x, and the x
         # whose differences the first pair array holds, else None
         self._scratch, self._views, self._differenced = np.empty(0), {}, None
+        return self
+
+    def fresh(self):
+        """This c and kernel with an empty scratch, for one solve of one problem."""
+        fresh = object.__new__(_Coupling)
+        fresh.c, fresh.kernel = self.c, self.kernel
+        return fresh._empty()
 
     def _pair_scratch(self, x):
         # two pair arrays of x in the scratch and the first one's diagonal (see `_pairs`)
@@ -521,7 +532,7 @@ def _newton_row(problem, opts, start=None):
     """The Newton core on one problem; returns (xi, accepted steps) or raises."""
     a = problem.a[:, None]
     start = _initial_guess(a, problem.c) if start is None else start[:, None]
-    xi, iterations, rnorm, ok = _newton(a, problem.coupling, start, opts.tol)
+    xi, iterations, rnorm, ok = _newton(a, problem.coupling.fresh(), start, opts.tol)
     if not ok[0]:
         raise NonConvergenceError(
             "newton did not reach tolerance",
@@ -550,15 +561,16 @@ def solve_homotopy(problem, opts=None):
 
 def _homotopy(problem, opts):
     # solve_homotopy; returns (xi, accepted steps + polish iterations)
+    coupling = problem.coupling.fresh()
     big_j = np.arange(1.0, problem.d + 1.0)
-    g_j = problem.a - big_j + _interaction(problem.coupling.kernel, big_j)
+    g_j = problem.a - big_j + _interaction(coupling.kernel, big_j)
     # the 2-norm as np.linalg.norm computes it for a real vector
     g_norm = np.sqrt(g_j.dot(g_j))
 
     def velocity(x):
         if not (x[1:] > x[:-1]).all():
             return None
-        return _hessian_solve(problem.coupling, x, g_j)
+        return _hessian_solve(coupling, x, g_j)
 
     x, k1 = big_j, velocity(big_j)
     t = 0.0

@@ -486,15 +486,22 @@ class TestScratch:
             tracemalloc.stop()
         assert peak < d * d * m * 8
 
-    def test_results_never_share_the_scratch(self):
+    def test_results_never_share_the_scratch(self, monkeypatch):
+        # a solve of one problem works in an empty copy of the problem's
+        # coupling, which the problem does not keep
         c, a = self.dyson(16, 5, 3)
         k = implicit._Coupling(c, 16)
         xi = solve_batch(a, k)
         assert not np.shares_memory(xi, k._scratch)
+        copies = []
+        fresh = implicit._Coupling.fresh
+        monkeypatch.setattr(implicit._Coupling, "fresh", lambda self: copies.append(fresh(self)) or copies[-1])
         p = ImplicitProblem(a[0], c)
         x = solve(p).xi
-        for result in (x, jacobian(p, x), solve_homotopy(p)):
-            assert not np.shares_memory(result, p.coupling._scratch)
+        results = (x, jacobian(p, x), solve_homotopy(p))
+        assert len(copies) == 3 and p.coupling._scratch.size == 0
+        for result in results:
+            assert not any(np.shares_memory(result, copy._scratch) for copy in copies)
 
     def test_first_result_survives_a_second_call(self):
         c, a = self.dyson(16, 5, 4)
