@@ -122,14 +122,14 @@ class _Coupling:
         return fresh._empty()
 
     def _pair_scratch(self, x):
-        # two pair arrays of x in the scratch and the first one's diagonal (see `_pairs`)
+        # `_pairs` of x in the scratch
         key = x.shape, x.strides[0] == x.itemsize
         views = self._views.get(key)
         if views is None:
-            n = len(x) * x.size
-            if self._scratch.size < 2 * n:
-                self._scratch, self._views, self._differenced = np.empty(2 * n), {}, None
-            views = self._views[key] = _pairs(x, self._scratch) + _pairs(x, self._scratch[n:])[:1]
+            n = 2 * len(x) * x.size
+            if self._scratch.size < n:
+                self._scratch, self._views, self._differenced = np.empty(n), {}, None
+            views = self._views[key] = _pairs(x, self._scratch)
         return views
 
     def interaction(self, x):
@@ -140,17 +140,17 @@ class _Coupling:
         """
         if self.kernel.ndim == 1:
             return _interaction(self.kernel[:, None], x)
-        diff, diagonal, quotient = self._pair_scratch(x)
+        pair, quotient = self._pair_scratch(x)
         self._differenced = x
-        return np.divide(self.kernel[..., None], _differences(x, (diff, diagonal)), out=quotient).sum(axis=1)
+        return np.divide(self.kernel[..., None], _differences(x, pair), quotient).sum(axis=1)
 
     def hessian(self, x):
         """The Hessian of F for a dense kernel at x, (d,) or (d, m), in the scratch."""
-        diff, diagonal, _ = self._pair_scratch(x)
-        diff = diff if self._differenced is x else _differences(x, (diff, diagonal))
+        pair = self._pair_scratch(x)[0]
+        diff = pair[0] if self._differenced is x else _differences(x, pair)
         self._differenced = None
         c = self.kernel if x.ndim == 1 else self.kernel[..., None]
-        return _hessian(np.divide(c, np.square(diff, out=diff), out=diff), (diff, diagonal))
+        return _hessian(np.divide(c, np.square(diff, diff), diff), pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,29 +251,32 @@ def _rows(v, keep):
 
 
 def _pairs(x, flat=None):
-    """An array for a pair array of x, (d,) or (d, m), and a writable view of
-    its diagonal, in flat (at least d * d * m long) when given, else fresh.
+    """Two pair arrays of x, (d,) or (d, m), as ((D, a writable view of the
+    diagonal of D), Q), in flat (at least 2 * d * d * m long) or fresh.
 
-    The array is laid out as x[:, None] - x[None, :] is, which fixes the order
-    of every sum over particles: (d, d) for one problem; (d, d, m) with the
-    rows innermost for a rows-innermost x, else (m, d, d) with its first axis
+    Both are laid out as x[:, None] - x[None, :] is, which fixes the order of
+    every sum over particles: (d, d) for one problem; (d, d, m) with the rows
+    innermost for a rows-innermost x, else (m, d, d) with its first axis
     moved last.
     """
-    d = len(x)
-    flat = np.empty(d * x.size) if flat is None else flat[: d * x.size]
+    d, n = len(x), len(x) * x.size
+    flat = np.empty(2 * n) if flat is None else flat[: 2 * n]
     if x.ndim == 1:
-        return flat.reshape(d, d), flat[:: d + 1]
-    if x.strides[0] == x.itemsize:
-        return flat.reshape(-1, d, d).transpose(1, 2, 0), flat.reshape(-1, d * d)[:, :: d + 1].T
-    return flat.reshape(d, d, -1), flat.reshape(d * d, -1)[:: d + 1]
+        pairs, diagonal = flat.reshape(2, d, d), flat[: n : d + 1]
+    elif x.strides[0] == x.itemsize:
+        pairs = flat.reshape(2, -1, d, d).transpose(0, 2, 3, 1)
+        diagonal = flat[:n].reshape(-1, d * d)[:, :: d + 1].T
+    else:
+        pairs, diagonal = flat.reshape(2, d, d, -1), flat[:n].reshape(d * d, -1)[:: d + 1]
+    return (pairs[0], diagonal), pairs[1]
 
 
 def _differences(x, out=None):
     # D[i, j] = x_i - x_j for x of shape (d,) or (d, m), with inf on the
     # diagonal so that the terms c / D and the Hessian weights c / D**2
-    # vanish there; written to out, pair arrays from `_pairs`, or fresh ones
-    diff, diagonal = out or _pairs(x)
-    np.subtract(x[:, None], x[None, :], out=diff)
+    # vanish there; written to out, an array and its diagonal from `_pairs`
+    diff, diagonal = out or _pairs(x)[0]
+    np.subtract(x[:, None], x[None, :], diff)
     diagonal[...] = np.inf
     return diff
 
@@ -325,10 +328,11 @@ def _row_sums(w):
 
 def _hessian(w, out):
     # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (d, d, ...),
-    # written to out, pair arrays from `_pairs` that may hold w
+    # written to out, an array and its diagonal from `_pairs`, which may hold w
     s = w.sum(axis=1)
-    h = np.negative(w, out=out[0])
-    np.add(1.0, s, out=out[1])
+    s += 1.0
+    h = np.negative(w, out[0])
+    out[1][...] = s
     return h
 
 
@@ -410,7 +414,7 @@ def residual(problem, xi):
 def jacobian(problem, xi):
     """Symmetric positive definite matrix I - dg/dx of the system map."""
     xi = _check_ordered(xi, problem.d)
-    return _hessian(_weights(problem.c, xi), _pairs(xi))
+    return _hessian(_weights(problem.c, xi), _pairs(xi)[0])
 
 
 def _pair_gap(da, c):
@@ -443,12 +447,14 @@ def _evaluate(a, coupling, x):
     is that of the stand-in 0, 1, ..., d - 1 and means nothing.
     """
     unordered = ~(x[1:] > x[:-1]).all(axis=0)
-    if unordered.any():
+    stand_in = unordered.any()
+    if stand_in:
         x = x.copy(order="K")
         x[:, unordered] = np.arange(len(x))[:, None]
     r = x - a - coupling.interaction(x)
     rn = np.abs(r).max(axis=0)
-    rn[unordered] = np.inf
+    if stand_in:
+        rn[unordered] = np.inf
     return r, rn
 
 

@@ -564,9 +564,10 @@ class TestLayout:
         def recording(coupling, x, b):
             delta = real(coupling, x, b)
             if b.ndim == 2:
-                dense = coupling.kernel.ndim == 2
-                pairs = coupling._pair_scratch(x)[::2] if dense else ()
-                arrays = (x, b, delta) + pairs
+                arrays = (x, b, delta)
+                if coupling.kernel.ndim == 2:
+                    (pairs, _), quotient = coupling._pair_scratch(x)
+                    arrays += (pairs, quotient)
                 seen.append(tuple(map(all, zip(*(layout(v) for v in arrays)))))
             return delta
 
@@ -663,12 +664,11 @@ class TestDenseSolve:
         if scratch:
             k = implicit._Coupling(uniform_c(d, 1.0), d)
             k._pair_scratch(np.zeros((d, 40)))
-            pairs, diagonal, quotient = k._pair_scratch(x)
+            (pairs, diagonal), quotient = k._pair_scratch(x)
             assert np.shares_memory(pairs, k._scratch) and np.shares_memory(quotient, k._scratch)
             assert not np.shares_memory(pairs, quotient)
         else:
-            pairs, diagonal = implicit._pairs(x)
-            quotient = pairs
+            (pairs, diagonal), quotient = implicit._pairs(x)
         fresh = x[:, None] - x[None, :]
         for v in (pairs, quotient):
             # the stride of an axis of length 1 is never used
@@ -690,7 +690,7 @@ class TestDenseSolve:
             w, x = np.ascontiguousarray(w[..., 0]), x[:, 0]
         elif shape == "particles-innermost":
             x = np.asfortranarray(x)
-        h, diff = implicit._hessian(w, implicit._pairs(x)), implicit._differences(x, k._pair_scratch(x)[:2])
+        h, diff = implicit._hessian(w, implicit._pairs(x)[0]), implicit._differences(x, k._pair_scratch(x)[0])
         expected_h, expected_diff = -w, x[:, None] - x[None, :]
         for i in range(d):
             expected_h[i, i] = 1.0 + w[i].sum(axis=0)
