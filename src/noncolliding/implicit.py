@@ -40,8 +40,8 @@ order.  `_rows` keeps the rows innermost where they are, for speed only.
 
 The pair arrays of a dense c (the differences, the terms c / D, the Hessian
 weights and the Hessian) live in the scratch that the run's `_Coupling`
-owns (a solve of one problem takes an empty copy of the problem's, so that
-no problem keeps a scratch): two (d, d, m) arrays for the largest batch,
+owns (a solve of one problem takes a copy of the problem's without one, so
+that no problem keeps a scratch): two (d, d, m) arrays for the largest batch,
 laid out as NumPy lays out x[:, None] - x[None, :] for the batch's layout, so
 every sum over particles keeps its order and its bits.  A smaller batch uses
 a prefix of the same memory, so after its first solve a run allocates no pair
@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -104,22 +105,20 @@ class _Coupling:
     reused by every later solve, so a coupling is not for concurrent use.
     """
 
+    # the scratch, its pair arrays per shape and layout of x, and the x whose
+    # differences the first pair array holds, else None; empty until the
+    # first solve with a dense kernel gives the coupling its own
+    _scratch, _views, _differenced = np.empty(0), MappingProxyType({}), None
+
     def __init__(self, c, d):
         self.c = validate_interaction(c, d, "c")
         self.kernel = _kernel(self.c)
-        self._empty()
-
-    def _empty(self):
-        # the scratch, its pair arrays per shape and layout of x, and the x
-        # whose differences the first pair array holds, else None
-        self._scratch, self._views, self._differenced = np.empty(0), {}, None
-        return self
 
     def fresh(self):
-        """This c and kernel with an empty scratch, for one solve of one problem."""
+        """This c and kernel without a scratch, for one solve of one problem."""
         fresh = object.__new__(_Coupling)
         fresh.c, fresh.kernel = self.c, self.kernel
-        return fresh._empty()
+        return fresh
 
     def _pair_scratch(self, x):
         # `_pairs` of x in the scratch
