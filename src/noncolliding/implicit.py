@@ -58,8 +58,15 @@ neighbour weights c_{i,i+1} / gap_i^2: evaluation costs O(d) per row and gives
 the bits of the dense sums, whose other terms are exact zeros, and the
 tridiagonal Hessians of all rows are solved by one LAPACK `dgtsv` call on the
 rows stacked as one system with zero coupling between them.  Every other c, and
-every c at d = 2, where the tridiagonal and dense LU solves round differently,
-takes the dense O(d^2) evaluation and the dense O(d^3) LU solve.  The dense
+every c at d = 2, where the tridiagonal and dense solves round differently,
+takes the dense O(d^2) evaluation and a dense O(d^3) solve: LU below
+d = `CHOLESKY_FROM` and Cholesky from it.  The Hessian I + diag(sum_j w_ij) - w
+is I plus a weighted graph Laplacian, so it is symmetric positive definite,
+and it is exactly symmetric in floating point, because c is symmetric and
+D_ji = -D_ij exactly.  Cholesky therefore reads only one triangle, at half
+the flops of LU: `_cholesky_solve` factors each row's Hessian in place in the
+scratch with LAPACK `dposv`, one row at a time.  Below `CHOLESKY_FROM` the
+fixed cost of that call per row loses to LU on a single problem.  The LU
 solves (`_lu_solve`) call the LAPACK gufunc of `np.linalg.solve` directly,
 under the error state it sets: its bits without the cost of its wrapper, and
 a Hessian that is singular in floating point still raises LinAlgError.
@@ -76,7 +83,7 @@ from types import MappingProxyType
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dposv
 
 from .errors import NonConvergenceError
 from .model import _as_vector, is_tridiagonal, is_uniform, validate_interaction
@@ -144,7 +151,8 @@ class _Coupling:
         return np.divide(self.kernel[..., None], _differences(x, pair), quotient).sum(axis=1)
 
     def hessian(self, x):
-        """The Hessian of F for a dense kernel at x, (d,) or (d, m), in the scratch."""
+        """The Hessian of F for a dense kernel at x, (d,) or (d, m), in the
+        scratch, where a Cholesky solve then overwrites it with its factor."""
         pair = self._pair_scratch(x)[0]
         diff = pair[0] if self._differenced is x else _differences(x, pair)
         self._differenced = None
@@ -174,6 +182,9 @@ class ImplicitProblem:
         return self.a.shape[0]
 
 
+# smallest d whose dense Hessians are solved by Cholesky (`_cholesky_solve`),
+# not LU: the measured crossover, below which LU is faster on one problem
+CHOLESKY_FROM = 48
 # Newton steps per row, and sweeps of a fixed-point iteration, before a solve fails
 MAX_ITER = 100
 MAX_SWEEPS = 200_000
@@ -338,12 +349,16 @@ def _hessian(w, out):
 def _hessian_solve(coupling, x, b):
     """H^{-1} b for the Hessian H of F at x and b, both (d,) or (d, m).
 
-    A dense Hessian is formed in the coupling's scratch (`_Coupling.hessian`).
+    A dense Hessian is formed in the coupling's scratch (`_Coupling.hessian`)
+    and solved there by Cholesky from d = CHOLESKY_FROM, by LU below it.
     A row whose Hessian is singular in floating point (weights so large that
     the identity is lost) gets NaN, which no line search or continuation
-    step accepts; the other rows are solved one by one with the same bits.
-    The result has the memory order of b.
+    step accepts; the other rows keep the bits they get alone, because
+    Cholesky solves every row alone and LU and `dgtsv` solve them again one
+    by one.  The result has the memory order of b.
     """
+    if coupling.kernel.ndim == 2 and len(x) >= CHOLESKY_FROM:
+        return _cholesky_solve(coupling.hessian(x), b)
     try:
         if coupling.kernel.ndim == 2:
             y = _lu_solve(coupling.hessian(x), b)
@@ -362,6 +377,31 @@ def _hessian_solve(coupling, x, b):
     out = np.empty_like(b)
     out[...] = y
     return out
+
+
+def _cholesky_solve(h, b):
+    """h^{-1} b for one (d, d) h and b (d,), or for the m systems on the last
+    axis of (d, d, m) and (d, m), one at a time, by LAPACK `dposv`.
+
+    In the particles-innermost layout each (d, d) block of h is
+    C-contiguous, so its transpose is the Fortran array that `dposv` factors
+    in place (f2py copies any other block, so the solution taken is the one
+    `dposv` returns); it reads one triangle, which is all of h because h is
+    symmetric.  A system gets NaN when the factorisation
+    meets a pivot that is not positive, when its solution is not finite, or
+    when its diagonal is not finite: the weights are >= 0, so that is where a
+    weight that is not finite shows, and it can leave `dposv` a finite
+    solution.
+    """
+    y = b.copy(order="K")
+    hs, ys = (h.T[None], y[None]) if b.ndim == 1 else (h.transpose(2, 1, 0), y.T)
+    bad = ~np.isfinite(hs.diagonal(0, 1, 2)).all(axis=1)
+    for i, (a, v) in enumerate(zip(hs, ys)):
+        _, ys[i], info = dposv(a, v, lower=1, overwrite_a=1, overwrite_b=1)
+        if info:
+            bad[i] = True
+    ys[bad | ~np.isfinite(ys).all(axis=1)] = np.nan
+    return y
 
 
 def _raise_singular(err, flag):

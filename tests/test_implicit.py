@@ -47,6 +47,10 @@ def dense_coupling(c):
     return coupling
 
 
+# the d of the Cholesky tests: the smallest, one past it (whose (d, d) blocks
+# start at every alignment in a batch) and two larger
+CHOLESKY_DS = [implicit.CHOLESKY_FROM, implicit.CHOLESKY_FROM + 1, 64, 128]
+
 ALL_METHODS_D2 = ["newton", "homotopy", "fixed_point_nn"]
 ALL_METHODS_D3 = ["newton", "homotopy", "alternating_d3"]
 
@@ -419,7 +423,7 @@ class TestBatch:
         batch = solve_batch(a, uniform_c(4, 1e-5))
         assert np.all(np.diff(batch, axis=1) > 0)
 
-    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("d", [16, implicit.CHOLESKY_FROM, 64])
     @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
     def test_rows_bit_identical_alone_at_large_d(self, d, kind):
         # reductions over d >= 8 terms are pairwise; a row must still get the
@@ -732,6 +736,83 @@ class TestDenseSolve:
         assert np.isnan(delta[:, [1, 3]]).all()
         for i in (0, 2, 4):
             assert delta[:, i].tobytes() == np.linalg.solve(h[..., i], b[:, i]).tobytes()
+
+    @classmethod
+    def cholesky_system(cls, d, m=5):
+        # a dense system at d >= CHOLESKY_FROM, particles innermost as the core lays it out
+        rng = np.random.default_rng(200 + d)
+        k, x = cls.system(rng, d, m)
+        return (k, *cls.particles_innermost(x, rng.normal(size=(d, m))))
+
+    @pytest.mark.parametrize("d", CHOLESKY_DS)
+    def test_cholesky_rows_get_the_same_bits_alone(self, d):
+        # in a batch, as a batch of one and as one (d,) problem in a fresh coupling
+        k, x, b = self.cholesky_system(d)
+        given = b.copy()
+        delta = implicit._hessian_solve(k, x, b)
+        assert b.tobytes() == given.tobytes() and delta.strides == b.strides
+        for i in range(5):
+            alone = implicit._hessian_solve(k, x[:, i : i + 1], b[:, i : i + 1])
+            one = implicit._hessian_solve(k.fresh(), x[:, i], b[:, i])
+            assert alone.tobytes() == delta[:, i : i + 1].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("d", CHOLESKY_DS)
+    @pytest.mark.parametrize("layout", ["rows-innermost", "particles-innermost"])
+    def test_cholesky_matches_numpy_solve(self, d, layout):
+        # rows innermost, each (d, d) block is strided and `dposv` copies it
+        k, x, b = self.cholesky_system(d)
+        if layout == "rows-innermost":
+            x, b = np.ascontiguousarray(x), np.ascontiguousarray(b)
+        expected = np.linalg.solve(self.hessian(k.c, x).transpose(2, 0, 1), b.T[:, :, None])[:, :, 0].T
+        delta = implicit._hessian_solve(k, x, b)
+        assert np.all(np.abs(delta - expected).max(axis=0) <= 1e-13 * np.abs(expected).max(axis=0))
+        assert delta.strides == b.strides
+
+    @pytest.mark.parametrize("d", CHOLESKY_DS)
+    @pytest.mark.parametrize(
+        "bad", ["collapsed-pair", "inf-weight", "nan-weight", "inf-rhs", "nan-rhs"]
+    )
+    def test_cholesky_bad_row_gives_nan_and_keeps_neighbours(self, d, bad):
+        # rows 1 and 3 are bad; the others keep the bits they get alone.
+        # collapsed-pair: with c_ij = (i - j)^2, particles 0 and 1 at 2^-33
+        # apart and the others at 2, 3, ..., the weight 2^66 between them
+        # swallows the identity and every other weight of their rows, so the
+        # second pivot is exactly 2^66 - (2^66 / 2^33)^2 = 0.  (The uniform
+        # weights 2^66 of `check_singular_rows` leave LU and Cholesky alike a
+        # finite, meaningless solution at these d.)  inf-weight: a gap whose
+        # square is 0, which leaves `dposv` a finite solution
+        k, x, b = self.cholesky_system(d)
+        rows = [1, 3]
+        if bad == "collapsed-pair":
+            k = implicit._Coupling(np.subtract.outer(np.arange(d), np.arange(d)) ** 2.0, d)
+            x[:, rows] = np.r_[0.0, 2.0**-33, 2.0:d][:, None]
+        elif bad.endswith("weight"):
+            x[3, rows] = x[2, rows] + 1e-200 if bad == "inf-weight" else np.nan
+        else:
+            b[2, rows] = np.inf if bad == "inf-rhs" else np.nan
+        with np.errstate(divide="ignore"):
+            delta = implicit._hessian_solve(k, x, b)
+        assert np.isnan(delta[:, rows]).all()
+        for i in (0, 2, 4):
+            alone = implicit._hessian_solve(k, x[:, i : i + 1], b[:, i : i + 1])
+            assert np.isfinite(alone).all() and alone.tobytes() == delta[:, i : i + 1].tobytes()
+        with np.errstate(divide="ignore"):
+            assert np.isnan(implicit._hessian_solve(k.fresh(), x[:, 1], b[:, 1])).all()
+
+    @pytest.mark.parametrize("d", [3, implicit.CHOLESKY_FROM - 1, implicit.CHOLESKY_FROM, 64])
+    @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
+    def test_each_hessian_goes_to_its_solver(self, d, kind, monkeypatch):
+        # uniform c: LU below CHOLESKY_FROM, `dposv` from it; neighbour c: `dgtsv`
+        calls = []
+        for name in ("_lu_solve", "dposv", "dgtsv"):
+            real = getattr(implicit, name)
+            monkeypatch.setattr(implicit, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+        c = uniform_c(d, 1.0 / 64) if kind == "uniform" else tridiag_c(np.full(d - 1, 1.0 / 64))
+        a = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) + np.random.default_rng(d).normal(size=(4, d))
+        solve_batch(a, c)
+        solve_homotopy(ImplicitProblem(a[0], c))
+        expected = "dgtsv" if kind == "tridiagonal" else "_lu_solve" if d < implicit.CHOLESKY_FROM else "dposv"
+        assert calls and set(calls) == {expected}
 
 
 class TestNeighbourKernel:
