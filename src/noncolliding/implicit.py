@@ -357,7 +357,7 @@ def _hessian_solve(coupling, x, b):
     Cholesky solves every row alone and LU and `dgtsv` solve them again one
     by one.  The result has the memory order of b.
     """
-    if coupling.kernel.ndim == 2 and len(x) >= CHOLESKY_FROM:
+    if len(x) >= CHOLESKY_FROM and coupling.kernel.ndim == 2:
         return _cholesky_solve(coupling.hessian(x), b)
     try:
         if coupling.kernel.ndim == 2:
