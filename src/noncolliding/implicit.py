@@ -387,11 +387,10 @@ def _cholesky_solve(h, b):
     C-contiguous, so its transpose is the Fortran array that `dposv` factors
     in place (f2py copies any other block, so the solution taken is the one
     `dposv` returns); it reads one triangle, which is all of h because h is
-    symmetric.  A system gets NaN when the factorisation
-    meets a pivot that is not positive, when its solution is not finite, or
-    when its diagonal is not finite: the weights are >= 0, so that is where a
-    weight that is not finite shows, and it can leave `dposv` a finite
-    solution.
+    symmetric.  A system gets NaN when the factorisation meets a pivot that
+    is not positive, when its solution is not finite, or when its diagonal
+    is not finite: the weights are >= 0, so that is where a weight that is
+    not finite shows, and it can leave `dposv` a finite solution.
     """
     y = b.copy(order="K")
     hs, ys = (h.T[None], y[None]) if b.ndim == 1 else (h.transpose(2, 1, 0), y.T)

@@ -778,9 +778,10 @@ class TestDenseSolve:
         # apart and the others at 2, 3, ..., the weight 2^66 between them
         # swallows the identity and every other weight of their rows, so the
         # second pivot is exactly 2^66 - (2^66 / 2^33)^2 = 0.  (The uniform
-        # weights 2^66 of `check_singular_rows` leave LU and Cholesky alike a
-        # finite, meaningless solution at these d.)  inf-weight: a gap whose
-        # square is 0, which leaves `dposv` a finite solution
+        # weights 2^66 of `check_singular_rows` leave LU a finite, meaningless
+        # solution at these d, and Cholesky too at 48, 49 and 128.)
+        # inf-weight: a gap whose square is 0, which leaves `dposv` a finite
+        # solution
         k, x, b = self.cholesky_system(d)
         rows = [1, 3]
         if bad == "collapsed-pair":
