@@ -67,9 +67,10 @@ D_ji = -D_ij exactly.  Cholesky therefore reads only one triangle, at half
 the flops of LU: `_cholesky_solve` factors each row's Hessian in place in the
 scratch with LAPACK `dposv`, one row at a time.  Below `CHOLESKY_FROM` the
 fixed cost of that call per row loses to LU on a single problem.  The LU
-solves (`_lu_solve`) call the LAPACK gufunc of `np.linalg.solve` directly,
-under the error state it sets: its bits without the cost of its wrapper, and
-a Hessian that is singular in floating point still raises LinAlgError.
+solves (`_lu_solve`) call the LAPACK gufunc of `np.linalg.solve` directly:
+its bits without the cost of its wrapper.  Each solver returns b's memory
+order and NaN in a row it cannot solve, which no step accepts; `_newton` and
+`_homotopy` each run under one error state that ignores the flags it raises.
 
 Two structure-specific fixed-point iterations are available for tridiagonal
 coefficients and for d = 3 with uniform coefficients.
@@ -347,36 +348,20 @@ def _hessian(w, out):
 
 
 def _hessian_solve(coupling, x, b):
-    """H^{-1} b for the Hessian H of F at x and b, both (d,) or (d, m).
+    """H^{-1} b for the Hessian H of F at x and b, both (d,) or (d, m), in
+    the memory order of b.
 
-    A dense Hessian is formed in the coupling's scratch (`_Coupling.hessian`)
-    and solved there by Cholesky from d = CHOLESKY_FROM, by LU below it.
-    A row whose Hessian is singular in floating point (weights so large that
-    the identity is lost) gets NaN, which no line search or continuation
-    step accepts; the other rows keep the bits they get alone, because
-    Cholesky solves every row alone and LU and `dgtsv` solve them again one
-    by one.  The result has the memory order of b.
+    A band kernel's Hessians go to `dgtsv`.  A dense Hessian is formed in the
+    coupling's scratch (`_Coupling.hessian`) and solved there by Cholesky from
+    d = CHOLESKY_FROM, by LU below it.  A row whose Hessian is singular in
+    floating point (weights so large that the identity is lost) gets NaN; the
+    other rows keep the bits they get alone.
     """
     if len(x) >= CHOLESKY_FROM and coupling.kernel.ndim == 2:
         return _cholesky_solve(coupling.hessian(x), b)
-    try:
-        if coupling.kernel.ndim == 2:
-            y = _lu_solve(coupling.hessian(x), b)
-        else:
-            y = _tridiagonal_solve(_weights(coupling.kernel if x.ndim == 1 else coupling.kernel[:, None], x), b)
-    except np.linalg.LinAlgError:
-        if b.ndim == 1:
-            return np.full_like(b, np.nan)
-        y = np.empty_like(b)
-        for i in range(b.shape[1]):
-            y[:, i] = _hessian_solve(coupling, x[:, i], b[:, i])
-        return y
-    # both solvers return the particles innermost
-    if y.strides == b.strides:
-        return y
-    out = np.empty_like(b)
-    out[...] = y
-    return out
+    if coupling.kernel.ndim == 2:
+        return _lu_solve(coupling.hessian(x), b)
+    return _tridiagonal_solve(_weights(coupling.kernel if x.ndim == 1 else coupling.kernel[:, None], x), b)
 
 
 def _cholesky_solve(h, b):
@@ -403,41 +388,44 @@ def _cholesky_solve(h, b):
     return y
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _lu_solve(h, b):
     """h^{-1} b for one (d, d) h and b (d,), or for the m systems on the last
-    axis of (d, d, m) and (d, m).
+    axis of (d, d, m) and (d, m), in the memory order of b.
 
-    The LAPACK gufunc that `np.linalg.solve` calls, called directly under the
-    error state it sets: the same bits without the wrapper's checks and
-    conversions, and a singular h raises LinAlgError.
+    The LAPACK gufunc that `np.linalg.solve` calls, called directly: the same
+    bits without the wrapper's checks and conversions.  A singular system
+    keeps the NaN that the gufunc fills it with, and raises the invalid flag.
     """
+    y = np.empty_like(b)
     if b.ndim == 1:
-        return _umath_linalg.solve1(h, b, signature="dd->d")
-    return _umath_linalg.solve(h.transpose(2, 0, 1), b.T[:, :, None], signature="dd->d")[:, :, 0].T
+        return _umath_linalg.solve1(h, b, out=y, signature="dd->d")
+    _umath_linalg.solve(h.transpose(2, 0, 1), b.T[:, :, None], out=y.T[:, :, None], signature="dd->d")
+    return y
 
 
 def _tridiagonal_solve(w, b):
-    """H^{-1} b for neighbour weights w (d - 1, ...): one LAPACK `dgtsv` call on
-    the m row systems stacked as one of size m * d, with zero coupling.
+    """H^{-1} b for neighbour weights w (d - 1, ...), in the memory order of b:
+    one LAPACK `dgtsv` call on the m row systems stacked as one of size m * d,
+    with zero coupling.
 
     Elimination and back substitution cross from one row to the next only
     through a zero multiplier, which leaves each row the bits it gets alone
     while every value is finite.  A non-finite value, given or produced by
-    overflow, would turn that product into NaN, so a solve that is singular
-    or not finite everywhere raises LinAlgError and the rows go one by one.
+    overflow, would turn that product into NaN, so a stacked solve that is
+    singular or not finite everywhere is made again one row at a time, and a
+    row that fails alone gets NaN.
     """
     off = np.zeros(b.T.shape)
     off[..., :-1] = -w.T
     off = off.ravel()[:-1]
     x, info = dgtsv(off, (1.0 + _row_sums(w)).T.ravel(), off, b.T.reshape(-1, 1))[3:]
-    if info != 0 or not np.isfinite(x).all():
-        raise np.linalg.LinAlgError("singular or overflowing tridiagonal Hessian")
-    return x.reshape(b.T.shape).T
+    y = np.full_like(b, np.nan)
+    if info == 0 and np.isfinite(x).all():
+        y[...] = x.reshape(b.T.shape).T
+    elif b.ndim == 2:
+        for i in range(b.shape[1]):
+            y[:, i] = _tridiagonal_solve(w[:, i], b[:, i])
+    return y
 
 
 def residual(problem, xi):
@@ -520,6 +508,7 @@ def _line_search(a, coupling, x, rn, delta):
     return x_new, r, rn_new, pending
 
 
+@np.errstate(all="ignore")
 def _newton(a, coupling, xi, tol):
     """Damped Newton on each row of xi, shape (d, m), for the offsets in a.
 
@@ -603,6 +592,7 @@ def solve_homotopy(problem, opts=None):
     return _homotopy(problem, opts or _DEFAULTS)[0]
 
 
+@np.errstate(all="ignore")
 def _homotopy(problem, opts):
     # solve_homotopy; returns (xi, accepted steps + polish iterations)
     coupling = problem.coupling.fresh()
@@ -612,9 +602,8 @@ def _homotopy(problem, opts):
     g_norm = np.sqrt(g_j.dot(g_j))
 
     def velocity(x):
-        if not (x[1:] > x[:-1]).all():
-            return None
-        return _hessian_solve(coupling, x, g_j)
+        # NaN at a point that is not strictly ordered
+        return _hessian_solve(coupling, x, g_j) if (x[1:] > x[:-1]).all() else np.full_like(g_j, np.nan)
 
     x, k1 = big_j, velocity(big_j)
     t = 0.0
@@ -623,15 +612,15 @@ def _homotopy(problem, opts):
     while t < 1.0 - 1e-15:
         step = min(h, 1.0 - t)
         while True:
-            # k1 is the velocity at x, which a rejected retry has not moved
+            # k1 is the velocity at x, which a rejected retry has not moved; a
+            # stage with a NaN makes every later one NaN, and the bound rejects it
             k2 = velocity(x + 0.5 * step * k1)
-            k3 = velocity(x + 0.5 * step * k2) if k2 is not None else None
-            k4 = velocity(x + step * k3) if k3 is not None else None
-            if k4 is not None:
-                trial = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                v = velocity(trial)
-                if v is not None and np.sqrt(v.dot(v)) <= g_norm * (1.0 + 1e-9) + 1e-300:
-                    break
+            k3 = velocity(x + 0.5 * step * k2)
+            k4 = velocity(x + step * k3)
+            trial = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            v = velocity(trial)
+            if np.sqrt(v.dot(v)) <= g_norm * (1.0 + 1e-9) + 1e-300:
+                break
             step *= 0.5
             if step < 1e-8:
                 raise NonConvergenceError(
