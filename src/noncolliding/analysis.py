@@ -15,6 +15,7 @@ computed by multi-start constrained maximization over the positive
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.optimize import minimize
@@ -433,6 +434,7 @@ def _chi_objective(xi, p):
     return float(np.sum(xi[1:] * xi[:-1] ** p + xi[1:] ** p * xi[:-1]))
 
 
+@cache
 def chi_bar(d, p):
     """Maximum of sum(xi_{i+1} xi_i^p + xi_{i+1}^p xi_i) on the positive
     (p+2)-norm unit sphere in dimension d - 1.
@@ -441,17 +443,24 @@ def chi_bar(d, p):
     candidates of a coarse grid scan of PRESCAN-scaled density.
     Each start is refined by constrained sequential quadratic programming.
     The returned value is the sharp constant of the nearest-neighbour gap
-    inequality; callers that need it strictly below 2 must check.
+    inequality; callers that need it strictly below 2 must check.  It is a
+    pure function of (d, p), computed once per process; p must keep 100 p,
+    the starts' seed key, finite.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
-    _check_order(p)
+    if not 100.0 * _check_order(p) < np.inf:
+        raise ValueError(f"p must be below {np.finfo(float).max / 100:.4g}")
     m = d - 1
     q = p + 2.0
 
     def normalize(v):
         v = np.clip(v, 1e-12, None)
-        return v / np.sum(v**q) ** (1.0 / q)
+        s = np.sum(v**q)
+        if not s >= np.finfo(float).tiny:  # the q-th powers underflowed: scale first
+            v = v / v.max()
+            s = np.sum(v**q)
+        return v / s ** (1.0 / q)
 
     starts = [normalize(np.ones(m))]
     rng = np.random.default_rng(np.random.SeedSequence((0, int(d), int(round(100 * p)))))

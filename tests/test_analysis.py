@@ -333,8 +333,11 @@ class TestChiBar:
         assert chi_bar(3, 0) == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
     def test_closed_form_p1(self):
-        # maximize 2*xi1*xi2*(xi1 + xi2)/2... sharp value is 2^(1/3)
-        assert chi_bar(3, 1) == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-6)
+        # maximize 2*xi1*xi2*(xi1 + xi2)/2... sharp value is 2^(1/3); at d = 3
+        # it is 2^(1/(p+2)) for every p, and at p = 400 the (p+2)-th powers of
+        # a small start underflow
+        for p in (1, 400):
+            assert chi_bar(3, p) == pytest.approx(2.0 ** (1.0 / (p + 2.0)), abs=1e-6)
 
     def test_sharpness_no_violation_at_computed_constant(self):
         chi = chi_bar(4, 0)
@@ -345,3 +348,5 @@ class TestChiBar:
             chi_bar(2, 0)
         with pytest.raises(ValueError):
             chi_bar(3, -1)
+        with pytest.raises(ValueError, match="p must be below"):
+            chi_bar(3, 1e308)

@@ -426,6 +426,16 @@ class TestCli:
         assert out == ""
         assert err.startswith(f'error,validation,"{flag}: must be >= ')
 
+    @pytest.mark.parametrize(
+        "argv", [["chi-bar"], ["inequalities", "--kind", "nn"]], ids=["chi_bar", "inequalities_nn"]
+    )
+    def test_p_that_overflows_the_chi_bar_seed_key_is_validation_error(self, argv, capsys):
+        # 100 p, the seed key of chi_bar's starts, is inf
+        assert main(argv + ["--d", "3", "--p", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error,validation,"p must be below ')
+
     @pytest.mark.parametrize("c", ["[1.0]", "[1.0, 2.0]"], ids=["one_value", "two_values"])
     def test_drift_of_wrong_length_is_validation_error(self, tmp_path, c, capsys):
         # a constant drift is not broadcast to the particles
