@@ -12,6 +12,7 @@ from noncolliding import (
     ZeroDrift,
     moment_profile,
     simulate_batch,
+    tridiagonal_gamma,
     uniform_gamma,
 )
 from noncolliding.analysis import _batch_increments
@@ -19,28 +20,36 @@ from noncolliding.scheme import generate_brownian_batch
 
 
 @pytest.mark.parametrize(
-    "d, theta", [(4, 0.0), (8, 0.0), (8, 2.0)], ids=["rows_innermost", "particles_innermost", "ornstein_uhlenbeck"]
+    "d, theta, coupling",
+    [(4, 0.0, "uniform"), (8, 0.0, "uniform"), (8, 2.0, "uniform"), (8, 0.0, "nearest_neighbour")],
+    ids=["rows_innermost", "particles_innermost", "ornstein_uhlenbeck", "nearest_neighbour"],
 )
-def test_dyson_second_moment(d, theta):
-    # uniform gamma, drift theta * (0 - x) and sigma = I: Ito's formula on
+def test_dyson_second_moment(d, theta, coupling):
+    # gamma on P pairs, drift theta * (0 - x) and sigma = I: Ito's formula on
     # |X|^2 sums the pair terms gamma * (x_i - x_j) / (x_i - x_j) to
-    # gamma * d * (d - 1), so d E|X_t|^2 / dt = -2 theta E|X_t|^2 + k with
-    # k = d + gamma * d * (d - 1), and E|X_T|^2 = |x0|^2 + T * k at theta = 0,
+    # 2 * gamma * P, so d E|X_t|^2 / dt = -2 theta E|X_t|^2 + k with
+    # k = d + 2 * gamma * P, and E|X_T|^2 = |x0|^2 + T * k at theta = 0,
     # e^{-2 theta T} |x0|^2 + k (1 - e^{-2 theta T}) / (2 theta) otherwise.
-    # The scheme's bias shrinks with the step, to within 3 standard errors at n = 64.
+    # P is d (d - 1) / 2 for uniform gamma and d - 1 for nearest-neighbour
+    # gamma, whose band kernel runs at d >= 3.  The scheme's bias shrinks with
+    # the step, to within 3 standard errors at n = 64, and at n = 256 for
+    # nearest-neighbour gamma, whose error at n = 64 is about 3 standard errors.
     gamma, T = 1.0, 1.0
     x0 = np.linspace(-1.5, 1.5, d)
     drift = OrnsteinUhlenbeckDrift(theta, np.zeros(d)) if theta else ZeroDrift()
+    uniform = coupling == "uniform"
     system = ParticleSystem(
-        d=d, gamma=uniform_gamma(d, gamma), drift=drift, diffusion=ConstantMatrixDiffusion(np.eye(d)), x0=x0
+        d=d, gamma=(uniform_gamma if uniform else tridiagonal_gamma)(d, gamma), drift=drift,
+        diffusion=ConstantMatrixDiffusion(np.eye(d)), x0=x0,
     )
-    k = d + gamma * d * (d - 1)
+    k = d + 2.0 * gamma * (d * (d - 1) // 2 if uniform else d - 1)
     decay = np.exp(-2.0 * theta * T)
     exact = x0 @ x0 + T * k if theta == 0 else decay * (x0 @ x0) + k * (1.0 - decay) / (2.0 * theta)
-    reports = [moment_profile(system, T, 2, 2000, n, base_seed=3, times=[T])[0] for n in (4, 16, 64)]
+    levels = (4, 16, 64) if uniform else (4, 16, 64, 256)
+    reports = [moment_profile(system, T, 2, 2000, n, base_seed=3, times=[T])[0] for n in levels]
     errors = [abs(r.est_abs_moment - exact) for r in reports]
-    assert errors[0] > errors[1] > errors[2]
-    assert errors[2] <= 3.0 * reports[2].abs_moment_std_err
+    assert all(coarse > fine for coarse, fine in zip(errors, errors[1:]))
+    assert errors[-1] <= 3.0 * reports[-1].abs_moment_std_err
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 4.0])
