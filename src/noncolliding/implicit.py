@@ -357,11 +357,11 @@ def _hessian_solve(coupling, x, b):
     floating point (weights so large that the identity is lost) gets NaN; the
     other rows keep the bits they get alone.
     """
-    if len(x) >= CHOLESKY_FROM and coupling.kernel.ndim == 2:
+    if coupling.kernel.ndim == 1:
+        return _tridiagonal_solve(_weights(coupling.kernel if x.ndim == 1 else coupling.kernel[:, None], x), b)
+    if len(x) >= CHOLESKY_FROM:
         return _cholesky_solve(coupling.hessian(x), b)
-    if coupling.kernel.ndim == 2:
-        return _lu_solve(coupling.hessian(x), b)
-    return _tridiagonal_solve(_weights(coupling.kernel if x.ndim == 1 else coupling.kernel[:, None], x), b)
+    return _lu_solve(coupling.hessian(x), b)
 
 
 def _cholesky_solve(h, b):
@@ -602,7 +602,6 @@ def _homotopy(problem, opts):
     g_norm = np.sqrt(g_j.dot(g_j))
 
     def velocity(x):
-        # NaN at a point that is not strictly ordered
         return _hessian_solve(coupling, x, g_j) if (x[1:] > x[:-1]).all() else np.full_like(g_j, np.nan)
 
     x, k1 = big_j, velocity(big_j)
