@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import scheme
 from .scheme import TimeGrid, _is_power_of_two, simulate_batch
@@ -410,19 +409,26 @@ def _nn_sides_batch(pts, p, chi):
     return lhs, rhs
 
 
+def _scaled_sides(sides, pts, p, *args):
+    # both sides are homogeneous of degree -(p + 2); at a smallest gap of 1 an overflowing term is an exact 0
+    with np.errstate(over="ignore", divide="ignore"):
+        lhs, rhs = sides((pts - pts[:, :1]) / np.diff(pts, axis=1).min(axis=1, keepdims=True), p, *args)
+    if not np.isfinite([lhs, rhs]).all():  # a scaled gap that rounds below 1 at a huge p
+        raise ValueError(f"p = {p:g} is too large for a sweep: the scaled sides are not finite")
+    return lhs, rhs
+
+
 def sweep_gap_inequality_full(d, p, count, seed=0):
     """Number of violations of the strict full inequality over random points."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(d), int(round(_check_order(p))))))
-    pts = sample_chamber_points(rng, d, count)
-    lhs, rhs = _full_sides_batch(pts, p)
+    lhs, rhs = _scaled_sides(_full_sides_batch, sample_chamber_points(rng, d, count), p)
     return int(np.count_nonzero(lhs >= rhs))
 
 
 def sweep_gap_inequality_nn(d, p, chi, count, seed=0):
     """Number of violations of the nearest-neighbour inequality with constant chi."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(d), int(round(_check_order(p))), 1)))
-    pts = sample_chamber_points(rng, d, count)
-    lhs, rhs = _nn_sides_batch(pts, p, chi)
+    lhs, rhs = _scaled_sides(_nn_sides_batch, sample_chamber_points(rng, d, count), p, chi)
     return int(np.count_nonzero(lhs > rhs * (1.0 + 1e-12)))
 
 
@@ -447,6 +453,7 @@ def chi_bar(d, p):
     pure function of (d, p), computed once per process; p must keep 100 p,
     the starts' seed key, finite.
     """
+    from scipy.optimize import minimize  # here, once per (d, p): most runs never need SciPy
     if d < 3:
         raise ValueError("d must be >= 3")
     if not 100.0 * _check_order(p) < np.inf:

@@ -66,11 +66,13 @@ and it is exactly symmetric in floating point, because c is symmetric and
 D_ji = -D_ij exactly.  Cholesky therefore reads only one triangle, at half
 the flops of LU: `_cholesky_solve` factors each row's Hessian in place in the
 scratch with LAPACK `dposv`, one row at a time.  Below `CHOLESKY_FROM` the
-fixed cost of that call per row loses to LU on a single problem.  The LU
-solves (`_lu_solve`) call the LAPACK gufunc of `np.linalg.solve` directly:
-its bits without the cost of its wrapper.  Each solver returns b's memory
-order and NaN in a row it cannot solve, which no step accepts; `_newton` and
-`_homotopy` each run under one error state that ignores the flags it raises.
+fixed cost of that call per row loses to LU on a single problem.  `dgtsv` and
+`dposv` come from `scipy.linalg.lapack`, which the module `__getattr__` imports
+on first use: an LU-only run never imports SciPy.  `_lu_solve` calls the LAPACK
+gufunc of `np.linalg.solve` directly: its bits without the cost of its wrapper.
+Each solver returns b's memory order and NaN in a row it cannot solve, which no
+step accepts; `_newton` and `_homotopy` each run under one error state that
+ignores the flags it raises.
 
 Two structure-specific fixed-point iterations are available for tridiagonal
 coefficients and for d = 3 with uniform coefficients.
@@ -84,7 +86,6 @@ from types import MappingProxyType
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg.lapack import dgtsv, dposv
 
 from .errors import NonConvergenceError
 from .model import _as_vector, is_tridiagonal, is_uniform, validate_interaction
@@ -364,6 +365,18 @@ def _hessian_solve(coupling, x, b):
     return _lu_solve(coupling.hessian(x), b)
 
 
+def __getattr__(name):
+    if name not in ("dgtsv", "dposv"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import lapack  # binds both routines, keeping one already bound (or patched)
+    globals().update({r: globals().get(r) or getattr(lapack, r) for r in ("dgtsv", "dposv")})
+    return globals()[name]
+
+
+def _lapack(name):
+    return globals().get(name) or __getattr__(name)
+
+
 def _cholesky_solve(h, b):
     """h^{-1} b for one (d, d) h and b (d,), or for the m systems on the last
     axis of (d, d, m) and (d, m), one at a time, by LAPACK `dposv`.
@@ -381,7 +394,7 @@ def _cholesky_solve(h, b):
     hs, ys = (h.T[None], y[None]) if b.ndim == 1 else (h.transpose(2, 1, 0), y.T)
     bad = ~np.isfinite(hs.diagonal(0, 1, 2)).all(axis=1)
     for i, (a, v) in enumerate(zip(hs, ys)):
-        _, ys[i], info = dposv(a, v, lower=1, overwrite_a=1, overwrite_b=1)
+        _, ys[i], info = _lapack("dposv")(a, v, lower=1, overwrite_a=1, overwrite_b=1)
         if info:
             bad[i] = True
     ys[bad | ~np.isfinite(ys).all(axis=1)] = np.nan
@@ -418,7 +431,7 @@ def _tridiagonal_solve(w, b):
     off = np.zeros(b.T.shape)
     off[..., :-1] = -w.T
     off = off.ravel()[:-1]
-    x, info = dgtsv(off, (1.0 + _row_sums(w)).T.ravel(), off, b.T.reshape(-1, 1))[3:]
+    x, info = _lapack("dgtsv")(off, (1.0 + _row_sums(w)).T.ravel(), off, b.T.reshape(-1, 1))[3:]
     y = np.full_like(b, np.nan)
     if info == 0 and np.isfinite(x).all():
         y[...] = x.reshape(b.T.shape).T

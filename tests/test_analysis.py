@@ -326,6 +326,17 @@ class TestInequalities:
         chi = chi_bar(3, 1)
         assert sweep_gap_inequality_nn(3, 1, chi, 2000, seed=1) == 0
 
+    def test_sweeps_do_not_overflow_at_large_p(self):
+        # the sides are compared at points scaled to a smallest gap of 1; the
+        # suite's error::RuntimeWarning filter fails any overflow warning
+        assert sweep_gap_inequality_full(3, 400, 1000) == 0
+        assert sweep_gap_inequality_nn(3, 400, chi_bar(3, 400), 1000) == 0
+
+    def test_sweep_with_sides_that_are_not_finite_is_refused(self):
+        # at p = 1e308 a scaled gap that rounds below 1 still overflows
+        with pytest.raises(ValueError, match="^p = 1e[+]308 is too large"):
+            sweep_gap_inequality_full(3, 1e308, 1000)
+
 
 class TestChiBar:
     def test_closed_form_p0(self):

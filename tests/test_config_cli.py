@@ -436,6 +436,12 @@ class TestCli:
         assert out == ""
         assert err.startswith('error,validation,"p must be below ')
 
+    def test_full_sweep_with_sides_that_are_not_finite_is_validation_error(self, capsys):
+        assert main(["inequalities", "--kind", "full", "--d", "3", "--p", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error,validation,"p = 1e+308 is too large for a sweep')
+
     @pytest.mark.parametrize("c", ["[1.0]", "[1.0, 2.0]"], ids=["one_value", "two_values"])
     def test_drift_of_wrong_length_is_validation_error(self, tmp_path, c, capsys):
         # a constant drift is not broadcast to the particles

@@ -8,13 +8,19 @@ asked of `model.is_uniform` / `model.is_tridiagonal`).
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noncolliding
-from noncolliding import ConditionReport, ParticleSystem, analysis
+from noncolliding import ConditionReport, ParticleSystem, analysis, chi_bar, tridiagonal_gamma, uniform_gamma
+from noncolliding.implicit import solve_batch
 
 INIT = Path(noncolliding.__file__)
 
@@ -67,3 +73,46 @@ def test_every_reexport_is_in_its_modules_all():
 )
 def test_deleted_names_stay_deleted(owner, name):
     assert not hasattr(owner, name)
+
+
+STARTUP_PROBE = """
+import json, sys
+import numpy as np
+import noncolliding, noncolliding.cli
+from noncolliding import chi_bar, tridiagonal_gamma, uniform_gamma
+from noncolliding.implicit import solve_batch
+
+def loaded():
+    return [name for name in ("scipy.linalg", "scipy.optimize") if name in sys.modules]
+
+a = np.array(json.loads(sys.argv[1]))
+seen = {"import": loaded()}
+uniform = solve_batch(a, uniform_gamma(3, 1.0)).tolist()
+seen["uniform"] = loaded()
+neighbour = solve_batch(a, tridiagonal_gamma(3, [1.0, 2.0])).tolist()
+seen["neighbour"] = loaded()
+chi = chi_bar(3, 1)
+seen["chi_bar"] = loaded()
+print(json.dumps({"seen": seen, "uniform": uniform, "neighbour": neighbour, "chi": chi}))
+"""
+
+
+def test_scipy_is_imported_only_by_the_paths_that_call_it():
+    # a fresh interpreter: importing the package and its CLI and a d = 3
+    # uniform solve (LU) load no SciPy; a nearest-neighbour solve (`dgtsv`)
+    # loads scipy.linalg and chi_bar scipy.optimize, with the in-process results
+    a = [[-1.0, 0.0, 1.0], [-2.0, 0.5, 3.0], [0.0, 0.1, 0.2]]
+    env = dict(os.environ, PYTHONPATH=str(Path(noncolliding.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(a)], capture_output=True, text=True, env=env, check=True
+    )
+    child = json.loads(proc.stdout)
+    assert child["seen"] == {
+        "import": [],
+        "uniform": [],
+        "neighbour": ["scipy.linalg"],
+        "chi_bar": ["scipy.linalg", "scipy.optimize"],
+    }
+    assert np.array_equal(child["uniform"], solve_batch(np.array(a), uniform_gamma(3, 1.0)))
+    assert np.array_equal(child["neighbour"], solve_batch(np.array(a), tridiagonal_gamma(3, [1.0, 2.0])))
+    assert child["chi"] == chi_bar(3, 1)
