@@ -14,6 +14,8 @@ computed by multi-start constrained maximization over the positive
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from functools import cache
 
@@ -47,6 +49,11 @@ ERROR_MODES = ("grid_sup_Lp", "terminal_L2", "grid_sup_L2")
 # * d) memory whatever the path length; only one block is drawn at a time.
 CHUNK = 1000
 BLOCK = 64
+# Fewest rows that a forked worker process is worth: a chunk of r rows is
+# stepped in min(usable CPUs, r // SHARE) processes, at least 1 (`_in_workers`).
+# On 2 cores two shares of 100 rows of the README study beat one process of
+# 200, and two of 50 lose to one of 100.
+SHARE = 100
 # chi_bar's grid prescan scores 4 * PRESCAN directions at d = 3, 40 * PRESCAN above
 PRESCAN = 12
 
@@ -155,22 +162,27 @@ def _lp_estimate(samples, p):
 def _per_level_errors(study, levels):
     """Per-replication error samples at each level, sharing one reference run."""
     nmax = max(levels)
-    samples = {n: np.zeros(study.replications) for n in levels}
+    finest_first = sorted(set(levels), reverse=True)
 
     def run_chunk(start, stop, blocks):
+        errors = {n: np.zeros(stop - start) for n in levels}
         ref = _walk(study.system, TimeGrid(study.T, study.ref_level), study.ref_level // nmax)
         walks = {n: _walk(study.system, TimeGrid(study.T, n), 1) for n in levels}
         for _, inc in blocks:
             ref_rec, _ = ref(inc)
-            for n in levels:  # every level is below ref_level (ConvergenceStudy checks)
-                rec, _ = walks[n](scheme._coarsen(inc, study.ref_level // n))
-                _accumulate_error(study.error_mode, samples[n][start:stop], rec, ref_rec[:, :: nmax // n])
+            finer = study.ref_level
+            for n in finest_first:  # every level is below ref_level (ConvergenceStudy checks)
+                # each level halves the next finer one's increments: halving twice is coarsening by 4, bit for bit
+                inc, finer = scheme._coarsen(inc, finer // n), n
+                rec, _ = walks[n](inc)
+                _accumulate_error(study.error_mode, errors[n], rec, ref_rec[:, :: nmax // n])
+        return errors
 
-    _replications(
+    shares = _replications(
         study.base_seed, study.replications, study.system.d, study.T, study.ref_level, run_chunk,
         factor=study.ref_level // min(levels),
     )
-    return samples
+    return {n: np.concatenate([errors[n] for errors in shares]) for n in levels}
 
 
 def run_study(study):
@@ -237,16 +249,17 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     if not np.all((times >= 0.0) & (times <= T)):
         raise ValueError(f"times must lie in [0, T] = [0, {T}]")
     idx = np.array([int(np.argmin(np.abs(grid_times - t))) for t in times])
-    states = np.empty((M, len(idx), system.d))
 
     def run_chunk(start, stop, blocks):
+        states = np.empty((stop - start, len(idx), system.d))
         walk = _walk(system, grid, 1)
         for k, inc in blocks:
             rec, _ = walk(inc)
             hit = (idx >= k) & (idx <= k + inc.shape[1])
-            states[start:stop, hit] = rec[:, idx[hit] - k]
+            states[:, hit] = rec[:, idx[hit] - k]
+        return states
 
-    _replications(base_seed, M, system.d, T, n, run_chunk)
+    states = np.concatenate(_replications(base_seed, M, system.d, T, n, run_chunk))
     abs_pow = np.linalg.norm(states, axis=2) ** p
     inv_pow = np.diff(states, axis=2) ** (-float(p))
     lip = system.drift.lipschitz_constant()
@@ -285,30 +298,104 @@ def _batch_increments(base_seed, start, stop, d, T, n, rngs=None, steps=None):
 
 
 def _replications(base_seed, M, d, T, n, run_chunk, factor=1):
-    """The one loop over replications [0, M): run_chunk(start, stop, blocks) per CHUNK rows.
+    """The one loop over replications [0, M): run_chunk(start, stop, blocks) per share of CHUNK rows.
 
-    Returns the run_chunk results in chunk order.  `blocks` yields
-    (k, increments) for steps k + 1, ..., k + b of the n-step grid, in order,
-    with b = min(n, max(BLOCK, factor)) except for a shorter last block.  A
-    block is drawn only when run_chunk asks for it, from one Philox
-    generator per replication that lives for the chunk, so the blocks of a
-    replication concatenate to its one-shot `_batch_increments` bit for bit.
-    With a power-of-two factor, each block of a power-of-two n holds whole
-    dyadic trees of `factor` fine steps.  Rows are keyed by (base_seed, rep)
-    and a path gets the same bits in any batch, so results depend on neither
-    CHUNK nor the block length.
+    Each chunk of up to CHUNK rows is split into contiguous shares that
+    `_in_workers` steps in parallel processes; returns the run_chunk results
+    of every share in row order.  `blocks` yields (k, increments) for steps
+    k + 1, ..., k + b of the n-step grid, in order, with
+    b = min(n, max(BLOCK, factor)) except for a shorter last block.  A block
+    is drawn only when run_chunk asks for it, from one Philox generator per
+    replication that lives for the share, so the blocks of a replication
+    concatenate to its one-shot `_batch_increments` bit for bit.  With a
+    power-of-two factor, each block of a power-of-two n holds whole dyadic
+    trees of `factor` fine steps.  Rows are keyed by (base_seed, rep) and a
+    path gets the same bits in any batch, so results depend on neither
+    CHUNK, the block length nor the number of processes.
     """
     block = min(n, max(BLOCK, factor))
-    results = []
-    for start in range(0, M, CHUNK):
-        stop = min(start + CHUNK, M)
+
+    def run_share(start, stop):
         rngs = scheme._generators([(int(base_seed), rep) for rep in range(start, stop)])
         blocks = (
             (k, _batch_increments(base_seed, start, stop, d, T, n, rngs, min(block, n - k)))
             for k in range(0, n, block)
         )
-        results.append(run_chunk(start, stop, blocks))
-    return results
+        return run_chunk(start, stop, blocks)
+
+    return [result for start in range(0, M, CHUNK) for result in _in_workers(run_share, start, min(start + CHUNK, M))]
+
+
+def _cpus():
+    """CPUs this process may run on, or 1 where the OS cannot say or cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_workers(run, start, stop):
+    """[run(a, b) for each contiguous share [a, b) of rows [start, stop)], in row order.
+
+    There are min(_cpus(), rows // SHARE) shares, at least 1.  The first runs
+    in this process; every other one runs in a forked worker that pickles its
+    result, or the exception it raised, into a pipe and ends with `os._exit`.
+    The error of the first failing share in row order is raised here.  Before
+    this function returns or raises, for any reason, every worker has been
+    reaped: one still running is killed first.
+    """
+    shares = max(1, min(_cpus(), (stop - start) // SHARE))
+    cuts = [start + (stop - start) * i // shares for i in range(shares + 1)]
+    workers = []
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            workers.append(_fork(run, a, b))
+        results = [run(cuts[0], cuts[1])]
+        while workers:
+            pid, fd = workers[0]
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            del workers[0]
+            os.close(fd)
+            os.waitpid(pid, 0)
+            if not data:
+                raise RuntimeError(f"replication worker {pid} ended without a result")
+            status, result = pickle.loads(data)
+            if status == "err":
+                raise result
+            results.append(result)
+        return results
+    finally:
+        if workers:
+            import signal  # only to stop workers of a share that failed or was interrupted
+
+            for pid, fd in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(fd)
+
+
+def _fork(run, a, b):
+    """(pid, read end of its pipe) of a worker process that sends ("ok", run(a, b)) or ("err", exception)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:  # the worker never leaves this block: no atexit handler or inherited buffer runs
+            os.close(read)
+            try:
+                data = pickle.dumps(("ok", run(a, b)), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:
+                data = pickle.dumps(("err", exc), pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
 
 
 def _walk(system, grid, stride=None):
@@ -450,14 +537,17 @@ def chi_bar(d, p):
     Each start is refined by constrained sequential quadratic programming.
     The returned value is the sharp constant of the nearest-neighbour gap
     inequality; callers that need it strictly below 2 must check.  It is a
-    pure function of (d, p), computed once per process; p must keep 100 p,
-    the starts' seed key, finite.
+    pure function of (d, p), computed once per process.  p must be below
+    1e4: the maximizer's entries near 1 - log(2) / p round, so the error
+    grows like p.  At d = 3, against the closed form 2^(1/(p+2)), it is
+    2.6e-14 relative at p = 3e3, 4.4e-13 at 1e4, 5.8e-12 at 1e5 and 8.2e-9
+    at 1e8, and the value is exactly 2 at p = 1e16.
     """
     from scipy.optimize import minimize  # here, once per (d, p): most runs never need SciPy
     if d < 3:
         raise ValueError("d must be >= 3")
-    if not 100.0 * _check_order(p) < np.inf:
-        raise ValueError(f"p must be below {np.finfo(float).max / 100:.4g}")
+    if not _check_order(p) < 1e4:
+        raise ValueError(f"p must be below 1e4 for a chi_bar accurate to 1e-12, got {p:g}")
     m = d - 1
     q = p + 2.0
 

@@ -1,5 +1,6 @@
 """Unit tests for the convergence harness, moments, and inequality oracles."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from noncolliding import (
     ConvergenceStudy,
     CustomDrift,
     DiagonalBoundedDiffusion,
+    NonConvergenceError,
     OrnsteinUhlenbeckDrift,
     ParticleSystem,
     TimeGrid,
@@ -25,11 +27,14 @@ from noncolliding import (
     verify_gap_inequality_full,
     verify_gap_inequality_nn,
 )
+from noncolliding import analysis
 from noncolliding.analysis import (
+    ERROR_MODES,
     sample_chamber_points,
     sweep_gap_inequality_full,
     sweep_gap_inequality_nn,
 )
+from noncolliding.cli import main
 from noncolliding.model import check_full_interaction_condition, check_nn_condition, tridiagonal_gamma
 
 
@@ -203,8 +208,11 @@ class TestMoments:
             assert np.array_equal(r.est_inv_gap_moments, inv_pow[:, j].mean(axis=0))
             assert np.array_equal(r.inv_gap_std_errs, inv_pow[:, j].std(axis=0, ddof=1) / np.sqrt(M))
 
-    def test_memory_holds_one_chunk(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_holds_one_chunk(self, workers, monkeypatch):
         from noncolliding.analysis import CHUNK
+
+        monkeypatch.setattr(analysis, "_cpus", lambda: workers)
 
         def peak(M):
             tracemalloc.start()
@@ -266,6 +274,137 @@ class TestCollision:
         )
         assert 0 < exits < M
         assert collision_rate_explicit(sys_, n, M, seed) == exits / M
+
+
+WORKERS_YAML = """
+system:
+  d: 3
+  gamma:
+    uniform: 1.0
+  drift:
+    kind: ornstein_uhlenbeck
+    theta: 0.5
+    mu: [-1.0, 0.0, 1.0]
+  diffusion:
+    kind: constant_matrix
+    matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+  x0: [-0.5, 0.0, 0.5]
+run:
+  T: 1.0
+  n: 4
+  levels: [4, 8, 16]
+  ref_level: 64
+  paths: 71
+  seed: 3
+"""
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """The shares of a chunk step in worker processes without moving a bit."""
+
+    # two chunks of CHUNK = 40 rows: 40 splits into 13 + 13 + 14 rows among
+    # 3 workers, and the last 31 rows into 15 + 16 and 10 + 10 + 11
+    M = 71
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        monkeypatch.setattr(analysis, "CHUNK", 40)
+        monkeypatch.setattr(analysis, "SHARE", 8)
+        return lambda count: monkeypatch.setattr(analysis, "_cpus", lambda: count)
+
+    def estimates(self, config_path, capsys):
+        """Every Monte Carlo estimate, as exact values and CLI stdout."""
+        system = dyson(3, 1.0, x0=[-0.5, 0.0, 0.5])
+        out = {}
+        for mode in ERROR_MODES:
+            study = ConvergenceStudy(system, 1.0, (4, 8, 16), 64, self.M, error_mode=mode, p=1.5, base_seed=3)
+            est = run_study(study)
+            samples = analysis._per_level_errors(study, study.levels)
+            out[mode] = (est.errors, est.std_errs, est.slope, est.intercept, est.r_squared,
+                         [samples[n].tobytes() for n in study.levels])
+        out["moments"] = [
+            (r.t, r.est_abs_moment, r.abs_moment_std_err, r.est_inv_gap_moments.tobytes(), r.inv_gap_std_errs.tobytes())
+            for r in moment_profile(system, 1.0, 2.0, self.M, 16, base_seed=5)
+        ]
+        out["collide"] = collision_rate_explicit(system, 4, self.M, 7)
+        for command in ("converge", "moments", "collide"):
+            assert main([command, "--config", str(config_path)]) == 0
+            out[command + "_stdout"] = capsys.readouterr().out
+        return out
+
+    def test_same_bytes_for_any_worker_count(self, workers, monkeypatch, tmp_path, capsys):
+        config_path = tmp_path / "workers.yaml"
+        config_path.write_text(WORKERS_YAML)
+        workers(1)
+        one = self.estimates(config_path, capsys)
+        assert 0 < one["collide"] < 1
+        forked, fork = [], analysis._fork
+        monkeypatch.setattr(analysis, "_fork", lambda run, a, b: forked.append((a, b)) or fork(run, a, b))
+        for count in (2, 3):
+            workers(count)
+            assert self.estimates(config_path, capsys) == one
+            assert_no_child_left()
+        forked.clear()
+        collision_rate_explicit(dyson(3, 1.0), 4, self.M, 7)
+        assert forked == [(13, 26), (26, 40), (50, 60), (60, 71)]
+
+    def draws(self, monkeypatch, in_worker, in_parent=None):
+        """Route the increment draws of each share through the given wrappers."""
+        parent, draw = os.getpid(), analysis._batch_increments
+
+        def routed(base_seed, start, stop, *args):
+            hook = in_parent if os.getpid() == parent else in_worker
+            if hook is not None:
+                hook(start, stop)
+            return draw(base_seed, start, stop, *args)
+
+        monkeypatch.setattr(analysis, "_batch_increments", routed)
+
+    def test_worker_error_reaches_the_caller(self, workers, monkeypatch, tmp_path, capsys):
+        workers(3)
+
+        def fail(start, stop):
+            raise NonConvergenceError(f"rows {start} to {stop} failed", method="newton", iterations=7)
+
+        self.draws(monkeypatch, fail)
+        # the second and third shares both fail; the second is reported
+        with pytest.raises(NonConvergenceError, match=r"^rows 13 to 26 failed$") as caught:
+            collision_rate_explicit(dyson(3, 1.0), 4, self.M, 7)
+        assert (type(caught.value), caught.value.method, caught.value.iterations) == (NonConvergenceError, "newton", 7)
+        assert_no_child_left()
+        config_path = tmp_path / "workers.yaml"
+        config_path.write_text(WORKERS_YAML)
+        assert main(["converge", "--config", str(config_path)]) == 3
+        assert capsys.readouterr() == ("", 'error,nonconvergence,"rows 13 to 26 failed"\n')
+        assert_no_child_left()
+
+    def test_interrupt_in_the_parent_stops_every_worker(self, workers, monkeypatch):
+        workers(3)
+        monkeypatch.setattr(analysis, "BLOCK", 1)
+        parent_draws = []
+
+        def interrupt_second_block(start, stop):
+            parent_draws.append(start)
+            if len(parent_draws) == 2:
+                raise KeyboardInterrupt
+
+        self.draws(monkeypatch, None, interrupt_second_block)
+        with pytest.raises(KeyboardInterrupt):
+            moment_profile(dyson(3, 4.0), 1.0, 2.0, self.M, 16, base_seed=5)
+        assert parent_draws == [0, 0]
+        assert_no_child_left()
+
+    def test_worker_that_dies_is_an_error(self, workers, monkeypatch):
+        workers(2)
+        self.draws(monkeypatch, lambda start, stop: os._exit(1))
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            collision_rate_explicit(dyson(3, 1.0), 4, self.M, 7)
+        assert_no_child_left()
 
 
 class TestInequalities:
@@ -353,6 +492,14 @@ class TestChiBar:
     def test_sharpness_no_violation_at_computed_constant(self):
         chi = chi_bar(4, 0)
         assert sweep_gap_inequality_nn(4, 0, chi, 5000, seed=3) == 0
+
+    def test_accurate_up_to_its_bound(self):
+        # at d = 3 the sharp value is 2^(1/(p+2)); the error grows like p
+        p = np.nextafter(1e4, 0)
+        assert chi_bar(3, p) == pytest.approx(2.0 ** (1.0 / (p + 2.0)), rel=1e-12, abs=0)
+        for p in (1e4, 1e16):
+            with pytest.raises(ValueError, match="p must be below 1e4"):
+                chi_bar(3, p)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -229,10 +229,14 @@ class TestCli:
         assert main(["solve", "--a", "0,1,3", "--c-tridiagonal", "0.5,0.5,0.5"]) == 2
         assert "need 2 coefficients" in capsys.readouterr().err
 
-    def test_collide_memory_holds_one_chunk(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_collide_memory_holds_one_chunk(self, workers, tmp_path, monkeypatch):
         # the semi-implicit control runs chunk by chunk, so 4x the paths
         # needs no more memory
+        from noncolliding import analysis
         from noncolliding.analysis import CHUNK
+
+        monkeypatch.setattr(analysis, "_cpus", lambda: workers)
 
         def peak(paths):
             cfg = tmp_path / f"collide{paths}.yaml"
@@ -333,6 +337,15 @@ class TestCli:
         assert out == ""
         assert err.startswith('error,validation,"--chi: must lie in (0, 2)')
 
+    def test_check_refuses_a_p_beyond_chi_bar_accuracy(self, tmp_path, capsys):
+        # at p = 1e16 the computed chi was exactly 2, so the check was refused as not applicable
+        nn = tmp_path / "nn.yaml"
+        nn.write_text(NN_YAML)
+        assert main(["check", "--config", str(nn), "--p", "1e16"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error,validation,"p must be below 1e4 for a chi_bar accurate to 1e-12, got 1e+16')
+
     def test_check_chi_is_refused_for_uniform_gamma(self, dyson_config, capsys):
         # the full-interaction condition has no chi; one given was ignored before
         assert main(["check", "--config", dyson_config, "--p", "3", "--chi", "1.9"]) == 2
@@ -430,7 +443,7 @@ class TestCli:
         "argv", [["chi-bar"], ["inequalities", "--kind", "nn"]], ids=["chi_bar", "inequalities_nn"]
     )
     def test_p_that_overflows_the_chi_bar_seed_key_is_validation_error(self, argv, capsys):
-        # 100 p, the seed key of chi_bar's starts, is inf
+        # 100 p, the seed key of chi_bar's starts, is inf; p is also far above chi_bar's bound of 1e4
         assert main(argv + ["--d", "3", "--p", "1e308"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
