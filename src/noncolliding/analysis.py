@@ -14,15 +14,14 @@ computed by multi-start constrained maximization over the positive
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from . import scheme
-from .scheme import TimeGrid, _is_power_of_two, simulate_batch
+from .scheme import TimeGrid, _is_power_of_two
+from .scheme import simulate_batch  # noqa: F401  (perfbench/tracing.py wraps analysis.simulate_batch)
 
 __all__ = [
     "ConvergenceStudy",
@@ -49,11 +48,6 @@ ERROR_MODES = ("grid_sup_Lp", "terminal_L2", "grid_sup_L2")
 # * d) memory whatever the path length; only one block is drawn at a time.
 CHUNK = 1000
 BLOCK = 64
-# Fewest rows that a forked worker process is worth: a chunk of r rows is
-# stepped in min(usable CPUs, r // SHARE) processes, at least 1 (`_in_workers`).
-# On 2 cores two shares of 100 rows of the README study beat one process of
-# 200, and two of 50 lose to one of 100.
-SHARE = 100
 # chi_bar's grid prescan scores 4 * PRESCAN directions at d = 3, 40 * PRESCAN above
 PRESCAN = 12
 
@@ -301,7 +295,7 @@ def _replications(base_seed, M, d, T, n, run_chunk, factor=1):
     """The one loop over replications [0, M): run_chunk(start, stop, blocks) per share of CHUNK rows.
 
     Each chunk of up to CHUNK rows is split into contiguous shares that
-    `_in_workers` steps in parallel processes; returns the run_chunk results
+    `scheme._in_workers` steps in parallel processes; returns the run_chunk results
     of every share in row order.  `blocks` yields (k, increments) for steps
     k + 1, ..., k + b of the n-step grid, in order, with
     b = min(n, max(BLOCK, factor)) except for a shorter last block.  A block
@@ -323,79 +317,8 @@ def _replications(base_seed, M, d, T, n, run_chunk, factor=1):
         )
         return run_chunk(start, stop, blocks)
 
-    return [result for start in range(0, M, CHUNK) for result in _in_workers(run_share, start, min(start + CHUNK, M))]
-
-
-def _cpus():
-    """CPUs this process may run on, or 1 where the OS cannot say or cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _in_workers(run, start, stop):
-    """[run(a, b) for each contiguous share [a, b) of rows [start, stop)], in row order.
-
-    There are min(_cpus(), rows // SHARE) shares, at least 1.  The first runs
-    in this process; every other one runs in a forked worker that pickles its
-    result, or the exception it raised, into a pipe and ends with `os._exit`.
-    The error of the first failing share in row order is raised here.  Before
-    this function returns or raises, for any reason, every worker has been
-    reaped: one still running is killed first.
-    """
-    shares = max(1, min(_cpus(), (stop - start) // SHARE))
-    cuts = [start + (stop - start) * i // shares for i in range(shares + 1)]
-    workers = []
-    try:
-        for a, b in zip(cuts[1:-1], cuts[2:]):
-            workers.append(_fork(run, a, b))
-        results = [run(cuts[0], cuts[1])]
-        while workers:
-            pid, fd = workers[0]
-            with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            del workers[0]
-            os.close(fd)
-            os.waitpid(pid, 0)
-            if not data:
-                raise RuntimeError(f"replication worker {pid} ended without a result")
-            status, result = pickle.loads(data)
-            if status == "err":
-                raise result
-            results.append(result)
-        return results
-    finally:
-        if workers:
-            import signal  # only to stop workers of a share that failed or was interrupted
-
-            for pid, fd in workers:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                os.close(fd)
-
-
-def _fork(run, a, b):
-    """(pid, read end of its pipe) of a worker process that sends ("ok", run(a, b)) or ("err", exception)."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        try:  # the worker never leaves this block: no atexit handler or inherited buffer runs
-            os.close(read)
-            try:
-                data = pickle.dumps(("ok", run(a, b)), pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:
-                data = pickle.dumps(("err", exc), pickle.HIGHEST_PROTOCOL)
-            with open(write, "wb") as pipe:
-                pipe.write(data)
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, read
+    chunks = range(0, M, CHUNK)
+    return [result for start in chunks for result in scheme._in_workers(run_share, start, min(start + CHUNK, M), d)]
 
 
 def _walk(system, grid, stride=None):
@@ -404,13 +327,16 @@ def _walk(system, grid, stride=None):
     Each call continues every path from where the last call left it (system.x0
     at first) and returns (recorded, min_gap) as `simulate_batch` does for the
     block: the states at every stride-th step, the block's start first, with
-    stride defaulting to the block length.
+    stride defaulting to the block length.  It steps in this process through
+    `scheme._paths`, since `_replications` has already split the rows.
     """
     x = system.x0
 
     def walk(increments):
         nonlocal x
-        recorded, min_gap = simulate_batch(system, grid, increments, record_stride=stride or increments.shape[1], x0=x)
+        recorded, min_gap, _ = scheme._paths(
+            system, grid, increments, "semi_implicit", stride or increments.shape[1], x
+        )
         x = recorded[:, -1]
         return recorded, min_gap
 

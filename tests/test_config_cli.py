@@ -233,10 +233,10 @@ class TestCli:
     def test_collide_memory_holds_one_chunk(self, workers, tmp_path, monkeypatch):
         # the semi-implicit control runs chunk by chunk, so 4x the paths
         # needs no more memory
-        from noncolliding import analysis
+        from noncolliding import scheme
         from noncolliding.analysis import CHUNK
 
-        monkeypatch.setattr(analysis, "_cpus", lambda: workers)
+        monkeypatch.setattr(scheme, "_cpus", lambda: workers)
 
         def peak(paths):
             cfg = tmp_path / f"collide{paths}.yaml"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from noncolliding import (
     ConstantMatrixDiffusion,
     CustomDrift,
     DiagonalBoundedDiffusion,
+    NonConvergenceError,
     OrnsteinUhlenbeckDrift,
     ParticleSystem,
     SolverOptions,
@@ -24,7 +26,7 @@ from noncolliding import (
     tridiagonal_gamma,
     uniform_gamma,
 )
-from noncolliding import implicit, model
+from noncolliding import implicit, model, scheme
 from noncolliding.model import CustomDiffusion
 from noncolliding.scheme import (
     SCHEMES,
@@ -416,6 +418,112 @@ class TestBatch:
         assert rec.shape == (2, 17, 3)
         with pytest.raises(ValueError, match="does not match grid"):
             simulate_batch(sys_, TimeGrid(1.0, 8), inc, x0=sys_.x0)
+
+
+def spread(d, gamma, x0=None, drift=None):
+    """Zero drift (unless given), sigma = I, x0 spread like the semicircle at T = 1."""
+    return ParticleSystem(
+        d=d, gamma=gamma, drift=drift or ZeroDrift(), diffusion=ConstantMatrixDiffusion(np.eye(d)),
+        x0=np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) if x0 is None else x0,
+    )
+
+
+class TestWorkers:
+    """simulate_batch steps its shares in worker processes without moving a bit."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """run(count, call) runs call() with `_cpus` giving count; returns its result and the shares forked."""
+        forked, fork = [], scheme._fork
+        monkeypatch.setattr(scheme, "_fork", lambda run, a, b: forked.append((a, b)) or fork(run, a, b))
+
+        def run(count, call):
+            monkeypatch.setattr(scheme, "_cpus", lambda: count)
+            forked.clear()
+            return call(), list(forked)
+
+        return run
+
+    def same_for_any_worker_count(self, forks, system, n, m, seed, **kwargs):
+        """The bytes of simulate_batch for 1, 2 and 3 CPUs; each splits into that many shares."""
+        grid = TimeGrid(1.0, 2 * n if "x0" in kwargs else n)
+        inc = generate_brownian_batch(seed, m, system.d, 1.0, n)
+        out = []
+        for count in (1, 2, 3):
+            (rec, min_gap), forked = forks(count, lambda: simulate_batch(system, grid, inc, **kwargs))
+            assert len(forked) == count - 1
+            out.append((rec.tobytes(), min_gap))
+        assert out[1] == out[0] and out[2] == out[0]
+        assert_no_child_left()
+        return rec, min_gap
+
+    @pytest.mark.parametrize("d, solver, m", [(16, "lu", 8), (128, "cholesky", 3)])
+    def test_dense(self, forks, d, solver, m):
+        # 3 shares need 3 * SHARE = 900 pair work: 8 rows at d = 16
+        assert (d >= implicit.CHOLESKY_FROM) == (solver == "cholesky")
+        _, min_gap = self.same_for_any_worker_count(forks, spread(d, uniform_gamma(d, 1.0)), 8, m, d)
+        assert min_gap > 0
+
+    def test_band(self, forks):
+        system = spread(64, tridiagonal_gamma(64, 1.0))
+        assert implicit._Coupling(system.gamma, 64).kernel.ndim == 1
+        _, min_gap = self.same_for_any_worker_count(forks, system, 16, 6, 64)
+        assert min_gap > 0
+
+    def test_explicit_paths_that_exit(self, forks):
+        # weak repulsion on a coarse grid: some rows leave the chamber and keep
+        # their last ordered state; at d = 3, 3 shares need 300 rows
+        system = dyson(3, 0.3, x0=[-0.5, 0.0, 0.5])
+        rec, _ = self.same_for_any_worker_count(forks, system, 4, 301, 4, scheme="explicit")
+        _, _, exit_step = _paths(system, TimeGrid(1.0, 4), generate_brownian_batch(4, 301, 3, 1.0, 4), "explicit", 1)
+        assert 0 < np.count_nonzero(exit_step) < 301
+        for row, k in zip(np.flatnonzero(exit_step), exit_step[exit_step > 0]):
+            assert np.all(rec[row, k:] == rec[row, k - 1])
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_start_states_and_stride(self, forks, per_row):
+        d, m = 16, 8
+        x0 = np.linspace(-8.0, 8.0, d) + (np.arange(m)[:, None] if per_row else 0.0)
+        rec, _ = self.same_for_any_worker_count(forks, spread(d, uniform_gamma(d, 1.0)), 8, m, 2, x0=x0, record_stride=4)
+        assert rec.shape == (m, 3, d)
+        assert np.array_equal(rec[:, 0], np.broadcast_to(x0, (m, d)))
+
+    def test_a_failing_share_raises_as_one_process_does(self, forks):
+        # rows 4 to 8 start far to the right, and the drift refuses them at
+        # once; the first of them, row 4, is in the second of 2 or 3 shares
+        def drift(x):
+            if x[0] > 50.0:
+                raise NonConvergenceError(f"drift refused x_1 = {x[0]}", method="newton", iterations=3)
+            return np.zeros_like(x)
+
+        d, m = 16, 9
+        x0 = np.linspace(-1.0, 1.0, d) + 100.0 * (np.arange(m) >= 4)[:, None]
+        system = spread(d, uniform_gamma(d, 1.0), drift=CustomDrift(drift, 0.0))
+        inc = generate_brownian_batch(0, m, d, 1.0, 4)
+        caught = []
+        for count in (1, 2, 3):
+            with pytest.raises(NonConvergenceError) as error:
+                forks(count, lambda: simulate_batch(system, TimeGrid(1.0, 4), inc, x0=x0))
+            caught.append((type(error.value), str(error.value), error.value.method, error.value.iterations))
+        assert caught == [(NonConvergenceError, "drift refused x_1 = 99.0", "newton", 3)] * 3
+        assert_no_child_left()
+
+    def test_a_worker_never_forks_again(self, monkeypatch):
+        monkeypatch.setattr(scheme, "_cpus", lambda: 2)
+        monkeypatch.setattr(scheme, "SHARE", 1)
+
+        def nested(a, b):
+            return scheme._in_workers(lambda c, e: (c, e), a, b, 3)
+
+        # the parent's share splits again; the worker's stays whole
+        assert scheme._in_workers(nested, 0, 8, 3) == [[(0, 2), (2, 4)], [(4, 8)]]
+        assert_no_child_left()
+
+    def test_no_share_is_empty(self, forks):
+        # pair work asks for more shares than there are rows
+        assert forks(3, lambda: scheme._in_workers(lambda a, b: (a, b), 0, 2, 128)) == ([(0, 1), (1, 2)], [(1, 2)])
+        assert forks(3, lambda: scheme._in_workers(lambda a, b: (a, b), 5, 6, 128)) == ([(5, 6)], [])
+        assert_no_child_left()
 
 
 class TestOracles:
