@@ -20,8 +20,8 @@ from functools import cache
 import numpy as np
 
 from . import scheme
-from .scheme import TimeGrid, _is_power_of_two
-from .scheme import simulate_batch  # noqa: F401  (perfbench/tracing.py wraps analysis.simulate_batch)
+# simulate_batch stays bound here: perfbench/tracing.py wraps analysis.simulate_batch
+from .scheme import TimeGrid, _is_power_of_two, simulate_batch  # noqa: F401
 
 __all__ = [
     "ConvergenceStudy",

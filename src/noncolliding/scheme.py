@@ -339,10 +339,6 @@ def _in_workers(run, start, stop, d):
                 os.close(fd)
 
 
-def _one_cpu():
-    return 1
-
-
 def _fork(run, a, b):
     """(pid, read end of its pipe) of a worker process that sends ("ok", run(a, b)) or ("err", exception).
 
@@ -359,7 +355,7 @@ def _fork(run, a, b):
         raise
     if pid == 0:
         try:  # the worker never leaves this block: no atexit handler or inherited buffer runs
-            _cpus = _one_cpu
+            _cpus = lambda: 1  # noqa: E731
             os.close(read)
             try:
                 data = pickle.dumps(("ok", run(a, b)), pickle.HIGHEST_PROTOCOL)
