@@ -295,9 +295,9 @@ def _replications(base_seed, M, d, T, n, run_chunk, factor=1):
     """The one loop over replications [0, M): run_chunk(start, stop, blocks) per share of CHUNK rows.
 
     Each chunk of up to CHUNK rows is split into contiguous shares that
-    `scheme._in_workers` steps in parallel processes; returns the run_chunk results
-    of every share in row order.  `blocks` yields (k, increments) for steps
-    k + 1, ..., k + b of the n-step grid, in order, with
+    `scheme._in_workers` steps in parallel processes; returns the run_chunk
+    results of every share in row order.  `blocks` yields (k, increments) for
+    steps k + 1, ..., k + b of the n-step grid, in order, with
     b = min(n, max(BLOCK, factor)) except for a shorter last block.  A block
     is drawn only when run_chunk asks for it, from one Philox generator per
     replication that lives for the share, so the blocks of a replication

@@ -45,8 +45,9 @@ SCHEMES = ("semi_implicit", "explicit")
 # carries d(d - 1)/2 pair work, and a batch is stepped in min(usable CPUs,
 # rows, work // SHARE) processes, at least 1 (`_in_workers`).  That is 100
 # rows per share at d = 3, where on 2 cores two shares of 100 rows of the
-# README study beat one process of 200 and two of 50 lose to one of 100; a
-# dense gamma gained from about 24 rows at d = 8, 3 at d = 32 and 2 at d = 128.
+# README study beat one process of 200 and two of 50 lose to one of 100.  A
+# dense gamma gained from about 24-64 rows at d = 8, 4 at d = 32 and 2 at
+# d = 128; a band gamma, O(d) work per row, gains later (README).
 SHARE = 300
 
 
