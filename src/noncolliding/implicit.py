@@ -67,9 +67,11 @@ D_ji = -D_ij exactly.  Cholesky therefore reads only one triangle, at half
 the flops of LU: `_cholesky_solve` factors each row's Hessian in place in the
 scratch with LAPACK `dposv`, one row at a time.  Below `CHOLESKY_FROM` the
 fixed cost of that call per row loses to LU on a single problem.  `dgtsv` and
-`dposv` come from `scipy.linalg.lapack`, which the module `__getattr__` imports
-on first use: an LU-only run never imports SciPy.  `_lu_solve` calls the LAPACK
-gufunc of `np.linalg.solve` directly: its bits without the cost of its wrapper.
+`dposv` are bound on first use by the module `__getattr__` from SciPy's LAPACK
+extension, which `_flapack` loads alone: `scipy.linalg.lapack` re-exports the
+same routine objects, but importing it runs the whole `scipy.linalg` package.
+An LU-only run never loads SciPy.  `_lu_solve` calls the LAPACK gufunc of
+`np.linalg.solve` directly: its bits without the cost of its wrapper.
 Each solver returns b's memory order and NaN in a row it cannot solve, which no
 step accepts; `_newton` and `_homotopy` each run under one error state that
 ignores the flags it raises.
@@ -80,7 +82,11 @@ coefficients and for d = 3 with uniform coefficients.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import numbers
+import os
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -135,7 +141,7 @@ class _Coupling:
         views = self._views.get(key)
         if views is None:
             n = 2 * len(x) * x.size
-            if self._scratch.size < n:
+            if self._scratch.size < n or not self._views:  # the class's empty views at a first solve of 0 rows
                 self._scratch, self._views, self._differenced = np.empty(n), {}, None
             views = self._views[key] = _pairs(x, self._scratch)
         return views
@@ -368,9 +374,24 @@ def _hessian_solve(coupling, x, b):
 def __getattr__(name):
     if name not in ("dgtsv", "dposv"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg import lapack  # binds both routines, keeping one already bound (or patched)
+    lapack = _flapack()  # binds both routines, keeping one already bound (or patched)
     globals().update({r: globals().get(r) or getattr(lapack, r) for r in ("dgtsv", "dposv")})
     return globals()[name]
+
+
+def _flapack():
+    """SciPy's f2py LAPACK extension, loaded alone (see the module docstring),
+    or `scipy.linalg.lapack` when `scipy.linalg` is loaded already or the
+    extension's file is not found."""
+    spec = "scipy.linalg" not in sys.modules and importlib.util.find_spec("scipy")  # runs no scipy/__init__
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if spec else ():
+        path = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+    return importlib.import_module("scipy.linalg.lapack")
 
 
 def _lapack(name):

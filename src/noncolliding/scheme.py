@@ -219,24 +219,32 @@ def generate_brownian_batch(base_seed, reps, d, T, n_max):
 def simulate_batch(system, grid, increments, record_stride=None, scheme="semi_implicit", x0=None):
     """Simulate many paths at once with the chosen scheme.
 
-    increments has shape (m, n, d) with n == grid.n.  Returns (recorded, min_gap)
-    where recorded has shape (m, n // stride + 1, d) holding the states at
-    every stride-th grid time (stride defaults to 1) and min_gap is the
-    minimum over all paths, steps and adjacent pairs.  With start states x0
-    (shape (m, d), or (d,) for all paths), the increments are instead the next n <= grid.n steps of
-    paths already at x0, and recorded starts with x0: stepping a path one
-    block at a time gives the bits of stepping it at once.
+    increments has shape (m, n, d) with m >= 1 and n == grid.n.  Returns
+    (recorded, min_gap) where recorded has shape (m, n // stride + 1, d)
+    holding the states at every stride-th grid time (stride >= 1, default 1)
+    and min_gap is the minimum over all paths, steps and adjacent pairs.  With
+    start states x0 (shape (m, d), or (d,) for all paths; finite and strictly
+    increasing, as `ParticleSystem.x0`), the increments are instead the next
+    n <= grid.n steps of paths already at x0, and recorded starts with x0:
+    stepping a path one block at a time gives the bits of stepping it at once.
 
     The m rows are split into contiguous shares by `_in_workers`: the first
     is stepped in this process and each other one in a forked worker.  A
     path gets the same bits in any batch, so the result does not depend on
     the number of shares.
     """
-    m = len(increments)
+    m, stride = len(increments), 1 if record_stride is None else record_stride
+    if m < 1:
+        raise ValueError("increments must hold at least one path")
+    if stride < 1:
+        raise ValueError("record_stride must be at least 1")
+    if x0 is not None:
+        x0 = np.broadcast_to(np.asarray(x0, dtype=float), (m, system.d))
+        if not (np.isfinite(x0).all() and (np.diff(x0) > 0).all()):
+            raise ValueError("x0 must be finite and strictly increasing")
 
     def run(a, b):
-        start = None if x0 is None else np.broadcast_to(x0, (m, system.d))[a:b]
-        recorded, min_gap, _ = _paths(system, grid, increments[a:b], scheme, record_stride or 1, start)
+        recorded, min_gap, _ = _paths(system, grid, increments[a:b], scheme, stride, None if x0 is None else x0[a:b])
         return recorded, min_gap
 
     shares = _in_workers(run, 0, m, system.d)

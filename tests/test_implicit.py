@@ -465,6 +465,20 @@ class TestBatch:
         with pytest.raises(NonConvergenceError, match="the solution's gap is below the spacing of doubles"):
             solve_batch([[0.0, -1e8]], uniform_c(2, 1e-4))
 
+    @pytest.mark.parametrize(
+        "d, kind", [(5, "tridiagonal"), (5, "uniform"), (implicit.CHOLESKY_FROM, "uniform")], ids=["band", "lu", "cholesky"]
+    )
+    def test_empty_batch(self, d, kind):
+        # no rows give shape (0, d) for every kernel, also as a coupling's
+        # first solve, and the same coupling then solves rows with the bits
+        # of a fresh one
+        c = uniform_c(d, 1.0) if kind == "uniform" else tridiag_c(np.ones(d - 1))
+        coupling = implicit._Coupling(c, d)
+        assert solve_batch(np.empty((0, d)), coupling).shape == (0, d)
+        a = np.linspace(-d, d, d) + np.random.default_rng(d).normal(size=(3, d))
+        assert solve_batch(a, coupling).tobytes() == solve_batch(a, c).tobytes()
+        assert solve_batch(np.empty((0, d)), coupling).shape == (0, d)
+
 
 class TestScratch:
     """The pair arrays of a dense c, which live in the scratch of the run's `_Coupling`."""

@@ -419,6 +419,29 @@ class TestBatch:
         with pytest.raises(ValueError, match="does not match grid"):
             simulate_batch(sys_, TimeGrid(1.0, 8), inc, x0=sys_.x0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"record_stride": 0}, "record_stride must be at least 1"),
+            ({"record_stride": -1}, "record_stride must be at least 1"),
+            ({"x0": [0.0, 0.0, 1.0]}, "x0 must be finite and strictly increasing"),
+            ({"x0": [1.0, 0.0, -1.0]}, "x0 must be finite and strictly increasing"),
+            ({"x0": [[-1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]}, "x0 must be finite and strictly increasing"),
+            ({"x0": [-1.0, np.nan, 1.0]}, "x0 must be finite and strictly increasing"),
+        ],
+        ids=["stride_zero", "stride_negative", "x0_tie", "x0_unordered", "x0_one_row_tied", "x0_nan"],
+    )
+    def test_rejects_bad_arguments(self, kwargs, match):
+        # each is refused by name, before a step: a tie or an unordered x0
+        # would be stepped from, and a stride below 1 cannot record
+        sys_ = dyson(3, 4.0)
+        with pytest.raises(ValueError, match=match):
+            simulate_batch(sys_, TimeGrid(1.0, 4), generate_brownian_batch(3, 2, 3, 1.0, 4), **kwargs)
+
+    def test_rejects_zero_paths(self):
+        with pytest.raises(ValueError, match="increments must hold at least one path"):
+            simulate_batch(dyson(3, 4.0), TimeGrid(1.0, 4), np.empty((0, 4, 3)))
+
 
 def spread(d, gamma, x0=None, drift=None):
     """Zero drift (unless given), sigma = I, x0 spread like the semicircle at T = 1."""
@@ -506,6 +529,22 @@ class TestWorkers:
                 forks(count, lambda: simulate_batch(system, TimeGrid(1.0, 4), inc, x0=x0))
             caught.append((type(error.value), str(error.value), error.value.method, error.value.iterations))
         assert caught == [(NonConvergenceError, "drift refused x_1 = 99.0", "newton", 3)] * 3
+        assert_no_child_left()
+
+    def test_start_states_are_checked_before_any_fork(self, forks):
+        # 8 rows at d = 16 make 2 shares; the tie is in the second
+        d, m = 16, 8
+        x0 = np.linspace(-8.0, 8.0, d) + np.zeros((m, 1))
+        x0[5, 3] = x0[5, 2]
+        inc = generate_brownian_batch(0, m, d, 1.0, 4)
+
+        def call():
+            with pytest.raises(ValueError, match="x0 must be finite and strictly increasing"):
+                simulate_batch(spread(d, uniform_gamma(d, 1.0)), TimeGrid(1.0, 4), inc, x0=x0)
+
+        assert forks(2, call)[1] == []
+        x0[5, 3] += 0.5
+        assert len(forks(2, lambda: simulate_batch(spread(d, uniform_gamma(d, 1.0)), TimeGrid(1.0, 4), inc, x0=x0))[1]) == 1
         assert_no_child_left()
 
     def test_a_worker_never_forks_again(self, monkeypatch):
