@@ -33,15 +33,17 @@ EXIT_NONCONVERGENCE = 3
 EXIT_IO = 4
 
 
-def _fmt(value, precision=17):
-    return f"%.{precision}g" % float(value)
+def _template(values, precision=17):
+    """The %-template of every CSV row shaped as values: `%s` for text and
+    Python ints, so they print as str gives them (True as True), and
+    `%.{precision}g` for every other number."""
+    number = f"%.{precision}g"
+    return ",".join("%s" if isinstance(v, (str, int)) else number for v in values)
 
 
 def _row(values, precision=17):
-    """One CSV row: text as given, Python ints with str, other numbers with _fmt."""
-    return ",".join(
-        v if isinstance(v, str) else str(v) if isinstance(v, int) else _fmt(v, precision) for v in values
-    )
+    """One CSV row, values filled into their `_template` by one %."""
+    return _template(values, precision) % tuple(values)
 
 
 def _build_parser():
@@ -178,10 +180,16 @@ def _cmd_simulate(args, emit):
     seeds = [scheme.replication_seed(cfg.run.seed, rep) for rep in range(paths)]
     inc = np.stack([scheme.generate_brownian(s, system.d, cfg.run.T, n).increments for s in seeds])
     states, _ = scheme.simulate_batch(system, grid, inc, scheme=which)
-    times, gaps = grid.times().tolist(), np.diff(states, axis=2).min(axis=2)
+    gaps = np.diff(states, axis=2).min(axis=2)
+    # the n + 1 rows of a path, as Python ints and floats in an object array,
+    # go out as one string: one % on the template of n + 1 such rows
+    rows = np.empty((n + 1, system.d + 4), dtype=object)
+    rows[:, 1], rows[:, 2] = range(n + 1), grid.times()
     for rep in range(paths):
-        for k, (t, state, gap) in enumerate(zip(times, states[rep].tolist(), gaps[rep].tolist())):
-            emit(_row([rep, k, t, *state, gap], cfg.output.precision))
+        rows[:, 0], rows[:, 3:-1], rows[:, -1] = rep, states[rep], gaps[rep]
+        if rep == 0:
+            template = "\n".join([_template(rows[0], cfg.output.precision)] * (n + 1))
+        emit(template % tuple(rows.ravel().tolist()))
     return EXIT_OK
 
 
@@ -284,7 +292,7 @@ def _cmd_check(args, emit):
         chi = args.chi if args.chi is not None else analysis.chi_bar(system.d, args.p)
         if chi >= 2:
             raise ConfigError(
-                "--chi", f"computed chi = {_fmt(chi)} is not < 2; the condition is not applicable"
+                "--chi", f"computed chi = {_row([chi])} is not < 2; the condition is not applicable"
             )
         report = model.check_nn_condition(system, args.p, chi)
     else:
@@ -327,16 +335,18 @@ def main(argv=None):
     except _IOFailure as exc:
         print(f"error,io,\"{exc}\"", file=sys.stderr)
         return EXIT_IO
-    text = "\n".join(lines) + "\n"
+    # a line may hold many rows (simulate emits a path at a time); no joined
+    # copy of the whole output is made
+    text = (line + "\n" for line in lines)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(text)
         except OSError as exc:
             print(f"error,io,\"{exc}\"", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     return code
 
 

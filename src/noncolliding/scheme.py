@@ -17,6 +17,7 @@ batch, or of a Monte Carlo chunk, among forked worker processes.
 
 from __future__ import annotations
 
+import numbers
 import os
 import pickle
 from dataclasses import dataclass
@@ -236,8 +237,8 @@ def simulate_batch(system, grid, increments, record_stride=None, scheme="semi_im
     m, stride = len(increments), 1 if record_stride is None else record_stride
     if m < 1:
         raise ValueError("increments must hold at least one path")
-    if stride < 1:
-        raise ValueError("record_stride must be at least 1")
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"record_stride must be at least 1 and an integer, got {record_stride!r}")
     if x0 is not None:
         x0 = np.broadcast_to(np.asarray(x0, dtype=float), (m, system.d))
         if not (np.isfinite(x0).all() and (np.diff(x0) > 0).all()):

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noncolliding
 from noncolliding import ConfigError, parse_config, serialize_config, build_system, config
-from noncolliding.cli import main
+from noncolliding.cli import _row, main
 from noncolliding.model import is_uniform
 
 DYSON_YAML = """
@@ -249,6 +251,21 @@ class TestCli:
                 tracemalloc.stop()
 
         assert peak(4 * CHUNK) <= 1.2 * peak(CHUNK)
+
+    def test_simulate_memory_is_about_the_csv(self, tmp_path):
+        # the rows of a path are one string and the lines are written without
+        # a joined copy: the peak is the CSV plus the states, not 3.8 CSVs
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(DYSON_YAML.replace("n: 16", "n: 1024").replace("paths: 20", "paths: 50"))
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 4_000_000
+        assert peak < 2.5 * out.stat().st_size
 
     def test_global_flags_both_positions(self, dyson_config, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -510,6 +527,35 @@ def run_cli(*argv):
         capture_output=True, text=True, env=env,
     )
     return proc.returncode, proc.stderr
+
+
+def per_value_row(values, precision):
+    """The formatter `_row` must agree with: text and Python ints (bools
+    too) as str gives them, every other value as float(v) to precision
+    significant digits."""
+    number = f"%.{precision}g"
+    return ",".join(v if isinstance(v, str) else str(v) if isinstance(v, int) else number % float(v) for v in values)
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.5e-310, 1e308, -1e308]),
+)
+CELLS = st.one_of(
+    st.text(max_size=6),
+    st.integers(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    FLOATS.map(np.float64),
+    FLOATS,
+)
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(CELLS, max_size=10))
+def test_row_formats_each_value_as_the_per_value_rule(precision, values):
+    assert _row(values, precision) == per_value_row(values, precision)
 
 
 def test_cli_module_runs_as_main():

@@ -121,6 +121,19 @@ def test_stdout_matches_golden(name, tmp_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.csv").read_text()
 
 
+@pytest.mark.parametrize("name", ["simulate", "converge"])
+def test_out_file_holds_the_stdout_bytes(name, tmp_path, capsys):
+    # stdout and --out are two write paths of the same lines
+    argv, text, code = CASES[name]
+    cfg = tmp_path / "golden.yaml"
+    cfg.write_text(text)
+    argv = argv + ["--config", str(cfg)]
+    assert main(argv) == code
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == code
+    assert (tmp_path / "out.csv").read_bytes() == stdout.encode()
+
+
 def test_solve_full_matrix_matches_golden(capsys):
     # the uniform c of the "solve" case, given entry by entry
     assert main(["solve", "--a", "0,3,7", "--c-full", "0,2,2;2,0,2;2,2,0"]) == 0

@@ -459,6 +459,18 @@ class TestBatch:
             alone = implicit._newton(a[:, [i]], k, start[:, [i]], 1e-12)
             assert [v.tobytes() for v in alone] == [v[..., [i]].tobytes() for v in (xi, iterations, rnorm, ok)]
 
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_initial_guess_has_the_same_bits_in_either_layout(self, d):
+        # rows innermost the positions are d - 1 row additions, particles
+        # innermost a cumsum: the same sequential sum, so the same bits
+        rng = np.random.default_rng(d)
+        c = uniform_c(d, 0.3) if d < 7 else tridiag_c(rng.uniform(0.1, 1.0, d - 1))
+        a = np.linspace(-4.0 * d, 4.0 * d, d) + rng.normal(size=(300, d))
+        rows = implicit._initial_guess(np.ascontiguousarray(a.T), c)
+        particles = implicit._initial_guess(np.ascontiguousarray(a).T, c)
+        assert rows.strides[-1] == rows.itemsize and particles.strides[0] == particles.itemsize
+        assert rows.tobytes() == particles.tobytes()
+
     def test_unrepresentable_row_names_its_cause(self):
         # the exact gap, 2e-12, is below one ulp of |xi| ~ 5e7; the batch
         # names the cause that `solve` names, not the continuation's symptom

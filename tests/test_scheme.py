@@ -424,16 +424,20 @@ class TestBatch:
         [
             ({"record_stride": 0}, "record_stride must be at least 1"),
             ({"record_stride": -1}, "record_stride must be at least 1"),
+            ({"record_stride": 2.0}, "record_stride must be at least 1 and an integer, got 2.0"),
+            ({"record_stride": 1.5}, "record_stride must be at least 1 and an integer, got 1.5"),
+            ({"record_stride": True}, "record_stride must be at least 1 and an integer, got True"),
             ({"x0": [0.0, 0.0, 1.0]}, "x0 must be finite and strictly increasing"),
             ({"x0": [1.0, 0.0, -1.0]}, "x0 must be finite and strictly increasing"),
             ({"x0": [[-1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]}, "x0 must be finite and strictly increasing"),
             ({"x0": [-1.0, np.nan, 1.0]}, "x0 must be finite and strictly increasing"),
         ],
-        ids=["stride_zero", "stride_negative", "x0_tie", "x0_unordered", "x0_one_row_tied", "x0_nan"],
+        ids=["stride_zero", "stride_negative", "stride_float", "stride_fraction", "stride_bool", "x0_tie", "x0_unordered", "x0_one_row_tied", "x0_nan"],
     )
     def test_rejects_bad_arguments(self, kwargs, match):
         # each is refused by name, before a step: a tie or an unordered x0
-        # would be stepped from, and a stride below 1 cannot record
+        # would be stepped from, and a stride below 1 cannot record; a
+        # float stride that divides n, or a bool, is no stride either
         sys_ = dyson(3, 4.0)
         with pytest.raises(ValueError, match=match):
             simulate_batch(sys_, TimeGrid(1.0, 4), generate_brownian_batch(3, 2, 3, 1.0, 4), **kwargs)
