@@ -7,19 +7,19 @@ reference-to-coarsest ratio of at least 4 keeps proxy bias below fit noise.
 Rates come from a least-squares fit of log2(error) against log2(n).
 
 The gap inequalities are checked pointwise on explicitly sampled chamber
-configurations; the sharp nearest-neighbour constant chi_bar(d, p) is
-computed by multi-start constrained maximization over the positive
-(p+2)-norm unit sphere.
+configurations; the sharp nearest-neighbour constant chi_bar(d, p), a maximum
+over the positive (p+2)-norm unit sphere, comes from a Perron-Frobenius
+fixed-point iteration stopped at a move of 1e-15, within 64(p+2) steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from . import scheme
+from .errors import NonConvergenceError
 # simulate_batch stays bound here: perfbench/tracing.py wraps analysis.simulate_batch
 from .scheme import TimeGrid, _is_power_of_two, simulate_batch  # noqa: F401
 
@@ -48,8 +48,6 @@ ERROR_MODES = ("grid_sup_Lp", "terminal_L2", "grid_sup_L2")
 # * d) memory whatever the path length; only one block is drawn at a time.
 CHUNK = 1000
 BLOCK = 64
-# chi_bar's grid prescan scores 4 * PRESCAN directions at d = 3, 40 * PRESCAN above
-PRESCAN = 12
 
 
 def _check_order(p):
@@ -453,67 +451,42 @@ def _chi_objective(xi, p):
     return float(np.sum(xi[1:] * xi[:-1] ** p + xi[1:] ** p * xi[:-1]))
 
 
-@cache
-def chi_bar(d, p):
-    """Maximum of sum(xi_{i+1} xi_i^p + xi_{i+1}^p xi_i) on the positive
-    (p+2)-norm unit sphere in dimension d - 1.
+def _on_sphere(v, q):
+    s = np.sum(v**q)
+    if not s >= np.finfo(float).tiny:  # the q-th powers underflowed: scale first
+        v = v / v.max()
+        s = np.sum(v**q)
+    return v / s ** (1.0 / q)
 
-    Multi-start: the symmetric point, 16 random directions, and the best
-    candidates of a coarse grid scan of PRESCAN-scaled density.
-    Each start is refined by constrained sequential quadratic programming.
-    The returned value is the sharp constant of the nearest-neighbour gap
-    inequality; callers that need it strictly below 2 must check.  It is a
-    pure function of (d, p), computed once per process.  p must be below
-    1e4: the maximizer's entries near 1 - log(2) / p round, so the error
-    grows like p.  At d = 3, against the closed form 2^(1/(p+2)), it is
-    2.6e-14 relative at p = 3e3, 4.4e-13 at 1e4, 5.8e-12 at 1e5 and 8.2e-9
-    at 1e8, and the value is exactly 2 at p = 1e16.
+
+def chi_bar(d, p):
+    """Maximum of f(xi) = sum(xi_{i+1} xi_i^p + xi_{i+1}^p xi_i) on the positive
+    (p+2)-norm unit sphere in dimension d - 1: the sharp constant of the
+    nearest-neighbour gap inequality; callers that need it below 2 must check.
+
+    The Perron-Frobenius iteration for nonnegative forms, xi <- grad
+    f(xi)^(1/(p+1)) put back on the sphere, runs from the symmetric point (the
+    fixed point at d = 3) until no entry moves by more than 1e-15.  For p >= 1
+    it contracts Hilbert's metric by p/(p+1) from a first step of log(2)/(p+1),
+    so it stops within 35(p+1) steps; below p = 1 nothing proves it does.  At
+    64(p+2) steps it raises NonConvergenceError.  p must be below 1e4: the
+    maximizer's entries near 1 - log(2) / p round, so the error grows like p;
+    at d = 3 it is 4.4e-13 relative just below 1e4.
     """
-    from scipy.optimize import minimize  # here, once per (d, p): most runs never need SciPy
     if d < 3:
         raise ValueError("d must be >= 3")
     if not _check_order(p) < 1e4:
         raise ValueError(f"p must be below 1e4 for a chi_bar accurate to 1e-12, got {p:g}")
-    m = d - 1
     q = p + 2.0
-
-    def normalize(v):
-        v = np.clip(v, 1e-12, None)
-        s = np.sum(v**q)
-        if not s >= np.finfo(float).tiny:  # the q-th powers underflowed: scale first
-            v = v / v.max()
-            s = np.sum(v**q)
-        return v / s ** (1.0 / q)
-
-    starts = [normalize(np.ones(m))]
-    rng = np.random.default_rng(np.random.SeedSequence((0, int(d), int(round(100 * p)))))
-    for _ in range(16):
-        starts.append(normalize(rng.uniform(0.05, 1.0, m)))
-    # coarse grid prescan over simplex directions
-    grid_pts = []
-    if m == 2:
-        thetas = np.linspace(0.02, np.pi / 2 - 0.02, PRESCAN * 4)
-        for th in thetas:
-            grid_pts.append(normalize(np.array([np.cos(th), np.sin(th)])))
-    else:
-        for _ in range(PRESCAN * 40):
-            grid_pts.append(normalize(rng.dirichlet(np.ones(m)) + 1e-6))
-    grid_pts.sort(key=lambda v: -_chi_objective(v, p))
-    starts.extend(grid_pts[:8])
-
-    best = max(_chi_objective(s, p) for s in starts)
-    cons = {"type": "eq", "fun": lambda v: np.sum(np.abs(v) ** q) - 1.0}
-    bounds = [(0.0, 1.0)] * m
-    for s in starts:
-        res = minimize(
-            lambda v: -_chi_objective(v, p),
-            s,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=[cons],
-            options={"maxiter": 400, "ftol": 1e-14},
-        )
-        if res.success or res.status in (4, 8):
-            v = normalize(np.abs(res.x))
-            best = max(best, _chi_objective(v, p))
-    return float(best)
+    steps = int(64 * q)
+    xi = _on_sphere(np.ones(d - 1), q)
+    for _ in range(steps):
+        left, right = xi[:-1], xi[1:]
+        grad = np.zeros_like(xi)
+        grad[:-1] += right**p + p * right * left ** (p - 1)
+        grad[1:] += left**p + p * left * right ** (p - 1)
+        new = _on_sphere(grad ** (1.0 / (p + 1.0)), q)
+        if np.max(np.abs(new - xi)) <= 1e-15:
+            return _chi_objective(new, p)
+        xi = new
+    raise NonConvergenceError(f"chi_bar did not converge at d = {d}, p = {p:g} in {steps} steps", iterations=steps)

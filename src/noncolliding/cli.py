@@ -180,6 +180,7 @@ def _cmd_simulate(args, emit):
     seeds = [scheme.replication_seed(cfg.run.seed, rep) for rep in range(paths)]
     inc = np.stack([scheme.generate_brownian(s, system.d, cfg.run.T, n).increments for s in seeds])
     states, _ = scheme.simulate_batch(system, grid, inc, scheme=which)
+    del inc  # as large as the states, and read no more
     gaps = np.diff(states, axis=2).min(axis=2)
     # the n + 1 rows of a path, as Python ints and floats in an object array,
     # go out as one string: one % on the template of n + 1 such rows

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import assert_no_child_left
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncolliding import (
     ConstantMatrixDiffusion,
@@ -498,6 +500,44 @@ class TestChiBar:
         for p in (1e4, 1e16):
             with pytest.raises(ValueError, match="p must be below 1e4"):
                 chi_bar(3, p)
+
+    def test_closed_forms_to_rounding(self):
+        # at p = 0 the form is linear, and its maximum on the 2-sphere is the
+        # norm of its coefficients (1, 2, ..., 2, 1); at d = 3 it is 2^(1/(p+2))
+        # for every p, fractional too
+        for d in range(3, 65):
+            assert chi_bar(d, 0) == pytest.approx(np.sqrt(4.0 * d - 10.0), rel=1e-15, abs=0)
+        for p in (0.1, 0.25, 0.5, 0.75, 1.5, 2.5, 7.25):
+            assert chi_bar(3, p) == pytest.approx(2.0 ** (1.0 / (p + 2.0)), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75, 1.5])
+    def test_grid_of_the_sphere_at_d4(self, p):
+        # below p = 1 the iteration has no contraction proof: f at every point
+        # u^(1/q) of a 1500-step grid of the simplex, which lies on the sphere
+        steps = 1500
+        i, j = np.triu_indices(steps + 1)
+        xi = (np.stack([i, j - i, steps - j]) / steps) ** (1.0 / (p + 2.0))
+        best = np.max(xi[1] * (xi[0] ** p + xi[2] ** p) + xi[1] ** p * (xi[0] + xi[2]))
+        chi = chi_bar(4, p)
+        assert chi - 1e-6 <= best <= chi * (1.0 + 1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 10).flatmap(lambda d: st.lists(st.floats(1e-3, 1.0), min_size=d - 1, max_size=d - 1)),
+           st.floats(0.0, 20.0))
+    def test_no_point_of_the_sphere_is_above(self, xi, p):
+        xi = np.array(xi) / np.sum(np.array(xi) ** (p + 2.0)) ** (1.0 / (p + 2.0))
+        f = np.sum(xi[1:] * xi[:-1] ** p + xi[1:] ** p * xi[:-1])
+        assert f <= chi_bar(len(xi) + 1, p) * (1.0 + 1e-12)
+
+    def test_iteration_that_does_not_settle_is_an_error(self, monkeypatch):
+        # an iterate nudged off the fixed point by turns never settles; at the
+        # loop's bound chi_bar raises rather than return it
+        on_sphere, turns = analysis._on_sphere, iter(range(10**6))
+        monkeypatch.setattr(
+            analysis, "_on_sphere", lambda v, q: on_sphere(v, q) * (1.0 + (-1) ** next(turns) * 1e-13)
+        )
+        with pytest.raises(NonConvergenceError, match="^chi_bar did not converge at d = 4, p = 0 "):
+            chi_bar(4, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -460,7 +460,7 @@ class TestCli:
         "argv", [["chi-bar"], ["inequalities", "--kind", "nn"]], ids=["chi_bar", "inequalities_nn"]
     )
     def test_p_that_overflows_the_chi_bar_seed_key_is_validation_error(self, argv, capsys):
-        # 100 p, the seed key of chi_bar's starts, is inf; p is also far above chi_bar's bound of 1e4
+        # p = 1e308 is far above chi_bar's bound of 1e4, which both commands meet first
         assert main(argv + ["--d", "3", "--p", "1e308"]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -125,13 +125,13 @@ def test_scipy_is_imported_only_by_the_paths_that_call_it():
     # solve (LU), a nearest-neighbour solve (`dgtsv`) and a dense solve from
     # CHOLESKY_FROM (`dposv`) load no SciPy package: the two routines come from
     # SciPy's LAPACK extension alone, the objects scipy.linalg.lapack
-    # re-exports.  chi_bar loads scipy.optimize, and with it scipy.linalg
+    # re-exports.  chi_bar, a NumPy fixed-point iteration, loads no SciPy either
     assert probe("plain") == {
         "import": [],
         "uniform": [],
         "neighbour": [],
         "dense": [],
-        "chi_bar": ["scipy.linalg", "scipy.optimize"],
+        "chi_bar": [],
     }
 
 
