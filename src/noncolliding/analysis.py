@@ -4,7 +4,8 @@ The exact solution of the particle system is unavailable, so strong errors
 are measured against the semi-implicit scheme at a much finer reference
 level driven by the same Brownian path (common random numbers); the
 reference-to-coarsest ratio of at least 4 keeps proxy bias below fit noise.
-Rates come from a least-squares fit of log2(error) against log2(n).
+Rates come from a least-squares fit of log2(error) against log2(n).  Every
+estimate steps its paths, of either scheme, block by block through `_walk`.
 
 The gap inequalities are checked pointwise on explicitly sampled chamber
 configurations; the sharp nearest-neighbour constant chi_bar(d, p), a maximum
@@ -161,13 +162,12 @@ def _per_level_errors(study, levels):
         ref = _walk(study.system, TimeGrid(study.T, study.ref_level), study.ref_level // nmax)
         walks = {n: _walk(study.system, TimeGrid(study.T, n), 1) for n in levels}
         for _, inc in blocks:
-            ref_rec, _ = ref(inc)
+            ref_rec = ref(inc)[0]
             finer = study.ref_level
             for n in finest_first:  # every level is below ref_level (ConvergenceStudy checks)
                 # each level halves the next finer one's increments: halving twice is coarsening by 4, bit for bit
                 inc, finer = scheme._coarsen(inc, finer // n), n
-                rec, _ = walks[n](inc)
-                _accumulate_error(study.error_mode, errors[n], rec, ref_rec[:, :: nmax // n])
+                _accumulate_error(study.error_mode, errors[n], walks[n](inc)[0], ref_rec[:, :: nmax // n])
         return errors
 
     shares = _replications(
@@ -246,7 +246,7 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
         states = np.empty((stop - start, len(idx), system.d))
         walk = _walk(system, grid, 1)
         for k, inc in blocks:
-            rec, _ = walk(inc)
+            rec = walk(inc)[0]
             hit = (idx >= k) & (idx <= k + inc.shape[1])
             states[:, hit] = rec[:, idx[hit] - k]
         return states
@@ -284,8 +284,7 @@ def _batch_increments(base_seed, start, stop, d, T, n, rngs=None, steps=None):
     Draws all n steps from new generators, or, given `rngs`, the live
     generators of those replications, their next `steps`.
     """
-    if rngs is None:
-        rngs = scheme._generators([(int(base_seed), rep) for rep in range(start, stop)])
+    rngs = scheme._replication_generators(base_seed, start, stop) if rngs is None else rngs
     return scheme._increments(rngs, d, T, n, steps)
 
 
@@ -308,7 +307,7 @@ def _replications(base_seed, M, d, T, n, run_chunk, factor=1):
     block = min(n, max(BLOCK, factor))
 
     def run_share(start, stop):
-        rngs = scheme._generators([(int(base_seed), rep) for rep in range(start, stop)])
+        rngs = scheme._replication_generators(base_seed, start, stop)
         blocks = (
             (k, _batch_increments(base_seed, start, stop, d, T, n, rngs, min(block, n - k)))
             for k in range(0, n, block)
@@ -319,24 +318,23 @@ def _replications(base_seed, M, d, T, n, run_chunk, factor=1):
     return [result for start in chunks for result in scheme._in_workers(run_share, start, min(start + CHUNK, M), d)]
 
 
-def _walk(system, grid, stride=None):
-    """walk(increments) steps semi-implicit paths through the next block of grid.
+def _walk(system, grid, stride=None, which="semi_implicit"):
+    """walk(increments) steps paths of the scheme `which` through the next block of grid.
 
-    Each call continues every path from where the last call left it (system.x0
-    at first) and returns (recorded, min_gap) as `simulate_batch` does for the
-    block: the states at every stride-th step, the block's start first, with
-    stride defaulting to the block length.  It steps in this process through
-    `scheme._paths`, since `_replications` has already split the rows.
+    The one block walker: each call continues every path, its state, step and
+    exit step, from where the last call left it (system.x0 at first), and
+    returns `scheme._paths`' (recorded, min_gap, exit_step) for the block, with
+    stride defaulting to the block length.  It steps in this process, since
+    `_replications` has already split the rows.
     """
-    x = system.x0
+    x, k, exit_step = system.x0, 0, None
 
     def walk(increments):
-        nonlocal x
-        recorded, min_gap, _ = scheme._paths(
-            system, grid, increments, "semi_implicit", stride or increments.shape[1], x
-        )
-        x = recorded[:, -1]
-        return recorded, min_gap
+        nonlocal x, k, exit_step
+        n = increments.shape[1]
+        recorded, min_gap, exit_step = scheme._paths(system, grid, increments, which, stride or n, x, k, exit_step)
+        x, k = recorded[:, -1], k + n
+        return recorded, min_gap, exit_step
 
     return walk
 
@@ -352,10 +350,9 @@ def collision_rate_explicit(system, n, M, seed, T=1.0):
     grid = TimeGrid(T, n)
 
     def run_chunk(start, stop, blocks):
-        x, exit_step = system.x0, None
-        for k, inc in blocks:
-            rec, _, exit_step = scheme._paths(system, grid, inc, "explicit", inc.shape[1], x, k, exit_step)
-            x = rec[:, -1]
+        walk = _walk(system, grid, which="explicit")
+        for _, inc in blocks:
+            exit_step = walk(inc)[2]
         return np.count_nonzero(exit_step)
 
     return int(sum(_replications(seed, M, system.d, T, n, run_chunk))) / M

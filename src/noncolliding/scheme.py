@@ -17,7 +17,6 @@ batch, or of a Monte Carlo chunk, among forked worker processes.
 
 from __future__ import annotations
 
-import numbers
 import os
 import pickle
 from dataclasses import dataclass
@@ -102,6 +101,11 @@ def _is_power_of_two(n):
 def _generators(entropies):
     """One Philox generator per entry, keyed by SeedSequence(entropy) alone."""
     return [np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy))) for entropy in entropies]
+
+
+def _replication_generators(base_seed, start, stop):
+    """The generators of replications [start, stop): the one rule that keys rep by (base_seed, rep)."""
+    return _generators([(int(base_seed), rep) for rep in range(start, stop)])
 
 
 def _increments(rngs, d, T, n, steps=None):
@@ -214,56 +218,40 @@ def generate_brownian_batch(base_seed, reps, d, T, n_max):
     """Increments for replications [0, reps) keyed by (base_seed, rep); shape (reps, n_max, d)."""
     if not _is_power_of_two(n_max):
         raise ValueError("n_max must be a power of 2")
-    return _increments(_generators([(int(base_seed), rep) for rep in range(reps)]), d, T, n_max)
+    return _increments(_replication_generators(base_seed, 0, reps), d, T, n_max)
 
 
-def simulate_batch(system, grid, increments, record_stride=None, scheme="semi_implicit", x0=None):
-    """Simulate many paths at once with the chosen scheme.
+def simulate_batch(system, grid, increments, *, scheme="semi_implicit"):
+    """Simulate many paths over the whole grid at once with the chosen scheme.
 
     increments has shape (m, n, d) with m >= 1 and n == grid.n.  Returns
-    (recorded, min_gap) where recorded has shape (m, n // stride + 1, d)
-    holding the states at every stride-th grid time (stride >= 1, default 1)
-    and min_gap is the minimum over all paths, steps and adjacent pairs.  With
-    start states x0 (shape (m, d), or (d,) for all paths; finite and strictly
-    increasing, as `ParticleSystem.x0`), the increments are instead the next
-    n <= grid.n steps of paths already at x0, and recorded starts with x0:
-    stepping a path one block at a time gives the bits of stepping it at once.
+    (recorded, min_gap) where recorded has shape (m, n + 1, d) holding the
+    states at every grid time and min_gap is the minimum over all paths, steps
+    and adjacent pairs.  `analysis._walk` steps paths one block at a time.
 
     The m rows are split into contiguous shares by `_in_workers`: the first
     is stepped in this process and each other one in a forked worker.  A
     path gets the same bits in any batch, so the result does not depend on
     the number of shares.
     """
-    m, stride = len(increments), 1 if record_stride is None else record_stride
-    if m < 1:
+    if len(increments) < 1:
         raise ValueError("increments must hold at least one path")
-    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"record_stride must be at least 1 and an integer, got {record_stride!r}")
-    if x0 is not None:
-        x0 = np.broadcast_to(np.asarray(x0, dtype=float), (m, system.d))
-        if not (np.isfinite(x0).all() and (np.diff(x0) > 0).all()):
-            raise ValueError("x0 must be finite and strictly increasing")
-
-    def run(a, b):
-        recorded, min_gap, _ = _paths(system, grid, increments[a:b], scheme, stride, None if x0 is None else x0[a:b])
-        return recorded, min_gap
-
-    shares = _in_workers(run, 0, m, system.d)
+    shares = _in_workers(lambda a, b: _paths(system, grid, increments[a:b], scheme, 1)[:2], 0, len(increments), system.d)
     recorded = shares[0][0] if len(shares) == 1 else np.concatenate([rec for rec, _ in shares])
     return recorded, min(gap for _, gap in shares)
 
 
 def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=None):
-    """The one loop that steps a batch of paths; see `simulate_batch`.
+    """The one loop that steps a batch of paths: (recorded, min_gap, exit_step).
 
-    Also returns exit_step, the step at which each explicit path first left
-    the ordered chamber (0 if it never did); such a path keeps its last
-    ordered state.  A block of steps k0 + 1, ..., k0 + n continues from the
-    states x0 and the exit steps of the steps before it.  The step h and the
-    coefficients gamma * h always come from the whole grid.  The
-    semi-implicit mode solves the m systems of a step together; the explicit
-    mode steps only the paths still ordered.  Each call checks its gamma * h,
-    or gamma when explicit, and chooses the kernel once (`implicit._Coupling`).
+    recorded holds the states at every stride-th step, the start first;
+    exit_step is the step at which each explicit path first left the ordered
+    chamber (0 if it never did), and such a path keeps its last ordered
+    state.  A block of steps k0 + 1, ..., k0 + n continues from the states x0
+    and exit steps of the steps before it (`analysis._walk`); h and gamma * h
+    come from the whole grid.  The semi-implicit mode solves the m systems of
+    a step together; the explicit mode steps only the paths still ordered.
+    Each call checks gamma * h, or gamma, and chooses the kernel once.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -273,7 +261,7 @@ def _paths(system, grid, increments, scheme, stride, x0=None, k0=0, exit_step=No
     if d != system.d:
         raise ValueError("increment dimension does not match system")
     if n % stride != 0:
-        raise ValueError("record_stride must divide n")
+        raise ValueError("stride must divide n")
     h = grid.h
     coupling = implicit._Coupling(system.gamma * h if scheme == "semi_implicit" else system.gamma, d)
     x = np.broadcast_to(system.x0 if x0 is None else x0, (m, d)).copy()

@@ -281,6 +281,33 @@ class TestCollision:
         assert collision_rate_explicit(sys_, n, M, seed) == exits / M
 
 
+class TestWalk:
+    @pytest.mark.parametrize("which", ["semi_implicit", "explicit"])
+    def test_uneven_blocks_give_the_bits_of_one_whole_grid_run(self, which):
+        # weak repulsion on a coarse grid, so explicit paths exit inside blocks
+        sys_ = dyson(3, 0.3, x0=[-0.5, 0.0, 0.5])
+        grid = TimeGrid(1.0, 16)
+        inc = scheme.generate_brownian_batch(4, 30, 3, 1.0, 16)
+        whole, whole_gap, whole_exit = scheme._paths(sys_, grid, inc, which, 1)
+        steps, ends, k, gaps = analysis._walk(sys_, grid, 1, which), analysis._walk(sys_, grid, which=which), 0, []
+        for b in (5, 8, 3):
+            rec, gap, exit_step = steps(inc[:, k : k + b])
+            assert np.array_equal(rec, whole[:, k : k + b + 1])
+            assert np.array_equal(exit_step, np.where(whole_exit <= k + b, whole_exit, 0))
+            end, end_gap, end_exit = ends(inc[:, k : k + b])  # stride: the block length
+            assert np.array_equal(end, whole[:, [k, k + b]])
+            assert end_gap == gap and np.array_equal(end_exit, exit_step)
+            gaps.append(gap)
+            k += b
+        assert min(gaps) == whole_gap
+        if which == "explicit":
+            assert set(whole_exit.tolist()) - {0, 5, 13, 16}  # some path exits inside a block
+        else:
+            assert whole_gap > 0 and not whole_exit.any()
+        with pytest.raises(ValueError, match="does not match grid"):
+            steps(inc[:, :1])  # a step past the end of the grid
+
+
 WORKERS_YAML = """
 system:
   d: 3

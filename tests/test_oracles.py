@@ -67,7 +67,7 @@ def test_pair_gap_is_a_bessel_process(gamma):
     law = stats.ncx2(1.0 + 2.0 * gamma, 0.005)
     fits = []
     for n in (8, 256):
-        recorded, _ = simulate_batch(system, TimeGrid(1.0, n), generate_brownian_batch(11, 4000, 2, 1.0, n), n)
+        recorded, _ = simulate_batch(system, TimeGrid(1.0, n), generate_brownian_batch(11, 4000, 2, 1.0, n))
         gap = recorded[:, -1, 1] - recorded[:, -1, 0]
         fits.append(stats.kstest(gap**2 / 2.0, law.cdf))
     coarse, fine = fits
@@ -103,7 +103,7 @@ def test_dyson_positions_have_the_beta_hermite_law():
     law = np.sqrt(T) * hermite_eigenvalues(np.random.default_rng(5), d, 2.0 * gamma, 4000)
     fits = []
     for n in (8, 256):
-        recorded, _ = simulate_batch(system, TimeGrid(T, n), _batch_increments(5, 0, paths, d, T, n), n)
+        recorded, _ = simulate_batch(system, TimeGrid(T, n), _batch_increments(5, 0, paths, d, T, n))
         fits.append([stats.ks_2samp(recorded[:, -1, i], law[:, i]) for i in (0, d - 1)])
     for coarse, fine in zip(*fits):
         assert fine.statistic < 0.5 * coarse.statistic

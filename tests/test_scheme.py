@@ -26,7 +26,7 @@ from noncolliding import (
     tridiagonal_gamma,
     uniform_gamma,
 )
-from noncolliding import implicit, model, scheme
+from noncolliding import analysis, implicit, model, scheme
 from noncolliding.model import CustomDiffusion
 from noncolliding.scheme import (
     SCHEMES,
@@ -375,19 +375,20 @@ class TestBatch:
             simulate_batch(sys_, TimeGrid(1.0, 4), inc, scheme="milstein")
 
     def test_record_stride(self):
+        # only the block walker records a stride: a study's reference level
         sys_ = dyson(3, 4.0)
         grid = TimeGrid(1.0, 32)
         inc = generate_brownian_batch(3, 2, 3, 1.0, 32)
         full, _ = simulate_batch(sys_, grid, inc)
-        strided, _ = simulate_batch(sys_, grid, inc, record_stride=8)
+        strided = analysis._walk(sys_, grid, 8)(inc)[0]
         assert strided.shape == (2, 5, 3)
         assert np.array_equal(strided, full[:, ::8])
 
     def test_stride_must_divide(self):
         sys_ = dyson(3, 4.0)
         inc = generate_brownian_batch(3, 1, 3, 1.0, 32)
-        with pytest.raises(ValueError):
-            simulate_batch(sys_, TimeGrid(1.0, 32), inc, record_stride=5)
+        with pytest.raises(ValueError, match="stride must divide n"):
+            analysis._walk(sys_, TimeGrid(1.0, 32), 5)(inc)
 
     @pytest.mark.parametrize("which", ["semi_implicit", "explicit"])
     def test_blocks_continue_one_run(self, which):
@@ -409,38 +410,15 @@ class TestBatch:
         assert np.count_nonzero(whole_exit) > 0 if which == "explicit" else whole_gap > 0
 
     def test_short_increments_need_start_states(self):
+        # simulate_batch steps whole grids; only the block walker continues from start states
         sys_ = dyson(3, 4.0)
         grid = TimeGrid(1.0, 32)
         inc = generate_brownian_batch(3, 2, 3, 1.0, 16)
         with pytest.raises(ValueError, match="does not match grid"):
             simulate_batch(sys_, grid, inc)
-        rec, _ = simulate_batch(sys_, grid, inc, x0=sys_.x0)
-        assert rec.shape == (2, 17, 3)
+        assert analysis._walk(sys_, grid, 1)(inc)[0].shape == (2, 17, 3)
         with pytest.raises(ValueError, match="does not match grid"):
-            simulate_batch(sys_, TimeGrid(1.0, 8), inc, x0=sys_.x0)
-
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [
-            ({"record_stride": 0}, "record_stride must be at least 1"),
-            ({"record_stride": -1}, "record_stride must be at least 1"),
-            ({"record_stride": 2.0}, "record_stride must be at least 1 and an integer, got 2.0"),
-            ({"record_stride": 1.5}, "record_stride must be at least 1 and an integer, got 1.5"),
-            ({"record_stride": True}, "record_stride must be at least 1 and an integer, got True"),
-            ({"x0": [0.0, 0.0, 1.0]}, "x0 must be finite and strictly increasing"),
-            ({"x0": [1.0, 0.0, -1.0]}, "x0 must be finite and strictly increasing"),
-            ({"x0": [[-1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]}, "x0 must be finite and strictly increasing"),
-            ({"x0": [-1.0, np.nan, 1.0]}, "x0 must be finite and strictly increasing"),
-        ],
-        ids=["stride_zero", "stride_negative", "stride_float", "stride_fraction", "stride_bool", "x0_tie", "x0_unordered", "x0_one_row_tied", "x0_nan"],
-    )
-    def test_rejects_bad_arguments(self, kwargs, match):
-        # each is refused by name, before a step: a tie or an unordered x0
-        # would be stepped from, and a stride below 1 cannot record; a
-        # float stride that divides n, or a bool, is no stride either
-        sys_ = dyson(3, 4.0)
-        with pytest.raises(ValueError, match=match):
-            simulate_batch(sys_, TimeGrid(1.0, 4), generate_brownian_batch(3, 2, 3, 1.0, 4), **kwargs)
+            analysis._walk(sys_, TimeGrid(1.0, 8))(inc)
 
     def test_rejects_zero_paths(self):
         with pytest.raises(ValueError, match="increments must hold at least one path"):
@@ -473,7 +451,7 @@ class TestWorkers:
 
     def same_for_any_worker_count(self, forks, system, n, m, seed, **kwargs):
         """The bytes of simulate_batch for 1, 2 and 3 CPUs; each splits into that many shares."""
-        grid = TimeGrid(1.0, 2 * n if "x0" in kwargs else n)
+        grid = TimeGrid(1.0, n)
         inc = generate_brownian_batch(seed, m, system.d, 1.0, n)
         out = []
         for count in (1, 2, 3):
@@ -507,48 +485,25 @@ class TestWorkers:
         for row, k in zip(np.flatnonzero(exit_step), exit_step[exit_step > 0]):
             assert np.all(rec[row, k:] == rec[row, k - 1])
 
-    @pytest.mark.parametrize("per_row", [False, True])
-    def test_start_states_and_stride(self, forks, per_row):
-        d, m = 16, 8
-        x0 = np.linspace(-8.0, 8.0, d) + (np.arange(m)[:, None] if per_row else 0.0)
-        rec, _ = self.same_for_any_worker_count(forks, spread(d, uniform_gamma(d, 1.0)), 8, m, 2, x0=x0, record_stride=4)
-        assert rec.shape == (m, 3, d)
-        assert np.array_equal(rec[:, 0], np.broadcast_to(x0, (m, d)))
-
     def test_a_failing_share_raises_as_one_process_does(self, forks):
-        # rows 4 to 8 start far to the right, and the drift refuses them at
-        # once; the first of them, row 4, is in the second of 2 or 3 shares
+        # the first increments move row r >= 4 by 100 r to the right, and the
+        # drift refuses it at the second step; the first of them, row 4, is
+        # in the second of 2 or 3 shares
         def drift(x):
             if x[0] > 50.0:
-                raise NonConvergenceError(f"drift refused x_1 = {x[0]}", method="newton", iterations=3)
+                raise NonConvergenceError(f"drift refused x_1 = {round(x[0], -2)}", method="newton", iterations=3)
             return np.zeros_like(x)
 
         d, m = 16, 9
-        x0 = np.linspace(-1.0, 1.0, d) + 100.0 * (np.arange(m) >= 4)[:, None]
-        system = spread(d, uniform_gamma(d, 1.0), drift=CustomDrift(drift, 0.0))
+        system = spread(d, uniform_gamma(d, 1.0), x0=np.linspace(-1.0, 1.0, d), drift=CustomDrift(drift, 0.0))
         inc = generate_brownian_batch(0, m, d, 1.0, 4)
+        inc[4:, 0] += 100.0 * np.arange(4, m)[:, None]
         caught = []
         for count in (1, 2, 3):
             with pytest.raises(NonConvergenceError) as error:
-                forks(count, lambda: simulate_batch(system, TimeGrid(1.0, 4), inc, x0=x0))
+                forks(count, lambda: simulate_batch(system, TimeGrid(1.0, 4), inc))
             caught.append((type(error.value), str(error.value), error.value.method, error.value.iterations))
-        assert caught == [(NonConvergenceError, "drift refused x_1 = 99.0", "newton", 3)] * 3
-        assert_no_child_left()
-
-    def test_start_states_are_checked_before_any_fork(self, forks):
-        # 8 rows at d = 16 make 2 shares; the tie is in the second
-        d, m = 16, 8
-        x0 = np.linspace(-8.0, 8.0, d) + np.zeros((m, 1))
-        x0[5, 3] = x0[5, 2]
-        inc = generate_brownian_batch(0, m, d, 1.0, 4)
-
-        def call():
-            with pytest.raises(ValueError, match="x0 must be finite and strictly increasing"):
-                simulate_batch(spread(d, uniform_gamma(d, 1.0)), TimeGrid(1.0, 4), inc, x0=x0)
-
-        assert forks(2, call)[1] == []
-        x0[5, 3] += 0.5
-        assert len(forks(2, lambda: simulate_batch(spread(d, uniform_gamma(d, 1.0)), TimeGrid(1.0, 4), inc, x0=x0))[1]) == 1
+        assert caught == [(NonConvergenceError, "drift refused x_1 = 400.0", "newton", 3)] * 3
         assert_no_child_left()
 
     def test_a_worker_never_forks_again(self, monkeypatch):
