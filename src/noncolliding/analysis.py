@@ -21,6 +21,7 @@ import numpy as np
 
 from . import scheme
 from .errors import NonConvergenceError
+from .model import _as_count, _check_increasing
 # simulate_batch stays bound here: perfbench/tracing.py wraps analysis.simulate_batch
 from .scheme import TimeGrid, _is_power_of_two, simulate_batch  # noqa: F401
 
@@ -88,17 +89,16 @@ class ConvergenceStudy:
     base_seed: int = 0
 
     def __post_init__(self):
-        levels = tuple(int(n) for n in self.levels)
+        levels = tuple(_as_count(n, "levels", 1) for n in self.levels)
         if len(levels) == 0:
             raise ValueError("levels must be non-empty")
-        if broken := level_rule(levels, self.ref_level):
+        if broken := level_rule(levels, _as_count(self.ref_level, "ref_level", 1)):
             raise ValueError(broken[1])
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"error_mode must be one of {ERROR_MODES}")
         if self.error_mode == "grid_sup_Lp" and not 0 < self.p < np.inf:
             raise ValueError("p must be finite and > 0")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        _as_count(self.replications, "replications", 1)
         if not 0 < self.T < np.inf:
             raise ValueError("T must be finite and > 0")
         object.__setattr__(self, "levels", levels)
@@ -231,8 +231,7 @@ def moment_profile(system, T, p, M, n, base_seed=0, times=None):
     sum(gap_i(0)^-p) * exp(p * t * Lip(b)) at its own t.
     """
     _check_order(p)
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _as_count(M, "M", 1)
     grid = TimeGrid(T, n)
     grid_times = grid.times()
     times = grid_times if times is None else np.atleast_1d(np.asarray(times, dtype=float))
@@ -345,8 +344,7 @@ def _walk(system, grid, stride=None, which="semi_implicit"):
 
 def collision_rate_explicit(system, n, M, seed, T=1.0):
     """Fraction of explicit-scheme paths that leave the ordered chamber."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _as_count(M, "M", 1)
     grid = TimeGrid(T, n)
 
     def run_chunk(start, stop, blocks):
@@ -366,8 +364,7 @@ def _check_chamber(x, p):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValueError("x must be a vector of length >= 2")
-    if not (np.diff(x) > 0).all():
-        raise ValueError("x must be strictly increasing")
+    _check_increasing(x, "x")
     _check_order(p)
     return x
 
@@ -428,14 +425,16 @@ def _scaled_sides(sides, pts, p, *args):
 
 def sweep_gap_inequality_full(d, p, count, seed=0):
     """Number of violations of the strict full inequality over random points."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(d), int(round(_check_order(p))))))
+    d, count = _as_count(d, "d", 2), _as_count(count, "count", 1)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), d, int(round(_check_order(p))))))
     lhs, rhs = _scaled_sides(_full_sides_batch, sample_chamber_points(rng, d, count), p)
     return int(np.count_nonzero(lhs >= rhs))
 
 
 def sweep_gap_inequality_nn(d, p, chi, count, seed=0):
     """Number of violations of the nearest-neighbour inequality with constant chi."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(d), int(round(_check_order(p))), 1)))
+    d, count = _as_count(d, "d", 3), _as_count(count, "count", 1)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), d, int(round(_check_order(p))), 1)))
     lhs, rhs = _scaled_sides(_nn_sides_batch, sample_chamber_points(rng, d, count), p, chi)
     return int(np.count_nonzero(lhs > rhs * (1.0 + 1e-12)))
 
@@ -470,8 +469,7 @@ def chi_bar(d, p):
     maximizer's entries near 1 - log(2) / p round, so the error grows like p;
     at d = 3 it is 4.4e-13 relative just below 1e4.
     """
-    if d < 3:
-        raise ValueError("d must be >= 3")
+    _as_count(d, "d", 3)
     if not _check_order(p) < 1e4:
         raise ValueError(f"p must be below 1e4 for a chi_bar accurate to 1e-12, got {p:g}")
     q = p + 2.0

@@ -94,7 +94,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NonConvergenceError
-from .model import _as_vector, is_tridiagonal, is_uniform, validate_interaction
+from .model import _as_vector, _check_increasing, is_tridiagonal, is_uniform, validate_interaction
 
 __all__ = [
     "ImplicitProblem",
@@ -252,9 +252,7 @@ def _check_ordered(xi, d):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (d,):
         raise ValueError(f"xi must have shape ({d},), got {xi.shape}")
-    if not (np.isfinite(xi).all() and (np.diff(xi) > 0).all()):
-        raise ValueError("xi must be finite and strictly increasing")
-    return xi
+    return _check_increasing(xi, "xi")
 
 
 def _rows(v, keep):

@@ -11,6 +11,7 @@ is provided but its declared constants are not verified.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +43,20 @@ def _as_vector(v, name):
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
     return arr
+
+
+def _as_count(value, name, least):
+    """value as an int if it is an integer, not a bool, and >= least; else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
+    return int(value)
+
+
+def _check_increasing(x, name):
+    """x if its entries are finite and strictly increasing; else ValueError naming it."""
+    if not (np.isfinite(x).all() and (np.diff(x) > 0).all()):
+        raise ValueError(f"{name} must be finite and strictly increasing")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +320,7 @@ class ParticleSystem:
         x0 = _as_vector(self.x0, "x0")
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have length {self.d}")
-        if not (np.isfinite(x0).all() and (np.diff(x0) > 0).all()):
-            raise ValueError("x0 must be finite and strictly increasing")
+        _check_increasing(x0, "x0")
         if np.shape(drift_eval(self.drift, x0)) != (self.d,):
             raise ValueError(f"drift must give a vector of length {self.d}")
         if np.shape(diffusion_eval(self.diffusion, x0)) != (self.d, self.d):

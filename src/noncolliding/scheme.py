@@ -26,7 +26,7 @@ import numpy as np
 from . import implicit
 from .implicit import ImplicitProblem
 from .model import COORDINATEWISE_DRIFTS, ConstantMatrixDiffusion, DiagonalBoundedDiffusion
-from .model import diffusion_eval, drift_eval
+from .model import _as_count, diffusion_eval, drift_eval
 
 __all__ = [
     "TimeGrid",
@@ -61,8 +61,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.T < np.inf:
             raise ValueError("T must be finite and > 0")
-        if not self.n >= 1:
-            raise ValueError("n must be >= 1")
+        _as_count(self.n, "n", 1)
 
     @property
     def h(self):
@@ -130,7 +129,7 @@ def generate_brownian(seed, d, T, n_max):
     (seed, d, T, n_max) is bit-reproducible and safe to regenerate
     independently in parallel workers.
     """
-    if not _is_power_of_two(n_max):
+    if not _is_power_of_two(_as_count(n_max, "n_max", 1)):
         raise ValueError("n_max must be a power of 2")
     increments = _increments(_generators([seed]), d, T, n_max)[0]
     return BrownianPath(seed=int(seed), d=int(d), T=float(T), n_max=int(n_max), increments=increments)
@@ -216,9 +215,9 @@ def replication_seed(base_seed, rep):
 
 def generate_brownian_batch(base_seed, reps, d, T, n_max):
     """Increments for replications [0, reps) keyed by (base_seed, rep); shape (reps, n_max, d)."""
-    if not _is_power_of_two(n_max):
+    if not _is_power_of_two(_as_count(n_max, "n_max", 1)):
         raise ValueError("n_max must be a power of 2")
-    return _increments(_replication_generators(base_seed, 0, reps), d, T, n_max)
+    return _increments(_replication_generators(base_seed, 0, _as_count(reps, "reps", 1)), d, T, n_max)
 
 
 def simulate_batch(system, grid, increments, *, scheme="semi_implicit"):

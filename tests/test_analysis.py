@@ -1,6 +1,7 @@
 """Unit tests for the convergence harness, moments, and inequality oracles."""
 
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,41 @@ class TestCollision:
         assert collision_rate_explicit(sys_, n, M, seed) == exits / M
 
 
+DYSON_3 = dyson(3, 4.0)
+
+
+@pytest.mark.parametrize(
+    "call, name, least, value",
+    [
+        (lambda v: TimeGrid(1.0, v), "n", 1, 2.5),
+        (lambda v: TimeGrid(1.0, v), "n", 1, True),
+        (lambda v: ConvergenceStudy(DYSON_3, 1.0, (v, 8, 16), 1024, 10), "levels", 1, 4.5),
+        (lambda v: ConvergenceStudy(DYSON_3, 1.0, (16, 32, 64), v, 10), "ref_level", 1, 1024.0),
+        (lambda v: ConvergenceStudy(DYSON_3, 1.0, (16, 32, 64), 1024, v), "replications", 1, 2.5),
+        (lambda v: moment_profile(DYSON_3, 1.0, 1.0, v, 4), "M", 1, 2.5),
+        (lambda v: collision_rate_explicit(DYSON_3, 4, v, 0), "M", 1, 2.5),
+        (lambda v: collision_rate_explicit(DYSON_3, v, 10, 0), "n", 1, 2.5),
+        (lambda v: scheme.generate_brownian(0, 3, 1.0, v), "n_max", 1, 2.0),
+        (lambda v: scheme.generate_brownian_batch(0, 2, 3, 1.0, v), "n_max", 1, 2.0),
+        (lambda v: scheme.generate_brownian_batch(0, v, 3, 1.0, 4), "reps", 1, 2.5),
+        (lambda v: chi_bar(v, 1.0), "d", 3, 3.5),
+        (lambda v: sweep_gap_inequality_full(v, 1.0, 10), "d", 2, 3.5),
+        (lambda v: sweep_gap_inequality_full(3, 1.0, v), "count", 1, 2.5),
+        (lambda v: sweep_gap_inequality_nn(v, 1.0, 1.5, 10), "d", 3, 3.5),
+        (lambda v: sweep_gap_inequality_nn(3, 1.0, 1.5, v), "count", 1, 2.5),
+    ],
+    ids=[
+        "grid_n", "grid_n_bool", "study_level", "study_ref_level", "study_replications", "moments_M",
+        "collide_M", "collide_n", "brownian_n_max", "batch_n_max", "batch_reps", "chi_bar_d",
+        "sweep_full_d", "sweep_full_count", "sweep_nn_d", "sweep_nn_count",
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_refused_by_name(call, name, least, value):
+    # never truncated (a level of 4.5 is not level 4) and never a TypeError from deep inside
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be >= {least} and an integer, got {value!r}')}$"):
+        call(value)
+
+
 class TestWalk:
     @pytest.mark.parametrize("which", ["semi_implicit", "explicit"])
     def test_uneven_blocks_give_the_bits_of_one_whole_grid_run(self, which):
@@ -452,6 +488,18 @@ class TestInequalities:
     def test_rejects_unordered(self):
         with pytest.raises(ValueError):
             verify_gap_inequality_full(np.array([1.0, 0.0, 2.0]), 0)
+
+    @pytest.mark.parametrize("coordinate", [np.inf, -np.inf, np.nan], ids=["inf", "minus_inf", "nan"])
+    @pytest.mark.parametrize(
+        "check",
+        [lambda x: verify_gap_inequality_full(x, 1.0), lambda x: verify_gap_inequality_nn(x, 1.0, 1.5)],
+        ids=["full", "nn"],
+    )
+    def test_points_outside_the_chamber_are_refused(self, check, coordinate):
+        # as residual and ParticleSystem refuse them: an infinite gap is no point of the chamber
+        for x in ([0.0, 1.0, coordinate], [coordinate, 0.0, 1.0], [0.0, coordinate, 1.0]):
+            with pytest.raises(ValueError, match="^x must be finite and strictly increasing$"):
+                check(x)
 
     def test_nn_needs_three(self):
         with pytest.raises(ValueError):
