@@ -128,6 +128,14 @@ class TestParse:
         assert build_system(cfg.system).d == cfg.system.d == 3
         assert cfg.output.path == "out.csv"
 
+    def test_readme_library_example_runs(self):
+        # the documented API must not drift from the code: one path, then a study
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        code = re.search(r"## Library example\n+```python\n(.*?)```", readme, re.S).group(1)
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["result"].min_gap > 0 and namespace["study"].replications == 500
+
     def test_build_system(self):
         sys_ = build_system(parse_config(DYSON_YAML).system)
         assert sys_.d == 3

@@ -75,6 +75,24 @@ def test_deleted_names_stay_deleted(owner, name):
     assert not hasattr(owner, name)
 
 
+def test_block_stepping_and_replication_keys_have_one_owner():
+    # replication rep of a base seed is keyed in one place, and only the
+    # block walker continues paths from start states (the 6th argument of
+    # `_paths` or its x0); simulate_batch steps whole grids
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in INIT.parent.glob("*.py")}
+    assert [stem for stem, text in sources.items() for _ in range(text.count("(int(base_seed), rep)"))] == ["scheme"]
+    continuing = set()
+    for stem, text in sources.items():
+        for fn in ast.parse(text).body:
+            for node in ast.walk(fn):
+                callee = getattr(node, "func", None)
+                if getattr(callee, "id", getattr(callee, "attr", None)) != "_paths":
+                    continue
+                if len(node.args) > 5 or any(kw.arg == "x0" for kw in node.keywords):
+                    continuing.add(f"{stem}.{fn.name}")
+    assert continuing == {"analysis._walk"}
+
+
 STARTUP_PROBE = """
 import importlib.machinery, json, sys
 import numpy as np
