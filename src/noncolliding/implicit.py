@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import numbers
 import os
 import sys
@@ -158,14 +159,19 @@ class _Coupling:
         self._differenced = x
         return np.divide(self.kernel[..., None], _differences(x, pair), quotient).sum(axis=1)
 
-    def hessian(self, x):
-        """The Hessian of F for a dense kernel at x, (d,) or (d, m), in the
-        scratch, where a Cholesky solve then overwrites it with its factor."""
+    def weights(self, x):
+        """The Hessian weights c / D**2 of a dense kernel at x, (d,) or (d, m),
+        in the scratch, and the pair array and diagonal they are written to."""
         pair = self._pair_scratch(x)[0]
         diff = pair[0] if self._differenced is x else _differences(x, pair)
         self._differenced = None
         c = self.kernel if x.ndim == 1 else self.kernel[..., None]
-        return _hessian(np.divide(c, np.square(diff, diff), diff), pair)
+        return np.divide(c, np.square(diff, diff), diff), pair
+
+    def hessian(self, x):
+        """The Hessian of F for a dense kernel at x, (d,) or (d, m), in the
+        scratch, where a Cholesky solve then overwrites it with its factor."""
+        return _hessian(*self.weights(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +196,9 @@ class ImplicitProblem:
         return self.a.shape[0]
 
 
+# largest d whose dense Hessians are solved by the fixed-order LDL^T of
+# `_ldl_solve`, not LU: from d = 4, Python floats lose to LAPACK on one problem
+LDL_UP_TO = 3
 # smallest d whose dense Hessians are solved by Cholesky (`_cholesky_solve`),
 # not LU: the measured crossover, below which LU is faster on one problem
 CHOLESKY_FROM = 48
@@ -364,9 +373,105 @@ def _hessian_solve(coupling, x, b):
     """
     if coupling.kernel.ndim == 1:
         return _tridiagonal_solve(_weights(coupling.kernel if x.ndim == 1 else coupling.kernel[:, None], x), b)
+    if len(x) <= LDL_UP_TO:
+        return _ldl_solve(coupling, x, b)
     if len(x) >= CHOLESKY_FROM:
         return _cholesky_solve(coupling.hessian(x), b)
     return _lu_solve(coupling.hessian(x), b)
+
+
+def _ldl_solve(coupling, x, b):
+    """H^{-1} b for the dense Hessian H of F at x and b, both (d,) or (d, m)
+    with d <= LDL_UP_TO, by `_ldl`, in the memory order of b.
+
+    One problem, x of shape (d,) or (d, 1), is solved on Python floats; a
+    batch on NumPy rows of the weights that `_Coupling.weights` leaves in the
+    scratch, with no (d, d, m) Hessian.  The diagonals are w.sum(axis=1) + 1,
+    which at d <= 3 is one rounding of the sum of at most two weights in
+    either path.  A row gets NaN when a pivot is not > 0 or its solution is
+    not finite; on floats a division by 0, which NumPy would carry to inf or
+    NaN, raises ZeroDivisionError and gives NaN too.
+    """
+    if x.size == len(x):
+        p, c, y = x.ravel().tolist(), coupling.kernel, [0.0] * len(x)
+        try:
+            w = [c.item(i, j) / ((p[i] - p[j]) * (p[i] - p[j])) for i, j in _UPPER[len(p)]]
+            s = [w[0] + 1.0] * 2 if len(p) == 2 else [w[0] + w[1] + 1.0, w[0] + w[2] + 1.0, w[1] + w[2] + 1.0]
+            if all(pivot > 0 for pivot in _ldl(s, w, b.ravel().tolist(), y)) and all(map(math.isfinite, y)):
+                return np.array(y).reshape(b.shape)
+        except ZeroDivisionError:
+            pass
+        return np.full_like(b, np.nan)
+    w = coupling.weights(x)[0]
+    s = np.add.reduce(w, axis=1)  # w.sum(axis=1)
+    s += 1.0
+    y = np.empty_like(b)
+    _ldl(s, [w[i, j] for i, j in _UPPER[len(x)]], b, y)
+    good = np.isfinite(y)
+    good[1:] &= s[1:] > 0  # the pivots, which `_ldl` leaves in s
+    if np.count_nonzero(good) < good.size:
+        y[:, ~good.all(axis=0)] = np.nan
+    return y
+
+
+# the upper weights that `_ldl` takes, at d = 2 and 3
+_UPPER = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
+
+
+def _ldl(s, w, b, y):
+    """Solve H y = b for H = diag(s) - w, symmetric with the upper weights w
+    = [w01] at d = 2 or [w01, w02, w12] at d = 3, by LDL^T without pivoting
+    in one fixed order; returns the pivots after the first, s[0], which on
+    NumPy rows overwrite s[1:].
+
+    Every entry of s, w and b is a Python float for one problem or a NumPy
+    row of a batch, and only + - * / touch them, which IEEE rounds alike in
+    both: a row gets the same bits either way.  Augmented assignments work in
+    place on NumPy rows, so s and w are overwritten; b is only read.  H is
+    symmetric positive definite (the identity plus a weighted Laplacian), for
+    which LDL^T without pivoting is backward stable.
+    """
+    if len(s) == 2:
+        (s0, s1), (w01,), (b0, b1) = s, w, b
+        l10 = w01 / s0
+        w01 *= l10
+        s1 -= w01  # the second pivot
+        x1 = l10 * b0
+        x1 += b1
+        x1 /= s1
+        x0 = b0 / s0
+        l10 *= x1
+        x0 += l10
+        y[0], y[1] = x0, x1
+        return (s1,)
+    (s0, s1, s2), (w01, w02, w12), (b0, b1, b2) = s, w, b
+    l10, l20 = w01 / s0, w02 / s0
+    e21 = w02 * l10
+    e21 += w12  # -H21 after the first column is eliminated
+    w01 *= l10
+    s1 -= w01  # the second pivot
+    w02 *= l20
+    s2 -= w02
+    l21 = e21 / s1
+    e21 *= l21
+    s2 -= e21  # the third pivot
+    # forward substitution, division by the pivots and back substitution
+    x1 = l10 * b0
+    x1 += b1
+    x2 = l20 * b0
+    x2 += b2
+    x2 += l21 * x1
+    x2 /= s2
+    x1 /= s1
+    l21 *= x2
+    x1 += l21
+    x0 = b0 / s0
+    l10 *= x1
+    x0 += l10
+    l20 *= x2
+    x0 += l20
+    y[0], y[1], y[2] = x0, x1, x2
+    return s1, s2
 
 
 def __getattr__(name):

@@ -50,6 +50,9 @@ def dense_coupling(c):
 # the d of the Cholesky tests: the smallest, one past it (whose (d, d) blocks
 # start at every alignment in a batch) and two larger
 CHOLESKY_DS = [implicit.CHOLESKY_FROM, implicit.CHOLESKY_FROM + 1, 64, 128]
+# the d of the tests of the solves that read one triangle of the Hessian:
+# the fixed-order LDL^T up to LDL_UP_TO and Cholesky from CHOLESKY_FROM
+SYMMETRIC_DS = list(range(2, implicit.LDL_UP_TO + 1)) + CHOLESKY_DS
 
 ALL_METHODS_D2 = ["newton", "homotopy", "fixed_point_nn"]
 ALL_METHODS_D3 = ["newton", "homotopy", "alternating_d3"]
@@ -639,7 +642,8 @@ class TestLayout:
 
 
 class TestDenseSolve:
-    """The dense Hessian solve, which calls NumPy's private LAPACK gufunc."""
+    """The dense Hessian solves: the fixed-order LDL^T up to LDL_UP_TO, NumPy's
+    private LAPACK gufunc (LU) below CHOLESKY_FROM and `dposv` from it."""
 
     @staticmethod
     def system(rng, d, m):
@@ -666,17 +670,24 @@ class TestDenseSolve:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_matches_numpy_solve_bit_for_bit(self, d):
+        # LU has the bits of np.linalg.solve; the LDL^T up to LDL_UP_TO agrees
+        # with it to 1e-13 of the largest entry, as Cholesky does
+        def check(delta, expected):
+            if d > implicit.LDL_UP_TO:
+                assert delta.tobytes() == expected.tobytes()
+            else:
+                assert np.all(np.abs(delta - expected).max(axis=0) <= 1e-13 * np.abs(expected).max(axis=0))
+
         rng = np.random.default_rng(100 + d)
         k, x = self.system(rng, d, 6)
         b = rng.normal(size=(d, 6))
         for i in range(6):
-            expected = np.linalg.solve(self.hessian(k.c, x[:, i]), b[:, i])
-            assert implicit._hessian_solve(k, x[:, i], b[:, i]).tobytes() == expected.tobytes()
+            check(implicit._hessian_solve(k, x[:, i], b[:, i]), np.linalg.solve(self.hessian(k.c, x[:, i]), b[:, i]))
         # each layout against its own Hessians: at d = 8 their row sums round differently
         for x_, b_ in ((x, b), self.particles_innermost(x, b)):
             stacked = np.linalg.solve(self.hessian(k.c, x_).transpose(2, 0, 1), b_.T[:, :, None])[:, :, 0].T
             delta = implicit._hessian_solve(k, x_, b_)
-            assert delta.tobytes() == stacked.tobytes()
+            check(delta, stacked)
             assert delta.strides == b_.strides
 
     @pytest.mark.parametrize("shape", ["one", "one-row", "rows-innermost", "particles-innermost", "fewer-rows"])
@@ -770,12 +781,12 @@ class TestDenseSolve:
 
     @classmethod
     def cholesky_system(cls, d, m=5):
-        # a dense system at d >= CHOLESKY_FROM, particles innermost as the core lays it out
+        # a dense system at a d of SYMMETRIC_DS, particles innermost as the core lays it out
         rng = np.random.default_rng(200 + d)
         k, x = cls.system(rng, d, m)
         return (k, *cls.particles_innermost(x, rng.normal(size=(d, m))))
 
-    @pytest.mark.parametrize("d", CHOLESKY_DS)
+    @pytest.mark.parametrize("d", SYMMETRIC_DS)
     def test_cholesky_rows_get_the_same_bits_alone(self, d):
         # in a batch, as a batch of one and as one (d,) problem in a fresh coupling
         k, x, b = self.cholesky_system(d)
@@ -787,7 +798,7 @@ class TestDenseSolve:
             one = implicit._hessian_solve(k.fresh(), x[:, i], b[:, i])
             assert alone.tobytes() == delta[:, i : i + 1].tobytes() == one.tobytes()
 
-    @pytest.mark.parametrize("d", CHOLESKY_DS)
+    @pytest.mark.parametrize("d", SYMMETRIC_DS)
     @pytest.mark.parametrize("layout", ["rows-innermost", "particles-innermost"])
     def test_cholesky_matches_numpy_solve(self, d, layout):
         # rows innermost, each (d, d) block is strided and `dposv` copies it
@@ -799,7 +810,7 @@ class TestDenseSolve:
         assert np.all(np.abs(delta - expected).max(axis=0) <= 1e-13 * np.abs(expected).max(axis=0))
         assert delta.strides == b.strides
 
-    @pytest.mark.parametrize("d", CHOLESKY_DS)
+    @pytest.mark.parametrize("d", SYMMETRIC_DS)
     @pytest.mark.parametrize(
         "bad", ["collapsed-pair", "inf-weight", "nan-weight", "inf-rhs", "nan-rhs"]
     )
@@ -812,38 +823,46 @@ class TestDenseSolve:
         # weights 2^66 of `check_singular_rows` leave LU a finite, meaningless
         # solution at these d, and Cholesky too at 48, 49 and 128.)
         # inf-weight: a gap whose square is 0, which leaves `dposv` a finite
-        # solution
+        # solution, and which makes Python floats raise ZeroDivisionError.
+        # The weight and right-hand side changed are those of particle 3 and
+        # 2 where d > 3, else of the last particle and the one before it
         k, x, b = self.cholesky_system(d)
-        rows = [1, 3]
+        rows, j = [1, 3], min(3, d - 1)
         if bad == "collapsed-pair":
             k = implicit._Coupling(np.subtract.outer(np.arange(d), np.arange(d)) ** 2.0, d)
             x[:, rows] = np.r_[0.0, 2.0**-33, 2.0:d][:, None]
         elif bad.endswith("weight"):
-            x[3, rows] = x[2, rows] + 1e-200 if bad == "inf-weight" else np.nan
+            x[j, rows] = x[j - 1, rows] + 1e-200 if bad == "inf-weight" else np.nan
         else:
-            b[2, rows] = np.inf if bad == "inf-rhs" else np.nan
-        with np.errstate(divide="ignore"):
+            b[j - 1, rows] = np.inf if bad == "inf-rhs" else np.nan
+        with np.errstate(divide="ignore", invalid="ignore"):
             delta = implicit._hessian_solve(k, x, b)
         assert np.isnan(delta[:, rows]).all()
         for i in (0, 2, 4):
             alone = implicit._hessian_solve(k, x[:, i : i + 1], b[:, i : i + 1])
             assert np.isfinite(alone).all() and alone.tobytes() == delta[:, i : i + 1].tobytes()
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             assert np.isnan(implicit._hessian_solve(k.fresh(), x[:, 1], b[:, 1])).all()
 
     @pytest.mark.parametrize("d", [3, implicit.CHOLESKY_FROM - 1, implicit.CHOLESKY_FROM, 64])
     @pytest.mark.parametrize("kind", ["uniform", "tridiagonal"])
     def test_each_hessian_goes_to_its_solver(self, d, kind, monkeypatch):
-        # uniform c: LU below CHOLESKY_FROM, `dposv` from it; neighbour c: `dgtsv`
+        # uniform c: LDL^T up to LDL_UP_TO, LU below CHOLESKY_FROM, `dposv`
+        # from it; neighbour c: `dgtsv`
         calls = []
-        for name in ("_lu_solve", "dposv", "dgtsv"):
+        for name in ("_ldl_solve", "_lu_solve", "dposv", "dgtsv"):
             real = getattr(implicit, name)
             monkeypatch.setattr(implicit, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
         c = uniform_c(d, 1.0 / 64) if kind == "uniform" else tridiag_c(np.full(d - 1, 1.0 / 64))
         a = np.linspace(-2.0 * np.sqrt(d), 2.0 * np.sqrt(d), d) + np.random.default_rng(d).normal(size=(4, d))
         solve_batch(a, c)
         solve_homotopy(ImplicitProblem(a[0], c))
-        expected = "dgtsv" if kind == "tridiagonal" else "_lu_solve" if d < implicit.CHOLESKY_FROM else "dposv"
+        expected = (
+            "dgtsv" if kind == "tridiagonal"
+            else "_ldl_solve" if d <= implicit.LDL_UP_TO
+            else "_lu_solve" if d < implicit.CHOLESKY_FROM
+            else "dposv"
+        )
         assert calls and set(calls) == {expected}
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncolliding import ImplicitProblem, NonConvergenceError, solve
-from noncolliding.implicit import _Coupling, _evaluate, _kernel, _row_sums, _weights, solve_batch
+from noncolliding.implicit import LDL_UP_TO, _Coupling, _evaluate, _hessian_solve, _kernel, _row_sums, _weights, solve_batch
 
 TOL = 1e-12  # SolverOptions().tol
 EPS = np.finfo(float).eps
@@ -138,3 +138,50 @@ def test_neighbour_kernel_has_the_dense_bits(d, m, log_c, seed):
     w, w_band = _weights(c[:, :, None], x.T[:, ordered]), _weights(_kernel(c)[:, None], x.T[:, ordered])
     assert w.sum(axis=1).tobytes() == _row_sums(w_band).tobytes()
 
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, LDL_UP_TO).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.floats(-3.0, 3.0), min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2),
+            st.integers(1, 6).flatmap(
+                lambda m: st.lists(st.floats(-2.0, 2.0), min_size=d * m, max_size=d * m)
+            ),
+            st.lists(st.tuples(st.integers(0, 17), st.floats(-170.0, -2.0)), max_size=2),
+            st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d),
+            st.booleans(),
+        )
+    )
+)
+def test_dense_ldl_rows_have_the_same_bits_in_any_batch(drawn):
+    # a dense Hessian at d <= LDL_UP_TO: each row of a batch, rows innermost
+    # (after an evaluation, whose differences the solve reuses) or particles
+    # innermost, has the bytes of the same row as a batch of one and as one
+    # (d,) problem on floats, NaN rows included: up to two gaps down to
+    # 1e-170 give weights up to 1e340, which overflow, and squares that
+    # underflow to 0
+    d, log_c, log_gaps, tiny, rhs, corner_zero = drawn
+    m = len(log_gaps) // d
+    for i, log_gap in tiny:
+        log_gaps[i % len(log_gaps)] = log_gap
+    c = np.zeros((d, d))
+    c[np.triu_indices(d, 1)] = 10.0 ** np.array(log_c)
+    if corner_zero and d > 2:
+        c[0, -1] = 0.0
+    c = c + c.T
+    x = np.cumsum(10.0 ** np.array(log_gaps).reshape(d, m), axis=0)
+    b = np.array(rhs)[:, None] * np.linspace(1.0, -2.0, m)
+    k = _Coupling(c, d)
+    k.kernel = c  # dense also where c couples only neighbours
+    with np.errstate(all="ignore"):
+        rows = np.ascontiguousarray(x)
+        k.interaction(rows)
+        batches = [_hessian_solve(k, rows, np.ascontiguousarray(b))]
+        batches.append(_hessian_solve(k, np.asfortranarray(x), np.asfortranarray(b)))
+        for i in range(m):
+            one, alone = _hessian_solve(k, x[:, i : i + 1], b[:, i : i + 1]), _hessian_solve(k.fresh(), x[:, i], b[:, i])
+            assert one.shape == (d, 1) and alone.shape == (d,)
+            for batch in batches:
+                assert batch[:, i].tobytes() == one.tobytes() == alone.tobytes()
