@@ -194,7 +194,11 @@ def run_study(study):
 
 
 def fit_rate(estimates):
-    """Least-squares fit of log2(error) vs log2(n); slope is the positive rate."""
+    """Least-squares fit of log2(error) vs log2(n); slope is the positive rate.
+
+    The line is the closed form, in elementwise arithmetic and sums, whose
+    bits do not depend on the CPU's LAPACK kernels as `np.polyfit`'s do.
+    """
     if len(estimates) < 3:
         raise ValueError("need at least 3 levels to fit a rate")
     ns = np.array([float(n) for n, _ in estimates])
@@ -203,7 +207,9 @@ def fit_rate(estimates):
         raise ValueError("errors must be positive")
     x = np.log2(ns)
     y = np.log2(errs)
-    slope, intercept = np.polyfit(x, y, 1)
+    dx = x - x.mean()
+    slope = np.sum(dx * (y - y.mean())) / np.sum(dx * dx)
+    intercept = y.mean() - slope * x.mean()
     yhat = slope * x + intercept
     ss_res = float(np.sum((y - yhat) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))

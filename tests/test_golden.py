@@ -23,11 +23,15 @@ continuation collapses.  Regenerate it with
     PYTHONPATH=src python tests/test_golden.py > tests/golden/homotopy.txt
 """
 
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 from noncolliding import ImplicitProblem, NonConvergenceError, SolverOptions
 from noncolliding.cli import main
@@ -138,6 +142,49 @@ def test_solve_full_matrix_matches_golden(capsys):
     # the uniform c of the "solve" case, given entry by entry
     assert main(["solve", "--a", "0,3,7", "--c-full", "0,2,2;2,0,2;2,2,0"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "solve.csv").read_text()
+
+
+def kernel_settings():
+    """Environment variables that make NumPy and OpenBLAS run the kernels of
+    other CPUs on this one, by name; None where this machine cannot emulate
+    them: OpenBLAS's Haswell (AVX2) and Prescott (SSE3) kernels on x86-64,
+    and NumPy without the AVX-512 targets it dispatches to here."""
+    features = _multiarray_umath.__cpu_features__
+    avx512 = [t for t in _multiarray_umath.__cpu_dispatch__ if t == "X86_V4" or t.startswith("AVX512")]
+    avx512 = [t for t in avx512 if features.get(t)]
+    x86 = platform.machine().lower() in ("x86_64", "amd64")
+    return {
+        "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"} if x86 and features.get("AVX2") else None,
+        "openblas_prescott": {"OPENBLAS_CORETYPE": "Prescott"} if x86 else None,
+        "numpy_without_avx512": {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)} if avx512 else None,
+    }
+
+
+@pytest.mark.parametrize("setting", sorted(kernel_settings()))
+@pytest.mark.parametrize("name", ["converge", "converge_terminal", "simulate"])
+def test_stdout_does_not_depend_on_the_kernels(name, setting, tmp_path):
+    """The golden bytes of a run under another CPU's kernels, in a child
+    process, which alone sees the variables.
+
+    Dense Hessians at d <= 3 and the rate fit use elementwise arithmetic
+    only, whose IEEE rounding no kernel changes.  `moments` is left out: it
+    raises to a power p with `np.power`, whose SIMD loops round differently;
+    so is `homotopy.txt`, which solves dense Hessians at 4 <= d <= 8 by
+    LAPACK's LU in OpenBLAS's kernels.
+    """
+    variables = kernel_settings()[setting]
+    if variables is None:
+        pytest.skip(f"{setting} cannot be emulated on this machine")
+    argv, text, code = CASES[name]
+    cfg = tmp_path / "golden.yaml"
+    cfg.write_text(text)
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "noncolliding", *argv, "--config", str(cfg)],
+        env=dict(os.environ, PYTHONPATH=path, **variables), capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == code, child.stderr
+    assert child.stdout == (GOLDEN / f"{name}.csv").read_text()
 
 
 def homotopy_problems():
