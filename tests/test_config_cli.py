@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,53 @@ run:
 """
 
 
+# the DYSON_YAML variants of the parse tests: id -> the replaced text, its
+# replacement and what the test checks
+FAMILIES = {
+    "constant": ("kind: zero", "kind: constant\n    c: [0.1, 0.2, 0.3]", "drift.c", [0.1, 0.2, 0.3]),
+    "ornstein_uhlenbeck": ("kind: zero", "kind: ornstein_uhlenbeck\n    theta: 0.5\n    mu: [-1, 0, 1]", "drift.mu", [-1, 0, 1]),
+    "bounded_smooth": ("kind: zero", "kind: bounded_smooth\n    beta: 0.7", "drift.beta", 0.7),
+    "diagonal_bounded": ("kind: constant_matrix\n    matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+                         "kind: diagonal_bounded\n    s0: 0.8", "diffusion.s1", 0.0),
+    "gamma_matrix": ("uniform: 4.0", "matrix: [[0, 2, 1], [2, 0, 3], [1, 3, 0]]", "gamma", [[0, 2, 1], [2, 0, 3], [1, 3, 0]]),
+}
+NON_FINITE = {
+    "T_nan": ("T: 1.0", "T: .nan", "run.T"),
+    "T_inf": ("T: 1.0", "T: .inf", "run.T"),
+    "gamma_inf": ("uniform: 4.0", "uniform: .inf", "system.gamma.uniform"),
+    "x0_inf": ("linspace: [-1.0, 1.0]", "linspace: [-.inf, 1.0]", "system.x0.linspace"),
+}
+LEVEL_RULES = {
+    "ref_not_dyadic": ("ref_level: 128", "ref_level: 96", "run.ref_level", "ref_level must be a power of 2"),
+    "level_above_ref": ("ref_level: 128", "ref_level: 16", "run.levels", "all levels must divide ref_level"),
+}
+SYNTAX_ERRORS = {
+    "unclosed_flow": "system:\n  d: [unclosed\n",
+    "indented_key": "system:\n  d: 3\n   gamma: 1\n",
+    "nested_value": "run: seed: 7\n",
+    "tab": "\tsystem: 1\n",
+}
+
+
+def readme_block(heading, language):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"{heading}\n+```{language}\n(.*?)```", readme, re.S).group(1)
+
+
+def config_texts():
+    """Every config text of the tests and the README, by a name."""
+    from test_analysis import WORKERS_YAML
+    from test_golden import CASES
+
+    texts = {"dyson": DYSON_YAML, "nn": NN_YAML, "ou": OU_YAML, "workers": WORKERS_YAML,
+             "readme": readme_block("### Config format", "yaml")}
+    texts.update((f"golden_{name}", text) for name, (_, text, _) in CASES.items() if text is not None)
+    for table in (FAMILIES, NON_FINITE, LEVEL_RULES):
+        texts.update((name, DYSON_YAML.replace(old, new)) for name, (old, new, *_) in table.items())
+    texts.update((f"syntax_{name}", text) for name, text in SYNTAX_ERRORS.items())
+    return texts
+
+
 class TestParse:
     def test_minimal_dyson(self):
         cfg = parse_config(DYSON_YAML)
@@ -122,9 +170,7 @@ class TestParse:
 
     def test_readme_schema_parses(self):
         # the documented schema must not drift from the parser
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        text = re.search(r"### Config format\n+```yaml\n(.*?)```", readme, re.S).group(1)
-        cfg = parse_config(text)
+        cfg = parse_config(readme_block("### Config format", "yaml"))
         assert build_system(cfg.system).d == cfg.system.d == 3
         assert cfg.output.path == "out.csv"
 
@@ -142,18 +188,7 @@ class TestParse:
         assert is_uniform(sys_.gamma) and sys_.gamma[0, 1] == 4.0
         assert np.allclose(sys_.x0, [-1.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize(
-        "old, new, attribute, want",
-        [
-            ("kind: zero", "kind: constant\n    c: [0.1, 0.2, 0.3]", "drift.c", [0.1, 0.2, 0.3]),
-            ("kind: zero", "kind: ornstein_uhlenbeck\n    theta: 0.5\n    mu: [-1, 0, 1]", "drift.mu", [-1, 0, 1]),
-            ("kind: zero", "kind: bounded_smooth\n    beta: 0.7", "drift.beta", 0.7),
-            ("kind: constant_matrix\n    matrix: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
-             "kind: diagonal_bounded\n    s0: 0.8", "diffusion.s1", 0.0),
-            ("uniform: 4.0", "matrix: [[0, 2, 1], [2, 0, 3], [1, 3, 0]]", "gamma", [[0, 2, 1], [2, 0, 3], [1, 3, 0]]),
-        ],
-        ids=["constant", "ornstein_uhlenbeck", "bounded_smooth", "diagonal_bounded", "gamma_matrix"],
-    )
+    @pytest.mark.parametrize("old, new, attribute, want", FAMILIES.values(), ids=FAMILIES)
     def test_every_family_builds_from_its_keys(self, old, new, attribute, want):
         sys_ = build_system(parse_config(DYSON_YAML.replace(old, new)).system)
         value = sys_
@@ -161,28 +196,34 @@ class TestParse:
             value = getattr(value, name)
         assert np.array_equal(value, want)
 
-    @pytest.mark.parametrize(
-        "old, new, key",
-        [("T: 1.0", "T: .nan", "run.T"), ("T: 1.0", "T: .inf", "run.T"),
-         ("uniform: 4.0", "uniform: .inf", "system.gamma.uniform"),
-         ("linspace: [-1.0, 1.0]", "linspace: [-.inf, 1.0]", "system.x0.linspace")],
-        ids=["T_nan", "T_inf", "gamma_inf", "x0_inf"],
-    )
+    @pytest.mark.parametrize("old, new, key", NON_FINITE.values(), ids=NON_FINITE)
     def test_non_finite_number_names_its_key(self, old, new, key):
         with pytest.raises(ConfigError) as exc:
             parse_config(DYSON_YAML.replace(old, new))
         assert str(exc.value) == f"{key}: must be finite"
 
-    @pytest.mark.parametrize(
-        "old, new, key, message",
-        [("ref_level: 128", "ref_level: 96", "run.ref_level", "ref_level must be a power of 2"),
-         ("ref_level: 128", "ref_level: 16", "run.levels", "all levels must divide ref_level")],
-        ids=["ref_not_dyadic", "level_above_ref"],
-    )
+    @pytest.mark.parametrize("old, new, key, message", LEVEL_RULES.values(), ids=LEVEL_RULES)
     def test_level_rules_name_their_key(self, old, new, key, message):
         with pytest.raises(ConfigError) as exc:
             parse_config(DYSON_YAML.replace(old, new))
         assert str(exc.value) == f"{key}: {message}"
+
+    def test_libyaml_parses_where_pyyaml_has_it(self):
+        assert config._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", sorted(config_texts()))
+    def test_both_loaders_give_the_same_config(self, name, monkeypatch):
+        # libyaml and the pure-Python SafeLoader give equal configs, or the
+        # same error; a syntax error at the same line, in each parser's words
+        def outcome(loader):
+            monkeypatch.setattr(config, "_LOADER", loader)
+            try:
+                return parse_config(config_texts()[name])
+            except ConfigError as exc:
+                return re.sub(r"(YAML parse error at line \d+):.*", r"\1", str(exc))
+
+        fast, pure = outcome(getattr(yaml, "CSafeLoader", yaml.SafeLoader)), outcome(yaml.SafeLoader)
+        assert fast == pure
 
 
 @pytest.fixture
