@@ -392,6 +392,7 @@ def verify_gap_inequality_nn(x, p, chi):
 
 def sample_chamber_points(rng, d, count):
     """Random ordered configurations with log-uniform gaps in [1e-3, 1e3]."""
+    d, count = _as_count(d, "d", 2), _as_count(count, "count", 1)
     gaps = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(count, d - 1)))
     anchor = rng.uniform(-1.0, 1.0, size=(count, 1))
     return np.concatenate([anchor, anchor + np.cumsum(gaps, axis=1)], axis=1)
@@ -431,16 +432,16 @@ def _scaled_sides(sides, pts, p, *args):
 
 def sweep_gap_inequality_full(d, p, count, seed=0):
     """Number of violations of the strict full inequality over random points."""
-    d, count = _as_count(d, "d", 2), _as_count(count, "count", 1)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), d, int(round(_check_order(p))))))
+    d, count, seed = _as_count(d, "d", 2), _as_count(count, "count", 1), _as_count(seed, "seed", 0)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, d, int(round(_check_order(p))))))
     lhs, rhs = _scaled_sides(_full_sides_batch, sample_chamber_points(rng, d, count), p)
     return int(np.count_nonzero(lhs >= rhs))
 
 
 def sweep_gap_inequality_nn(d, p, chi, count, seed=0):
     """Number of violations of the nearest-neighbour inequality with constant chi."""
-    d, count = _as_count(d, "d", 3), _as_count(count, "count", 1)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), d, int(round(_check_order(p))), 1)))
+    d, count, seed = _as_count(d, "d", 3), _as_count(count, "count", 1), _as_count(seed, "seed", 0)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, d, int(round(_check_order(p))), 1)))
     lhs, rhs = _scaled_sides(_nn_sides_batch, sample_chamber_points(rng, d, count), p, chi)
     return int(np.count_nonzero(lhs > rhs * (1.0 + 1e-12)))
 

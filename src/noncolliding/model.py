@@ -251,6 +251,7 @@ def diffusion_eval(spec, x):
 
 def uniform_gamma(d, value):
     """Full interaction matrix with every off-diagonal entry equal to value."""
+    d = _as_count(d, "d", 2)
     g = np.full((d, d), float(value))
     np.fill_diagonal(g, 0.0)
     return g
@@ -258,6 +259,7 @@ def uniform_gamma(d, value):
 
 def tridiagonal_gamma(d, value):
     """Nearest-neighbour interaction matrix; value is one number or the d - 1 pair values."""
+    d = _as_count(d, "d", 2)
     g = np.zeros((d, d))
     idx = np.arange(d - 1)
     g[idx, idx + 1] = g[idx + 1, idx] = np.asarray(value, dtype=float)
@@ -273,6 +275,7 @@ def validate_interaction(matrix, d, name):
     """
     if d < 2:
         raise ValueError("need at least two particles")
+    d = _as_count(d, "d", 2)
     g = np.asarray(matrix, dtype=float)
     if g.shape != (d, d):
         raise ValueError(f"{name} must be a {d}x{d} matrix")
@@ -325,6 +328,7 @@ class ParticleSystem:
             raise ValueError(f"drift must give a vector of length {self.d}")
         if np.shape(diffusion_eval(self.diffusion, x0)) != (self.d, self.d):
             raise ValueError(f"diffusion must give a {self.d}x{self.d} matrix")
+        object.__setattr__(self, "d", len(g))
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "x0", x0)
 

@@ -104,7 +104,8 @@ def _generators(entropies):
 
 def _replication_generators(base_seed, start, stop):
     """The generators of replications [start, stop): the one rule that keys rep by (base_seed, rep)."""
-    return _generators([(int(base_seed), rep) for rep in range(start, stop)])
+    base_seed = _as_count(base_seed, "base_seed", 0)
+    return _generators([(base_seed, rep) for rep in range(start, stop)])
 
 
 def _increments(rngs, d, T, n, steps=None):
@@ -129,6 +130,7 @@ def generate_brownian(seed, d, T, n_max):
     (seed, d, T, n_max) is bit-reproducible and safe to regenerate
     independently in parallel workers.
     """
+    seed, d = _as_count(seed, "seed", 0), _as_count(d, "d", 1)
     if not _is_power_of_two(_as_count(n_max, "n_max", 1)):
         raise ValueError("n_max must be a power of 2")
     increments = _increments(_generators([seed]), d, T, n_max)[0]
@@ -137,7 +139,7 @@ def generate_brownian(seed, d, T, n_max):
 
 def coarsen(path, factor):
     """Merge blocks of `factor` fine increments into single coarse increments."""
-    if not _is_power_of_two(factor):
+    if not _is_power_of_two(_as_count(factor, "factor", 1)):
         raise ValueError("factor must be a power of 2")
     n = path.n
     if n % factor != 0:
@@ -210,14 +212,15 @@ def simulate(system, grid, path, scheme="semi_implicit"):
 
 def replication_seed(base_seed, rep):
     """Deterministic per-replication seed derived from (base_seed, rep)."""
-    return int(np.random.SeedSequence((int(base_seed), int(rep))).generate_state(1)[0])
+    return int(np.random.SeedSequence((_as_count(base_seed, "base_seed", 0), int(rep))).generate_state(1)[0])
 
 
 def generate_brownian_batch(base_seed, reps, d, T, n_max):
     """Increments for replications [0, reps) keyed by (base_seed, rep); shape (reps, n_max, d)."""
     if not _is_power_of_two(_as_count(n_max, "n_max", 1)):
         raise ValueError("n_max must be a power of 2")
-    return _increments(_replication_generators(base_seed, 0, _as_count(reps, "reps", 1)), d, T, n_max)
+    rngs = _replication_generators(base_seed, 0, _as_count(reps, "reps", 1))
+    return _increments(rngs, _as_count(d, "d", 1), T, n_max)
 
 
 def simulate_batch(system, grid, increments, *, scheme="semi_implicit"):

@@ -86,6 +86,23 @@ class TestStudyValidation:
             ConvergenceStudy(dyson(3, 4.0), 1.0, (16,), 256, 10, error_mode="weak")
 
 
+class TestSeeds:
+    """A seed is an integer >= 0, refused by name otherwise, never truncated."""
+
+    @pytest.mark.parametrize("seed", [2.5, -1, True], ids=["fraction", "negative", "bool"])
+    @pytest.mark.parametrize("run", ["study", "moments", "full_sweep", "nn_sweep"])
+    def test_refused_by_name(self, run, seed):
+        calls = {
+            "study": lambda: run_study(ConvergenceStudy(dyson(3, 4.0), 1.0, (16,), 64, 4, base_seed=seed)),
+            "moments": lambda: moment_profile(dyson(3, 4.0), 1.0, 1.0, 4, 16, base_seed=seed),
+            "full_sweep": lambda: sweep_gap_inequality_full(3, 1.0, 10, seed=seed),
+            "nn_sweep": lambda: sweep_gap_inequality_nn(3, 1.0, 1.5, 10, seed=seed),
+        }
+        name = "base_seed" if run in ("study", "moments") else "seed"
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0 and an integer, got {seed!r}$"):
+            calls[run]()
+
+
 class TestFitRate:
     def test_exact_power_law(self):
         # error = 3 * n^{-0.5}: slope must come out exactly 0.5

@@ -21,7 +21,9 @@ from noncolliding import (
     tridiagonal_gamma,
     uniform_gamma,
 )
+from noncolliding.analysis import sample_chamber_points
 from noncolliding.model import is_tridiagonal, is_uniform
+from noncolliding.scheme import coarsen, generate_brownian, generate_brownian_batch
 
 
 def dyson(d, gamma, x0=None, drift=None, diffusion=None):
@@ -118,7 +120,31 @@ class TestGammaConstructors:
         assert np.array_equal(tridiagonal_gamma(4, [1.5]), tridiagonal_gamma(4, 1.5))
 
 
+# entry points given a dimension count, a sample count or a coarsening factor
+# that is not an integer of the least value: (call, name, value)
+COUNTS = {
+    "system_float_d": (lambda: dyson(2.0, 1.0), "d", 2.0),
+    "brownian_float_d": (lambda: generate_brownian(0, 2.5, 1.0, 4), "d", 2.5),
+    "brownian_zero_d": (lambda: generate_brownian(0, 0, 1.0, 4), "d", 0),
+    "brownian_batch_float_d": (lambda: generate_brownian_batch(0, 2, 2.5, 1.0, 4), "d", 2.5),
+    "uniform_gamma_float_d": (lambda: uniform_gamma(2.5, 1.0), "d", 2.5),
+    "tridiagonal_gamma_float_d": (lambda: tridiagonal_gamma(2.5, 1.0), "d", 2.5),
+    "chamber_float_count": (lambda: sample_chamber_points(np.random.default_rng(0), 3, 2.5), "count", 2.5),
+    "chamber_float_d": (lambda: sample_chamber_points(np.random.default_rng(0), 3.0, 2), "d", 3.0),
+    "coarsen_float_factor": (lambda: coarsen(generate_brownian(0, 2, 1.0, 4), 2.0), "factor", 2.0),
+}
+
+
+@pytest.mark.parametrize("call, name, value", COUNTS.values(), ids=COUNTS)
+def test_counts_are_refused_by_name(call, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be >= \d and an integer, got {value!r}$"):
+        call()
+
+
 class TestParticleSystem:
+    def test_d_is_kept_as_an_int(self):
+        assert type(dyson(np.int64(3), 4.0).d) is int
+
     def test_valid_dyson(self):
         sys_ = dyson(3, 4.0)
         assert is_uniform(sys_.gamma) and sys_.gamma[0, 1] == 4.0

@@ -80,7 +80,7 @@ def test_block_stepping_and_replication_keys_have_one_owner():
     # block walker continues paths from start states (the 6th argument of
     # `_paths` or its x0); simulate_batch steps whole grids
     sources = {path.stem: path.read_text(encoding="utf-8") for path in INIT.parent.glob("*.py")}
-    assert [stem for stem, text in sources.items() for _ in range(text.count("(int(base_seed), rep)"))] == ["scheme"]
+    assert [stem for stem, text in sources.items() for _ in range(text.count("(base_seed, rep) for rep"))] == ["scheme"]
     continuing = set()
     for stem, text in sources.items():
         for fn in ast.parse(text).body:
