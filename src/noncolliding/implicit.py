@@ -59,14 +59,25 @@ the bits of the dense sums, whose other terms are exact zeros, and the
 tridiagonal Hessians of all rows are solved by one LAPACK `dgtsv` call on the
 rows stacked as one system with zero coupling between them.  Every other c, and
 every c at d = 2, where the tridiagonal and dense solves round differently,
-takes the dense O(d^2) evaluation and a dense O(d^3) solve: LU below
-d = `CHOLESKY_FROM` and Cholesky from it.  The Hessian I + diag(sum_j w_ij) - w
-is I plus a weighted graph Laplacian, so it is symmetric positive definite,
-and it is exactly symmetric in floating point, because c is symmetric and
-D_ji = -D_ij exactly.  Cholesky therefore reads only one triangle, at half
-the flops of LU: `_cholesky_solve` factors each row's Hessian in place in the
-scratch with LAPACK `dposv`, one row at a time.  Below `CHOLESKY_FROM` the
-fixed cost of that call per row loses to LU on a single problem.  `dgtsv` and
+takes the dense O(d^2) evaluation and one of three dense solves.  The Hessian
+I + diag(sum_j w_ij) - w is I plus a weighted graph Laplacian, so it is
+symmetric positive definite, and it is exactly symmetric in floating point,
+because c is symmetric and D_ji = -D_ij exactly; so LDL^T and Cholesky need no
+pivoting, are backward stable, and read only one triangle.
+- Up to d = `LDL_UP_TO` = 3, `_ldl_solve` runs one straight-line LDL^T
+  (`_ldl`), on Python floats for one problem and on NumPy rows of the weights
+  for a batch, without forming the Hessian.  IEEE + - * / round alike
+  everywhere, so its bits depend on no CPU kernel, and a row gets the same
+  bits alone as in any batch.  At these d a LAPACK call per batch costs far
+  more than the arithmetic; from d = 4 the float path loses to LAPACK on one
+  problem.
+- From d = 4 to `CHOLESKY_FROM` - 1, `_lu_solve` calls LAPACK's LU.
+- From d = `CHOLESKY_FROM`, `_cholesky_solve` factors each row's Hessian in
+  place in the scratch with LAPACK `dposv`, one row at a time, at half the
+  flops of LU; below it the fixed cost of that call per row loses to LU on
+  a single problem.
+LU and `dposv` run in OpenBLAS's kernels, which OpenBLAS picks by CPU, so their
+last bits can differ from one machine to another.  `dgtsv` and
 `dposv` are bound on first use by the module `__getattr__` from SciPy's LAPACK
 extension, which `_flapack` loads alone: `scipy.linalg.lapack` re-exports the
 same routine objects, but importing it runs the whole `scipy.linalg` package.
@@ -365,8 +376,9 @@ def _hessian_solve(coupling, x, b):
     """H^{-1} b for the Hessian H of F at x and b, both (d,) or (d, m), in
     the memory order of b.
 
-    A band kernel's Hessians go to `dgtsv`.  A dense Hessian is formed in the
-    coupling's scratch (`_Coupling.hessian`) and solved there by Cholesky from
+    A band kernel's Hessians go to `dgtsv`.  A dense Hessian is solved by
+    `_ldl_solve` up to d = LDL_UP_TO; above it, it is formed in the coupling's
+    scratch (`_Coupling.hessian`) and solved there by Cholesky from
     d = CHOLESKY_FROM, by LU below it.  A row whose Hessian is singular in
     floating point (weights so large that the identity is lost) gets NaN; the
     other rows keep the bits they get alone.

@@ -139,7 +139,6 @@ def test_neighbour_kernel_has_the_dense_bits(d, m, log_c, seed):
     assert w.sum(axis=1).tobytes() == _row_sums(w_band).tobytes()
 
 
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(2, LDL_UP_TO).flatmap(
