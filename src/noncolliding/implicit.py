@@ -87,6 +87,13 @@ Each solver returns b's memory order and NaN in a row it cannot solve, which no
 step accepts; `_newton` and `_homotopy` each run under one error state that
 ignores the flags it raises.
 
+Continuation solves H(x)^{-1} g(J) about four times per step of one problem.
+`_velocity` builds that map once per solve, so an evaluation pays for an
+order check and its arithmetic, not for the coupling's scratch: at d <=
+LDL_UP_TO on the floats of `_ldl_floats`, below CHOLESKY_FROM by LU in one
+private pair buffer, and otherwise by `_hessian_solve` itself.  Each case
+gets the bits of `_hessian_solve`.
+
 Two structure-specific fixed-point iterations are available for tridiagonal
 coefficients and for d = 3 with uniform coefficients.
 """
@@ -97,6 +104,7 @@ import importlib.machinery
 import importlib.util
 import math
 import numbers
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -176,8 +184,7 @@ class _Coupling:
         pair = self._pair_scratch(x)[0]
         diff = pair[0] if self._differenced is x else _differences(x, pair)
         self._differenced = None
-        c = self.kernel if x.ndim == 1 else self.kernel[..., None]
-        return np.divide(c, np.square(diff, diff), diff), pair
+        return _dense_weights(self.kernel if x.ndim == 1 else self.kernel[..., None], diff), pair
 
     def hessian(self, x):
         """The Hessian of F for a dense kernel at x, (d,) or (d, m), in the
@@ -349,8 +356,13 @@ def _weights(c, x):
     # Hessian weights c_ij / (x_i - x_j)^2 at x: (d, d, ...) for a dense c,
     # the neighbour weights (d - 1, ...) for a band c
     if c.ndim > x.ndim:
-        return c / _differences(x) ** 2
+        return _dense_weights(c, _differences(x))
     return c / (x[1:] - x[:-1]) ** 2
+
+
+def _dense_weights(c, diff):
+    # the dense Hessian weights c / diff**2, written over the differences diff
+    return np.divide(c, np.square(diff, diff), diff)
 
 
 def _row_sums(w):
@@ -365,7 +377,7 @@ def _row_sums(w):
 def _hessian(w, out):
     # I + diag(sum_j w_ij) - w, the Hessian of F, for weights of shape (d, d, ...),
     # written to out, an array and its diagonal from `_pairs`, which may hold w
-    s = w.sum(axis=1)
+    s = np.add.reduce(w, axis=1)  # w.sum(axis=1)
     s += 1.0
     h = np.negative(w, out[0])
     out[1][...] = s
@@ -396,24 +408,16 @@ def _ldl_solve(coupling, x, b):
     """H^{-1} b for the dense Hessian H of F at x and b, both (d,) or (d, m)
     with d <= LDL_UP_TO, by `_ldl`, in the memory order of b.
 
-    One problem, x of shape (d,) or (d, 1), is solved on Python floats; a
-    batch on NumPy rows of the weights that `_Coupling.weights` leaves in the
-    scratch, with no (d, d, m) Hessian.  The diagonals are w.sum(axis=1) + 1,
-    which at d <= 3 is one rounding of the sum of at most two weights in
-    either path.  A row gets NaN when a pivot is not > 0 or its solution is
-    not finite; on floats a division by 0, which NumPy would carry to inf or
-    NaN, raises ZeroDivisionError and gives NaN too.
+    One problem, x of shape (d,) or (d, 1), is solved on Python floats by
+    `_ldl_floats`; a batch on NumPy rows of the weights that
+    `_Coupling.weights` leaves in the scratch, with no (d, d, m) Hessian.  The
+    diagonals are w.sum(axis=1) + 1, which at d <= 3 is one rounding of the
+    sum of at most two weights in either path.  A row gets NaN when a pivot is
+    not > 0 or its solution is not finite.
     """
     if x.size == len(x):
-        p, c, y = x.ravel().tolist(), coupling.kernel, [0.0] * len(x)
-        try:
-            w = [c.item(i, j) / ((p[i] - p[j]) * (p[i] - p[j])) for i, j in _UPPER[len(p)]]
-            s = [w[0] + 1.0] * 2 if len(p) == 2 else [w[0] + w[1] + 1.0, w[0] + w[2] + 1.0, w[1] + w[2] + 1.0]
-            if all(pivot > 0 for pivot in _ldl(s, w, b.ravel().tolist(), y)) and all(map(math.isfinite, y)):
-                return np.array(y).reshape(b.shape)
-        except ZeroDivisionError:
-            pass
-        return np.full_like(b, np.nan)
+        y = _ldl_floats(_upper(coupling.kernel), x.ravel().tolist(), b.ravel().tolist())
+        return np.array(y).reshape(b.shape)
     w = coupling.weights(x)[0]
     s = np.add.reduce(w, axis=1)  # w.sum(axis=1)
     s += 1.0
@@ -428,6 +432,32 @@ def _ldl_solve(coupling, x, b):
 
 # the upper weights that `_ldl` takes, at d = 2 and 3
 _UPPER = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
+
+
+def _upper(c):
+    # the entries of a dense (d, d) c, d <= LDL_UP_TO, at `_UPPER`, as Python floats
+    return [c.item(i, j) for i, j in _UPPER[len(c)]]
+
+
+def _ldl_floats(c, p, b):
+    """`_ldl` of one problem on Python floats: H^{-1} b as a list, for the
+    entries c of the kernel at `_UPPER` (`_upper`), the positions p and the
+    right-hand side b, each a list of floats.
+
+    The weights are c / (p_i - p_j)^2 and the diagonals w.sum(axis=1) + 1, in
+    the roundings of the NumPy row path.  The solution is all NaN when a
+    pivot is not > 0 or an entry is not finite, or when a division by 0, which
+    NumPy would carry to inf or NaN, raises ZeroDivisionError.
+    """
+    y = [0.0] * len(p)
+    try:
+        w = [cij / ((p[i] - p[j]) * (p[i] - p[j])) for cij, (i, j) in zip(c, _UPPER[len(p)])]
+        s = [w[0] + 1.0] * 2 if len(p) == 2 else [w[0] + w[1] + 1.0, w[0] + w[2] + 1.0, w[1] + w[2] + 1.0]
+        if all(pivot > 0 for pivot in _ldl(s, w, b, y)) and all(map(math.isfinite, y)):
+            return y
+    except ZeroDivisionError:
+        pass
+    return [math.nan] * len(p)
 
 
 def _ldl(s, w, b, y):
@@ -744,8 +774,44 @@ def solve_homotopy(problem, opts=None):
     |dx/dt| <= |g(J)|; a violating step is retried at half length.  The
     velocity checked at an accepted point is the next step's first stage and
     a retry keeps its first stage, so every stage costs one Hessian solve.
+    The velocity is built once per solve (`_velocity`), and both 2-norms are
+    sqrt(sum v^2) by `np.add.reduce`, whose bits no CPU kernel changes.
     """
     return _homotopy(problem, opts or _DEFAULTS)[0]
+
+
+def _velocity(coupling, g):
+    """The continuation velocity x -> H(x)^{-1} g at a point x (d,) of one
+    solve, NaN where x is not strictly ordered, with the bits of
+    `_hessian_solve(coupling, x, g)`.
+
+    It is built once per solve over what does not change during it: the
+    kernel, g and, for a dense kernel, either the floats of c and g that
+    `_ldl_floats` takes (d <= LDL_UP_TO) or one private (d, d) pair buffer
+    that the Hessian is formed in for `_lu_solve` (d < CHOLESKY_FROM).  A
+    band kernel, and a dense one from d = CHOLESKY_FROM, where the arithmetic
+    outweighs the calls, go through `_hessian_solve`.
+    """
+    kernel, d = coupling.kernel, len(g)
+    if kernel.ndim == 1 or d >= CHOLESKY_FROM:
+        def solve(x, p):
+            return _hessian_solve(coupling, x, g)
+    elif d <= LDL_UP_TO:
+        c, b = _upper(kernel), g.tolist()
+
+        def solve(x, p):
+            return np.array(_ldl_floats(c, p, b))
+    else:
+        pair = _pairs(g)[0]
+
+        def solve(x, p):
+            return _lu_solve(_hessian(_dense_weights(kernel, _differences(x, pair)), pair), g)
+
+    def velocity(x):
+        p = x.tolist()
+        return solve(x, p) if all(map(operator.lt, p, p[1:])) else np.full(d, np.nan)
+
+    return velocity
 
 
 @np.errstate(all="ignore")
@@ -754,12 +820,9 @@ def _homotopy(problem, opts):
     coupling = problem.coupling.fresh()
     big_j = np.arange(1.0, problem.d + 1.0)
     g_j = problem.a - big_j + _interaction(coupling.kernel, big_j)
-    # the 2-norm as np.linalg.norm computes it for a real vector
-    g_norm = np.sqrt(g_j.dot(g_j))
-
-    def velocity(x):
-        return _hessian_solve(coupling, x, g_j) if (x[1:] > x[:-1]).all() else np.full_like(g_j, np.nan)
-
+    # the bound on the velocity's 2-norm, a sum that no CPU kernel rounds differently
+    bound = np.sqrt(np.add.reduce(g_j * g_j)) * (1.0 + 1e-9) + 1e-300
+    velocity = _velocity(coupling, g_j)
     x, k1 = big_j, velocity(big_j)
     t = 0.0
     accepted = 0
@@ -774,7 +837,7 @@ def _homotopy(problem, opts):
             k4 = velocity(x + step * k3)
             trial = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             v = velocity(trial)
-            if np.sqrt(v.dot(v)) <= g_norm * (1.0 + 1e-9) + 1e-300:
+            if np.sqrt(np.add.reduce(v * v)) <= bound:
                 break
             step *= 0.5
             if step < 1e-8:

@@ -295,24 +295,37 @@ class TestHomotopy:
 
     @staticmethod
     def _counted_homotopy(monkeypatch, a, c):
-        """16-step continuation with every Hessian solve recorded.
+        """16-step continuation with every velocity solve recorded.
 
-        Returns (iterations, velocity solves, Newton polish solves); a
-        velocity solve is one whose right-hand side is g(J), the same in
-        every velocity evaluation.
+        Returns (iterations, the points at which the velocity that the solve
+        builds solves, Newton polish solves).  The velocity solves at the
+        strictly ordered points it is given and is NaN at any other; a polish
+        solve is a Hessian solve whose right-hand side is not its g(J).
         """
-        calls = []
-        real = implicit._hessian_solve
+        points, velocity_rhs, rhs = [], [], []
+        build, real = implicit._velocity, implicit._hessian_solve
 
-        def counting(coupling, x, b):
-            calls.append((x.tobytes(), b.tobytes()))
+        def counting_build(coupling, g):
+            velocity = build(coupling, g)
+            velocity_rhs.append(g.tobytes())
+
+            def counted(x):
+                if (x[1:] > x[:-1]).all():
+                    points.append(x.tobytes())
+                return velocity(x)
+
+            return counted
+
+        def counting_solve(coupling, x, b):
+            rhs.append(b.tobytes())
             return real(coupling, x, b)
 
-        monkeypatch.setattr(implicit, "_hessian_solve", counting)
+        monkeypatch.setattr(implicit, "_velocity", counting_build)
+        monkeypatch.setattr(implicit, "_hessian_solve", counting_solve)
         opts = SolverOptions(method="homotopy", homotopy_steps=16)
         _, iterations = implicit._homotopy(ImplicitProblem(np.array(a), c), opts)
-        velocity = [call for call in calls if call[1] == calls[0][1]]
-        return iterations, velocity, len(calls) - len(velocity)
+        assert len(velocity_rhs) == 1
+        return iterations, points, sum(b != velocity_rhs[0] for b in rhs)
 
     def test_one_solve_per_stage_without_rejection(self, monkeypatch):
         # k1 once at J, then k2, k3, k4 and the bound's velocity per step,
@@ -327,6 +340,38 @@ class TestHomotopy:
         iterations, velocity, polish = self._counted_homotopy(monkeypatch, [5.0, -5.0, 0.0], uniform_c(3, 1e-2))
         assert iterations - polish > 16
         assert len(set(velocity)) == len(velocity)
+
+
+    @pytest.mark.parametrize(
+        "d, kind",
+        [(5, "band"), (2, "dense"), (3, "dense"), (4, "dense"), (8, "dense"), (implicit.CHOLESKY_FROM, "dense")],
+    )
+    def test_velocity_has_the_bits_of_the_hessian_solve(self, d, kind):
+        # at ordered points, the velocity a solve builds gives the bits of
+        # `_hessian_solve` at each kernel's solver; at a tie, an inversion or a
+        # NaN entry it gives NaN
+        rng = np.random.default_rng(40 + d)
+        if kind == "band":
+            c = tridiag_c(rng.uniform(0.05, 3.0, d - 1))
+        else:
+            c = rng.uniform(0.0, 3.0, (d, d)) ** 3
+            c = c + c.T
+            np.fill_diagonal(c, 0.0)
+        coupling = implicit._Coupling(c, d)
+        assert coupling.kernel.ndim == (1 if kind == "band" else 2)
+        g = rng.normal(size=d)
+        velocity = implicit._velocity(coupling.fresh(), g)
+        for gaps in (rng.uniform(0.1, 1.5, d - 1), rng.uniform(1e-4, 1e-2, d - 1)):
+            x = rng.normal() + np.concatenate(([0.0], np.cumsum(gaps)))
+            expected = implicit._hessian_solve(coupling.fresh(), x, g)
+            assert np.isfinite(expected).all() and velocity(x).tobytes() == expected.tobytes()
+        tie, inversion, nan = (x.copy() for _ in range(3))
+        tie[d // 2] = tie[d // 2 - 1]
+        inversion[[0, 1]] = inversion[[1, 0]]
+        nan[-1] = np.nan
+        for point in (tie, inversion, nan):
+            v = velocity(point)
+            assert v.shape == (d,) and np.isnan(v).all()
 
 
 class TestFixedPointNN:
