@@ -341,7 +341,6 @@ class TestHomotopy:
         assert iterations - polish > 16
         assert len(set(velocity)) == len(velocity)
 
-
     @pytest.mark.parametrize(
         "d, kind",
         [(5, "band"), (2, "dense"), (3, "dense"), (4, "dense"), (8, "dense"), (implicit.CHOLESKY_FROM, "dense")],

@@ -22,7 +22,7 @@ from noncolliding import (
     uniform_gamma,
 )
 from noncolliding.analysis import sample_chamber_points
-from noncolliding.model import _as_count, is_tridiagonal, is_uniform
+from noncolliding.model import is_tridiagonal, is_uniform
 from noncolliding.scheme import coarsen, generate_brownian, generate_brownian_batch
 
 
@@ -139,18 +139,6 @@ COUNTS = {
 def test_counts_are_refused_by_name(call, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be >= \d and an integer, got {value!r}$"):
         call()
-
-
-@pytest.mark.parametrize("value", [True, False])
-def test_counts_refuse_bools(value):
-    # a bool is an int that passes `>= 0`; it is refused all the same
-    with pytest.raises(ValueError, match=rf"^seed must be >= 0 and an integer, got {value!r}$"):
-        _as_count(value, "seed", 0)
-
-
-@pytest.mark.parametrize("value", [0, 7, np.int64(7), np.uint8(7)])
-def test_counts_are_plain_ints(value):
-    assert type(_as_count(value, "seed", 0)) is int and _as_count(value, "seed", 0) == value
 
 
 class TestParticleSystem:
