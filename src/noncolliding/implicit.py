@@ -397,11 +397,17 @@ def _hessian_solve(coupling, x, b):
     """
     if coupling.kernel.ndim == 1:
         return _tridiagonal_solve(_weights(coupling.kernel if x.ndim == 1 else coupling.kernel[:, None], x), b)
-    if len(x) <= LDL_UP_TO:
-        return _ldl_solve(coupling, x, b)
-    if len(x) >= CHOLESKY_FROM:
-        return _cholesky_solve(coupling.hessian(x), b)
-    return _lu_solve(coupling.hessian(x), b)
+    solver = _dense_solver(len(x))
+    return _ldl_solve(coupling, x, b) if solver is _ldl_solve else solver(coupling.hessian(x), b)
+
+
+def _dense_solver(d):
+    # the solver of a dense Hessian at d, for `_hessian_solve` and `_velocity`:
+    # `_ldl_solve` up to LDL_UP_TO, `_cholesky_solve` from CHOLESKY_FROM,
+    # `_lu_solve` between them
+    if d <= LDL_UP_TO:
+        return _ldl_solve
+    return _cholesky_solve if d >= CHOLESKY_FROM else _lu_solve
 
 
 def _ldl_solve(coupling, x, b):
@@ -786,26 +792,27 @@ def _velocity(coupling, g):
     `_hessian_solve(coupling, x, g)`.
 
     It is built once per solve over what does not change during it: the
-    kernel, g and, for a dense kernel, either the floats of c and g that
-    `_ldl_floats` takes (d <= LDL_UP_TO) or one private (d, d) pair buffer
-    that the Hessian is formed in for `_lu_solve` (d < CHOLESKY_FROM).  A
-    band kernel, and a dense one from d = CHOLESKY_FROM, where the arithmetic
+    kernel, g and, where `_dense_solver` picks `_ldl_solve` or `_lu_solve`,
+    either the floats of c and g that `_ldl_floats` takes or one private
+    (d, d) pair buffer that the Hessian is formed in.  A band kernel, and a
+    dense one that `_dense_solver` gives to Cholesky, where the arithmetic
     outweighs the calls, go through `_hessian_solve`.
     """
     kernel, d = coupling.kernel, len(g)
-    if kernel.ndim == 1 or d >= CHOLESKY_FROM:
-        def solve(x, p):
-            return _hessian_solve(coupling, x, g)
-    elif d <= LDL_UP_TO:
+    solver = _dense_solver(d) if kernel.ndim == 2 else None
+    if solver is _ldl_solve:
         c, b = _upper(kernel), g.tolist()
 
         def solve(x, p):
             return np.array(_ldl_floats(c, p, b))
-    else:
+    elif solver is _lu_solve:
         pair = _pairs(g)[0]
 
         def solve(x, p):
             return _lu_solve(_hessian(_dense_weights(kernel, _differences(x, pair)), pair), g)
+    else:
+        def solve(x, p):
+            return _hessian_solve(coupling, x, g)
 
     def velocity(x):
         p = x.tolist()

@@ -47,8 +47,6 @@ def _as_vector(v, name):
 
 def _as_count(value, name, least):
     """value as an int if it is an integer, not a bool, and >= least; else ValueError naming it."""
-    if type(value) is int and value >= least:  # the common case, without the ABC check
-        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
     return int(value)

@@ -348,7 +348,9 @@ class TestHomotopy:
     def test_velocity_has_the_bits_of_the_hessian_solve(self, d, kind):
         # at ordered points, the velocity a solve builds gives the bits of
         # `_hessian_solve` at each kernel's solver; at a tie, an inversion or a
-        # NaN entry it gives NaN
+        # NaN entry it gives NaN.  A band kernel and d = CHOLESKY_FROM call
+        # `_hessian_solve` itself, so there only the NaN cases test anything:
+        # that its order check runs before it
         rng = np.random.default_rng(40 + d)
         if kind == "band":
             c = tridiag_c(rng.uniform(0.05, 3.0, d - 1))
