@@ -38,54 +38,57 @@ either order.  From d = 8 the batch stays particles-innermost, and the copies
 the core makes (`copy(order="K")`, `*_like`) and plain indexing keep that
 order.  `_rows` keeps the rows innermost where they are, for speed only.
 
-The pair arrays of a dense c (the differences, the terms c / D, the Hessian
-weights and the Hessian) live in the scratch that the run's `_Coupling`
-owns (a solve of one problem takes a copy of the problem's without one, so
-that no problem keeps a scratch): two (d, d, m) arrays for the largest batch,
-laid out as NumPy lays out x[:, None] - x[None, :] for the batch's layout, so
-every sum over particles keeps its order and its bits.  A smaller batch uses
-a prefix of the same memory, so after its first solve a run allocates no pair
-array, and no pair array outlives the evaluation or Hessian solve that fills
-it.  An evaluation leaves the differences of its x in the scratch, and a
-Hessian solve at the same x reuses them.  A coupling is therefore not for
-concurrent use; nothing here uses threads.  `jacobian`, `residual` and
-`_interaction` allocate fresh arrays.
+From d = 4 the pair arrays of a dense c (the differences, the terms c / D,
+the Hessian weights and the Hessian) live in the scratch that the run's
+`_Coupling` owns (a solve of one problem works in a copy without one): two
+(d, d, m) arrays for the largest batch, laid out as NumPy lays out
+x[:, None] - x[None, :], so every sum over particles keeps its order and its
+bits.  A smaller batch uses a prefix of the same memory, so after its first
+solve a run allocates no pair array.  An evaluation leaves the differences of
+its x there, and a Hessian solve at the same x reuses them.  A coupling is
+therefore not for concurrent use; nothing here uses threads.  `jacobian`,
+`residual` and `_interaction` allocate fresh arrays.
 
 `_Coupling` checks c and chooses its kernel (`_kernel`) once per run or
 problem.  When d >= 3 and c has no non-zero entry beyond the first off-diagonal
 (nearest-neighbour coupling), the core carries only the band diag(c, 1) and the
-neighbour weights c_{i,i+1} / gap_i^2: evaluation costs O(d) per row and gives
-the bits of the dense sums, whose other terms are exact zeros, and the
-tridiagonal Hessians of all rows are solved by one LAPACK `dgtsv` call on the
-rows stacked as one system with zero coupling between them.  Every other c, and
-every c at d = 2, where the tridiagonal and dense solves round differently,
-takes the dense O(d^2) evaluation and one of three dense solves.  The Hessian
+neighbour weights c_{i,i+1} / gap_i^2, and solves the tridiagonal Hessians of
+all rows by one LAPACK `dgtsv` call on the rows stacked as one system with zero
+coupling between them.  Every other c, and every c at d = 2, where the
+tridiagonal and dense solves round differently, takes one of three dense
+solves.  Up to d = `LDL_UP_TO` = 3 a dense c is evaluated on its ring
+(`_Coupling.ring`), the band closed by the corner c_02 (0 at d = 2), whose
+d + 1 gaps give the terms c / gap and the weights c / gap^2; an evaluation
+keeps the gaps until the Hessian solve at the same x takes them.  Either way a
+particle sums at most two terms, in the one rounding of the dense sum, whose
+other terms are exact zeros: O(d) work per row with the dense bits.  On a
+2-core Xeon with one BLAS thread the ring took `solve_batch` on the study_d3
+benchmark's 1,136 inputs at m = 500 from 0.49 to 0.38 s.  The Hessian
 I + diag(sum_j w_ij) - w is I plus a weighted graph Laplacian, so it is
 symmetric positive definite, and it is exactly symmetric in floating point,
 because c is symmetric and D_ji = -D_ij exactly; so LDL^T and Cholesky need no
 pivoting, are backward stable, and read only one triangle.
-- Up to d = `LDL_UP_TO` = 3, `_ldl_solve` runs one straight-line LDL^T
-  (`_ldl`), on Python floats for one problem and on NumPy rows of the weights
-  for a batch, without forming the Hessian.  IEEE + - * / round alike
-  everywhere, so its bits depend on no CPU kernel, and a row gets the same
-  bits alone as in any batch.  At these d a LAPACK call per batch costs far
-  more than the arithmetic; from d = 4 the float path loses to LAPACK on one
-  problem.
+- Up to d = `LDL_UP_TO`, `_ldl_solve` runs one straight-line LDL^T (`_ldl`)
+  on the ring's weights, on Python floats for one problem and on NumPy rows
+  for a batch.  IEEE + - * / round alike everywhere, so its bits depend on no
+  CPU kernel, and a row gets the same bits alone as in any batch.  At these d
+  a LAPACK call costs far more than the arithmetic; from d = 4 the float path
+  loses to LAPACK on one problem.
 - From d = 4 to `CHOLESKY_FROM` - 1, `_lu_solve` calls LAPACK's LU.
 - From d = `CHOLESKY_FROM`, `_cholesky_solve` factors each row's Hessian in
   place in the scratch with LAPACK `dposv`, one row at a time, at half the
   flops of LU; below it the fixed cost of that call per row loses to LU on
   a single problem.
 LU and `dposv` run in OpenBLAS's kernels, which OpenBLAS picks by CPU, so their
-last bits can differ from one machine to another.  `dgtsv` and
-`dposv` are bound on first use by the module `__getattr__` from SciPy's LAPACK
-extension, which `_flapack` loads alone: `scipy.linalg.lapack` re-exports the
-same routine objects, but importing it runs the whole `scipy.linalg` package.
-An LU-only run never loads SciPy.  `_lu_solve` calls the LAPACK gufunc of
-`np.linalg.solve` directly: its bits without the cost of its wrapper.
-Each solver returns b's memory order and NaN in a row it cannot solve, which no
-step accepts; `_newton` and `_homotopy` each run under one error state that
-ignores the flags it raises.
+last bits can differ from one machine to another.  `dgtsv` and `dposv` are
+bound on first use by the module `__getattr__` from SciPy's LAPACK extension,
+which `_flapack` loads alone: `scipy.linalg.lapack` re-exports the same routine
+objects, but importing it runs the whole `scipy.linalg` package.  An LU-only
+run never loads SciPy.  `_lu_solve` calls the LAPACK gufunc of
+`np.linalg.solve` directly: its bits without the cost of its wrapper.  Each
+solver returns b's memory order and NaN in a row it cannot solve, which no step
+accepts; `_newton` and `_homotopy` each run under one error state that ignores
+the flags it raises.
 
 Continuation solves H(x)^{-1} g(J) about four times per step of one problem.
 `_velocity` builds that map once per solve, so an evaluation pays for an
@@ -134,25 +137,32 @@ __all__ = [
 
 class _Coupling:
     """A d x d c, checked by `validate_interaction`, the kernel `_kernel` picks
-    for it, and the scratch that a dense kernel's pair arrays are written to.
+    for it, its band and, up to d = LDL_UP_TO, its ring, and the scratch that
+    a dense kernel's pair arrays are written to from d = 4.
 
     The scratch holds two pair arrays of the largest batch seen and is
     reused by every later solve, so a coupling is not for concurrent use.
     """
 
     # the scratch, its pair arrays per shape and layout of x, and the x whose
-    # differences the first pair array holds, else None; empty until the
-    # first solve with a dense kernel gives the coupling its own
-    _scratch, _views, _differenced = np.empty(0), MappingProxyType({}), None
+    # differences the first pair array holds, else None; empty until the first
+    # solve with a dense kernel from d = 4 gives the coupling its own.  _gaps:
+    # the x of the last evaluation on the ring and its gaps, until taken
+    _scratch, _views, _differenced, _gaps, ring = np.empty(0), MappingProxyType({}), None, (None, None), None
 
     def __init__(self, c, d):
         self.c = validate_interaction(c, d, "c")
-        self.kernel = _kernel(self.c)
+        self.kernel, self.band = _kernel(self.c), np.diag(self.c, 1)
+        if d <= LDL_UP_TO:
+            # the ring x_{i mod d}, i = -1..d, and its links' coefficients: the
+            # band between the corner c_02 (0 at d = 2) before and after it
+            corner = self.c[0, 2] if d == 3 else 0.0
+            self.ring = np.arange(-1, d + 1) % d, np.array([corner, *self.band, corner])[:, None]
 
     def fresh(self):
-        """This c and kernel without a scratch, for one solve of one problem."""
+        """This c, kernel, band and ring without a scratch, for one solve of one problem."""
         fresh = object.__new__(_Coupling)
-        fresh.c, fresh.kernel = self.c, self.kernel
+        fresh.c, fresh.kernel, fresh.band, fresh.ring = self.c, self.kernel, self.band, self.ring
         return fresh
 
     def _pair_scratch(self, x):
@@ -167,29 +177,38 @@ class _Coupling:
         return views
 
     def interaction(self, x):
-        """`_interaction` of the kernel at a batch x (d, m).
-
-        A dense kernel works in the scratch and leaves the differences of x
-        there, which `hessian` at the same x, unchanged, reuses.
-        """
+        """`_interaction` of the kernel at a batch x (d, m).  A dense kernel
+        keeps the gaps of its ring up to d = LDL_UP_TO, and from d = 4 the
+        differences of x in the scratch, for a Hessian solve at x, unchanged."""
         if self.kernel.ndim == 1:
             return _interaction(self.kernel[:, None], x)
+        if self.ring is not None:
+            ring = x[self.ring[0]]
+            self._gaps = x, ring[1:] - ring[:-1]
+            t = self.ring[1] / self._gaps[1]
+            return t[:-1] - t[1:]
         pair, quotient = self._pair_scratch(x)
         self._differenced = x
         return np.divide(self.kernel[..., None], _differences(x, pair), quotient).sum(axis=1)
 
     def weights(self, x):
-        """The Hessian weights c / D**2 of a dense kernel at x, (d,) or (d, m),
-        in the scratch, and the pair array and diagonal they are written to."""
+        """The weights c / gap**2 of the ring's d + 1 links at a batch x (d, m)
+        and the Hessian diagonals w[:-1] + w[1:] + 1, from an evaluation at x."""
+        if self._gaps[0] is not x:
+            self.interaction(x)
+        gaps, self._gaps = self._gaps[1], (None, None)
+        w = np.divide(self.ring[1], np.square(gaps, gaps), gaps)
+        s = w[:-1] + w[1:]
+        s += 1.0
+        return w, s
+
+    def hessian(self, x):
+        """The Hessian of F for a dense kernel from d = 4 at x, (d,) or (d, m), in
+        the scratch, where a Cholesky solve then overwrites it with its factor."""
         pair = self._pair_scratch(x)[0]
         diff = pair[0] if self._differenced is x else _differences(x, pair)
         self._differenced = None
-        return _dense_weights(self.kernel if x.ndim == 1 else self.kernel[..., None], diff), pair
-
-    def hessian(self, x):
-        """The Hessian of F for a dense kernel at x, (d,) or (d, m), in the
-        scratch, where a Cholesky solve then overwrites it with its factor."""
-        return _hessian(*self.weights(x))
+        return _hessian(_dense_weights(self.kernel if x.ndim == 1 else self.kernel[..., None], diff), pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,23 +431,17 @@ def _dense_solver(d):
 
 def _ldl_solve(coupling, x, b):
     """H^{-1} b for the dense Hessian H of F at x and b, both (d,) or (d, m)
-    with d <= LDL_UP_TO, by `_ldl`, in the memory order of b.
-
-    One problem, x of shape (d,) or (d, 1), is solved on Python floats by
-    `_ldl_floats`; a batch on NumPy rows of the weights that
-    `_Coupling.weights` leaves in the scratch, with no (d, d, m) Hessian.  The
-    diagonals are w.sum(axis=1) + 1, which at d <= 3 is one rounding of the
-    sum of at most two weights in either path.  A row gets NaN when a pivot is
-    not > 0 or its solution is not finite.
+    with d <= LDL_UP_TO, by `_ldl`, in the memory order of b: for one problem,
+    x of shape (d,) or (d, 1), on Python floats (`_ldl_floats`), for a batch on
+    NumPy rows of `_Coupling.weights`.  A row gets NaN when a pivot is not > 0
+    or its solution is not finite.
     """
     if x.size == len(x):
-        y = _ldl_floats(_upper(coupling.kernel), x.ravel().tolist(), b.ravel().tolist())
+        y = _ldl_floats(coupling.ring[1].ravel().tolist(), x.ravel().tolist(), b.ravel().tolist())
         return np.array(y).reshape(b.shape)
-    w = coupling.weights(x)[0]
-    s = np.add.reduce(w, axis=1)  # w.sum(axis=1)
-    s += 1.0
+    w, s = coupling.weights(x)
     y = np.empty_like(b)
-    _ldl(s, [w[i, j] for i, j in _UPPER[len(x)]], b, y)
+    _ldl(s, w, b, y)
     good = np.isfinite(y)
     good[1:] &= s[1:] > 0  # the pivots, which `_ldl` leaves in s
     if np.count_nonzero(good) < good.size:
@@ -436,29 +449,19 @@ def _ldl_solve(coupling, x, b):
     return y
 
 
-# the upper weights that `_ldl` takes, at d = 2 and 3
-_UPPER = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
-
-
-def _upper(c):
-    # the entries of a dense (d, d) c, d <= LDL_UP_TO, at `_UPPER`, as Python floats
-    return [c.item(i, j) for i, j in _UPPER[len(c)]]
-
-
 def _ldl_floats(c, p, b):
     """`_ldl` of one problem on Python floats: H^{-1} b as a list, for the
-    entries c of the kernel at `_UPPER` (`_upper`), the positions p and the
-    right-hand side b, each a list of floats.
-
-    The weights are c / (p_i - p_j)^2 and the diagonals w.sum(axis=1) + 1, in
-    the roundings of the NumPy row path.  The solution is all NaN when a
-    pivot is not > 0 or an entry is not finite, or when a division by 0, which
-    NumPy would carry to inf or NaN, raises ZeroDivisionError.
+    ring coefficients c (`_Coupling.ring`), the positions p and the right-hand
+    side b, each a list of floats, with the weights and diagonals of
+    `_Coupling.weights` in its roundings.  The solution is all NaN when a pivot
+    is not > 0 or an entry is not finite, or when a division by 0, which NumPy
+    would carry to inf or NaN, raises ZeroDivisionError.
     """
     y = [0.0] * len(p)
     try:
-        w = [cij / ((p[i] - p[j]) * (p[i] - p[j])) for cij, (i, j) in zip(c, _UPPER[len(p)])]
-        s = [w[0] + 1.0] * 2 if len(p) == 2 else [w[0] + w[1] + 1.0, w[0] + w[2] + 1.0, w[1] + w[2] + 1.0]
+        w = [ci / ((u - v) * (u - v)) for ci, u, v in zip(c, p, [p[-1], *p])]
+        w.append(w[0])  # the ring's last link is its first
+        s = [u + v + 1.0 for u, v in zip(w, w[1:])]
         if all(pivot > 0 for pivot in _ldl(s, w, b, y)) and all(map(math.isfinite, y)):
             return y
     except ZeroDivisionError:
@@ -467,10 +470,10 @@ def _ldl_floats(c, p, b):
 
 
 def _ldl(s, w, b, y):
-    """Solve H y = b for H = diag(s) - w, symmetric with the upper weights w
-    = [w01] at d = 2 or [w01, w02, w12] at d = 3, by LDL^T without pivoting
-    in one fixed order; returns the pivots after the first, s[0], which on
-    NumPy rows overwrite s[1:].
+    """Solve H y = b for H = diag(s) - w, symmetric with the weights w of the
+    ring (`_Coupling.weights`), [0, w01, 0] at d = 2 or [w02, w01, w12, w02]
+    at d = 3, by LDL^T without pivoting in one fixed order; returns the pivots
+    after the first, s[0], which on NumPy rows overwrite s[1:].
 
     Every entry of s, w and b is a Python float for one problem or a NumPy
     row of a batch, and only + - * / touch them, which IEEE rounds alike in
@@ -480,7 +483,7 @@ def _ldl(s, w, b, y):
     which LDL^T without pivoting is backward stable.
     """
     if len(s) == 2:
-        (s0, s1), (w01,), (b0, b1) = s, w, b
+        (s0, s1), (_, w01, _), (b0, b1) = s, w, b
         l10 = w01 / s0
         w01 *= l10
         s1 -= w01  # the second pivot
@@ -492,7 +495,7 @@ def _ldl(s, w, b, y):
         x0 += l10
         y[0], y[1] = x0, x1
         return (s1,)
-    (s0, s1, s2), (w01, w02, w12), (b0, b1, b2) = s, w, b
+    (s0, s1, s2), (w02, w01, w12, _), (b0, b1, b2) = s, w, b
     l10, l20 = w01 / s0, w02 / s0
     e21 = w02 * l10
     e21 += w12  # -H21 after the first column is eliminated
@@ -640,10 +643,10 @@ def _anchor(a, gaps):
     return a.sum(axis=0) / d - (np.arange(d - 1.0, 0.0, -1.0) * gaps.T).T.sum(axis=0) / d
 
 
-def _initial_guess(a, c):
-    # Decoupled-pair gaps for a of shape (d,) or (d, m): exact for d = 2,
-    # ordered unless roundoff cancels a gap.
-    gaps = _pair_gap((a[1:] - a[:-1]).T, np.diag(c, 1)).T
+def _initial_guess(a, band):
+    # Decoupled-pair gaps for a of shape (d,) or (d, m) and the band diag(c, 1):
+    # exact for d = 2, ordered unless roundoff cancels a gap.
+    gaps = _pair_gap((a[1:] - a[:-1]).T, band).T
     x = np.empty_like(a)
     x[0] = 0.0
     if a.ndim == 2 and a.strides[-1] == a.itemsize:
@@ -702,7 +705,8 @@ def _line_search(a, coupling, x, rn, delta):
 
 @np.errstate(all="ignore")
 def _newton(a, coupling, xi, tol):
-    """Damped Newton on each row of xi, shape (d, m), for the offsets in a.
+    """Damped Newton on each row of xi, shape (d, m), or of the decoupled-pair
+    guess (`_initial_guess`) when xi is None, for the offsets in a.
 
     Returns per row the iterate, the accepted steps, the max-norm residual
     before any polish and whether the row converged.  A row stops once its
@@ -713,17 +717,19 @@ def _newton(a, coupling, xi, tol):
     as does one whose start is not ordered.  The iterate keeps the memory
     order of xi.
     """
-    xi = xi.copy(order="K")
+    xi = _initial_guess(a, coupling.band) if xi is None else xi.copy(order="K")
     r, rnorm = _evaluate(a, coupling, xi)
-    iterations = np.zeros(len(rnorm), dtype=int)
-    ok = np.zeros(len(rnorm), dtype=bool)
+    iterations, ok = np.zeros(len(rnorm), dtype=int), np.zeros(len(rnorm), dtype=bool)
     # the state (rows, x, ar, r, rn) covers the rows still iterating and is
     # the whole batch at first; a row's iterate, residual and step count are
     # written back when it leaves, at step 0 if its start is not ordered (rn = inf)
     rows, x, ar, rn = np.arange(len(rnorm)), xi, a, rnorm
     for it in range(MAX_ITER + 1):
         live = (rn > tol) & (rn < np.inf)
-        if not live.all():
+        if rows.size == 0 or not live.all():
+            if rows.size == len(rnorm) and not live.any():  # all rows leave now, none before
+                xi, rnorm, iterations[:], ok = x, rn, it, rn <= tol
+                break
             done = ~live
             left = rows[done]
             xi[:, left], rnorm[left], iterations[left], ok[left] = x[:, done], rn[done], it, rn[done] <= tol
@@ -731,8 +737,6 @@ def _newton(a, coupling, xi, tol):
                 break
             rows, rn = rows[live], rn[live]
             x, ar, r = (_rows(v, live) for v in (x, ar, r))
-        if rows.size == 0:
-            break
         delta = _hessian_solve(coupling, x, -r)
         x_new, r_new, rn_new, stuck = _line_search(ar, coupling, x, rn, delta)
         if it == MAX_ITER:
@@ -755,9 +759,8 @@ def _newton(a, coupling, xi, tol):
 
 def _newton_row(problem, opts, start=None):
     """The Newton core on one problem; returns (xi, accepted steps) or raises."""
-    a = problem.a[:, None]
-    start = _initial_guess(a, problem.c) if start is None else start[:, None]
-    xi, iterations, rnorm, ok = _newton(a, problem.coupling.fresh(), start, opts.tol)
+    start = None if start is None else start[:, None]
+    xi, iterations, rnorm, ok = _newton(problem.a[:, None], problem.coupling.fresh(), start, opts.tol)
     if not ok[0]:
         raise NonConvergenceError(
             "newton did not reach tolerance",
@@ -801,7 +804,7 @@ def _velocity(coupling, g):
     kernel, d = coupling.kernel, len(g)
     solver = _dense_solver(d) if kernel.ndim == 2 else None
     if solver is _ldl_solve:
-        c, b = _upper(kernel), g.tolist()
+        c, b = coupling.ring[1].ravel().tolist(), g.tolist()
 
         def solve(x, p):
             return np.array(_ldl_floats(c, p, b))
@@ -904,8 +907,10 @@ def _fixed_point_nn(problem, opts):
             gv = _converged_gaps(problem, opts, x)
             if gv is not None:
                 return gv, sweep
+            if change == 0:  # a fixed point whose residual is too large: every later sweep repeats it
+                break
     raise NonConvergenceError(
-        "fixed-point iteration did not converge", method="fixed_point_nn", iterations=MAX_SWEEPS
+        "fixed-point iteration did not converge", method="fixed_point_nn", iterations=sweep
     )
 
 
@@ -995,6 +1000,7 @@ def solve(problem, opts=None):
     raise NonConvergenceError(f"all applicable methods failed: {cause}", method=opts.method) from last
 
 
+@np.errstate(all="ignore")
 def _unrepresentable(problem):
     # why no ordered double-precision solution exists, else None; the decoupled-pair
     # gaps are exact at d = 2, and bound the solution's when c couples only neighbours
@@ -1016,12 +1022,14 @@ def solve_batch(a, c):
     and particles innermost otherwise (see the module docstring).
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("a must have shape (m, d)")
     m, d = a.shape
     if not np.isfinite(a).all():
         raise ValueError("a must be finite")
     coupling = c if isinstance(c, _Coupling) else _Coupling(c, d)
     a = np.ascontiguousarray(a.T) if d < min(m, 8) else np.ascontiguousarray(a).T
-    xi, _, _, ok = _newton(a, coupling, _initial_guess(a, coupling.c), _DEFAULTS.tol)
+    xi, _, _, ok = _newton(a, coupling, None, _DEFAULTS.tol)
     for i in np.flatnonzero(~ok):
         problem = ImplicitProblem(a[:, i], coupling.c)
         try:

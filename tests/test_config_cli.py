@@ -635,3 +635,10 @@ class TestLibraryErrors:
         assert err.startswith("error,nonconvergence,")
         assert "the solution's gap is below the spacing of doubles at this scale" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("a", ["0,1e160,2e160", "-3e154,0,3e154"])
+    def test_solve_at_an_overflowing_scale_warns_nothing(self, a):
+        # the decoupled-pair guess overflows; continuation solves without a
+        # RuntimeWarning on stderr
+        code, err = run_cli("solve", f"--a={a}", "--c-uniform", "1")
+        assert (code, err) == (0, "")

@@ -393,6 +393,18 @@ class TestFixedPointNN:
             assert np.all(gv.x > 0)
             assert np.max(np.abs(xi - solve_newton(p))) < 1e-8
 
+    def test_fails_at_once_on_a_fixed_point_above_tolerance(self):
+        # the sweeps reach a fixed point, exactly, whose positions have a
+        # residual of about 1.8e-9, above tol * max|a| = 2.9e-10; every later
+        # sweep would repeat it, so the iteration fails there, not after MAX_SWEEPS
+        a = [-280.14801542121, -1.3217119691588294e-248, -31.988732996380612, -199.07095660127345,
+             61.056449709217645, -1.9807381970110181e-123, -156.27525914826279, -290.55264021198167]
+        band = [1.1101780922548912, 3.774779790847144, 1.4481389322795564, 1.0, 1.1590362730350594,
+                1.7809562913452592, 1.1208908836839149]
+        with pytest.raises(NonConvergenceError, match="did not converge") as failure:
+            solve_fixed_point_nn(ImplicitProblem(a, tridiag_c(band)))
+        assert failure.value.iterations < 1000
+
 
 class TestAlternatingD3:
     def test_requires_d3_uniform(self):
@@ -495,7 +507,7 @@ class TestBatch:
         c = uniform_c(d, 0.3) if kind == "uniform" else tridiag_c(rng.uniform(0.1, 1.0, d - 1))
         a = np.linspace(-4.0 * d, 4.0 * d, d) + rng.normal(size=(40, d))
         a = np.ascontiguousarray(a.T) if d < 8 else np.ascontiguousarray(a).T
-        start = implicit._initial_guess(a, c)
+        start = implicit._initial_guess(a, np.diag(c, 1))
         reversed_ = np.zeros(40, dtype=bool)
         reversed_[[0, 7, 8, 39]] = True
         centre = start[:, reversed_].mean(axis=0)
@@ -515,8 +527,8 @@ class TestBatch:
         rng = np.random.default_rng(d)
         c = uniform_c(d, 0.3) if d < 7 else tridiag_c(rng.uniform(0.1, 1.0, d - 1))
         a = np.linspace(-4.0 * d, 4.0 * d, d) + rng.normal(size=(300, d))
-        rows = implicit._initial_guess(np.ascontiguousarray(a.T), c)
-        particles = implicit._initial_guess(np.ascontiguousarray(a).T, c)
+        rows = implicit._initial_guess(np.ascontiguousarray(a.T), np.diag(c, 1))
+        particles = implicit._initial_guess(np.ascontiguousarray(a).T, np.diag(c, 1))
         assert rows.strides[-1] == rows.itemsize and particles.strides[0] == particles.itemsize
         assert rows.tobytes() == particles.tobytes()
 
@@ -525,6 +537,28 @@ class TestBatch:
         # names the cause that `solve` names, not the continuation's symptom
         with pytest.raises(NonConvergenceError, match="the solution's gap is below the spacing of doubles"):
             solve_batch([[0.0, -1e8]], uniform_c(2, 1e-4))
+
+    @pytest.mark.parametrize("a", [(0.0, 1e160, 2e160), (-3e154, 0.0, 3e154)])
+    def test_overflowing_initial_guess_warns_nothing(self, a):
+        # the squares of the offsets' differences overflow, so the decoupled-pair
+        # guess is not ordered and continuation solves; the suite turns a
+        # RuntimeWarning into an error
+        c = uniform_c(3, 1.0)
+        xi = solve(ImplicitProblem(a, c)).xi
+        assert np.all(np.diff(xi) > 0)
+        assert solve_batch([a], c).tobytes() == xi.tobytes()
+
+    def test_failure_at_an_overflowing_scale_warns_nothing(self):
+        # no method solves it, and the check for an unrepresentable gap squares 1e200
+        problem = ImplicitProblem([0.0, -1e200], uniform_c(2, 1e-4))
+        for attempt in (lambda: solve(problem), lambda: solve_batch([problem.a], problem.c)):
+            with pytest.raises(NonConvergenceError):
+                attempt()
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 1)])
+    def test_a_must_be_a_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"^a must have shape \(m, d\)$"):
+            solve_batch(np.zeros(shape), uniform_c(3, 1.0))
 
     @pytest.mark.parametrize(
         "d, kind", [(5, "tridiagonal"), (5, "uniform"), (implicit.CHOLESKY_FROM, "uniform")], ids=["band", "lu", "cholesky"]

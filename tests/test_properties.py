@@ -9,6 +9,8 @@ raises NonConvergenceError or returns an ordered solution, never anything
 else.  The examples are derandomized so the suite is reproducible.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncolliding import ImplicitProblem, NonConvergenceError, solve
-from noncolliding.implicit import LDL_UP_TO, _Coupling, _evaluate, _hessian_solve, _kernel, _row_sums, _weights, solve_batch
+from noncolliding.implicit import (
+    LDL_UP_TO, METHODS, SolverOptions, _Coupling, _evaluate, _hessian_solve, _interaction, _kernel, _row_sums, _weights,
+    solve_batch,
+)
+from noncolliding.model import is_tridiagonal, is_uniform
 
 TOL = 1e-12  # SolverOptions().tol
 EPS = np.finfo(float).eps
@@ -64,11 +70,17 @@ def assert_solution(a, c, xi):
     """
     assert np.all(np.diff(xi) > 0)
     d = len(xi)
-    x, ar = [Fraction(v) for v in xi], [Fraction(v) for v in a]
-    exact = [x[i] - ar[i] - sum(Fraction(c[i, j]) / (x[i] - x[j]) for j in range(d) if c[i, j]) for i in range(d)]
     w = c / (xi[:, None] - xi[None, :] + np.eye(d)) ** 2
-    correction = np.linalg.solve(np.eye(d) + np.diag(w.sum(axis=1)) - w, np.array(exact, dtype=float))
+    r = np.array(exact_residual(a, c, xi), dtype=float)
+    correction = np.linalg.solve(np.eye(d) + np.diag(w.sum(axis=1)) - w, r)
     assert np.max(np.abs(correction)) <= np.sqrt(d) * TOL + 4 * EPS * max(1.0, np.max(np.abs(a)))
+
+
+def exact_residual(a, c, xi):
+    """The residual at xi, each entry a Fraction: exact, with no rounding."""
+    d = len(xi)
+    x, ar = [Fraction(v) for v in xi], [Fraction(v) for v in a]
+    return [x[i] - ar[i] - sum(Fraction(c[i, j]) / (x[i] - x[j]) for j in range(d) if c[i, j]) for i in range(d)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -184,3 +196,66 @@ def test_dense_ldl_rows_have_the_same_bits_in_any_batch(drawn):
             assert one.shape == (d, 1) and alone.shape == (d,)
             for batch in batches:
                 assert batch[:, i].tobytes() == one.tobytes() == alone.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, LDL_UP_TO),
+    st.sampled_from([1, 2, 3, 7, 100]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_ring_has_the_dense_bits(d, m, rows_innermost, seed):
+    # a dense c at d <= LDL_UP_TO is evaluated on its ring: the band and, at
+    # d = 3, the corner pair (0, 2) at both ends.  Its interaction, weights and
+    # Hessian diagonals have the bits of the fresh dense (d, d, m) arrays, the
+    # weights after an evaluation at the same x, which reuse its gaps, have the
+    # bits of the weights alone, and a solve leaves the pair scratch empty.
+    # c ranges over 1e-8..1e4 and the positions of a row over scales 1e-6..1e3
+    rng = np.random.default_rng(seed)
+    c = np.zeros((d, d))
+    c[np.triu_indices(d, 1)] = 10.0 ** rng.uniform(-8.0, 4.0, d * (d - 1) // 2)
+    c = c + c.T
+    x = np.sort(rng.normal(size=(d, m)), axis=0) * 10.0 ** rng.uniform(-6.0, 3.0, m)
+    x = np.ascontiguousarray(x) if rows_innermost else np.asfortranarray(x)
+    k = _Coupling(c, d)
+    index, links = k.ring
+    assert k.interaction(x).tobytes() == _interaction(c[..., None], x).tobytes()
+    w, s = k.weights(x)
+    assert k._gaps[0] is None
+    dense = _weights(c[..., None], x)
+    # link k joins particles index[k] and index[k + 1]; at d = 2 the end links carry 0
+    expected = np.array([dense[i, j] if link else np.zeros(m) for i, j, link in zip(index, index[1:], links[:, 0])])
+    assert w.tobytes() == expected.tobytes()
+    assert s.tobytes() == (dense.sum(axis=1) + 1.0).tobytes()
+    alone = _Coupling(c, d).weights(x)
+    assert [v.tobytes() for v in alone] == [w.tobytes(), s.tobytes()]
+    solve_batch(x.T + rng.normal(size=(m, d)), k)
+    assert k._scratch.size == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(problems(spread_decades=(-3.0, 3.0), max_rows=1))
+def test_methods_agree_within_their_residuals(problem):
+    # F is 1-strongly convex on the convex chamber, so two ordered points are
+    # at most |r(xi_a)|_2 + |r(xi_b)|_2 apart: an oracle that trusts no solver.
+    # Every applicable method of METHODS that converges is checked against
+    # every other, with the residuals taken exactly and the norms in floats
+    (a,), c = problem
+    d = len(a)
+    p = ImplicitProblem(a, c)
+    applicable = {
+        "newton": True, "homotopy": True, "fixed_point_nn": is_tridiagonal(c), "alternating_d3": d == 3 and is_uniform(c)
+    }
+    assert applicable.keys() == METHODS.keys()
+    found = []
+    for name in (name for name, ok in applicable.items() if ok):
+        try:
+            xi = solve(p, SolverOptions(method=name)).xi
+        except NonConvergenceError:
+            continue
+        found.append((xi, math.sqrt(sum(v * v for v in exact_residual(a, c, xi)))))
+    assert found
+    for (xa, ra), (xb, rb) in itertools.combinations(found, 2):
+        distance = math.sqrt(sum((Fraction(u) - Fraction(v)) ** 2 for u, v in zip(xa, xb)))
+        assert distance <= (ra + rb) * (1.0 + 1e-9)
