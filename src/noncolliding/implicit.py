@@ -197,7 +197,7 @@ class _Coupling:
         if self._gaps[0] is not x:
             self.interaction(x)
         gaps, self._gaps = self._gaps[1], (None, None)
-        w = np.divide(self.ring[1], np.square(gaps, gaps), gaps)
+        w = _dense_weights(self.ring[1], gaps)
         s = w[:-1] + w[1:]
         s += 1.0
         return w, s
@@ -754,6 +754,7 @@ def _newton(a, coupling, xi, tol):
             x, ar, r = (_rows(v, moved) for v in (x_new, ar, r_new))
         else:
             x, r, rn = x_new, r_new, rn_new
+    coupling._gaps = (None, None)  # the last evaluation's, which no Hessian solve takes
     return xi, iterations, rnorm, ok
 
 

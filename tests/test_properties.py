@@ -210,7 +210,7 @@ def test_ring_has_the_dense_bits(d, m, rows_innermost, seed):
     # d = 3, the corner pair (0, 2) at both ends.  Its interaction, weights and
     # Hessian diagonals have the bits of the fresh dense (d, d, m) arrays, the
     # weights after an evaluation at the same x, which reuse its gaps, have the
-    # bits of the weights alone, and a solve leaves the pair scratch empty.
+    # bits of the weights alone, and a solve leaves no pair scratch and no gaps.
     # c ranges over 1e-8..1e4 and the positions of a row over scales 1e-6..1e3
     rng = np.random.default_rng(seed)
     c = np.zeros((d, d))
@@ -231,7 +231,7 @@ def test_ring_has_the_dense_bits(d, m, rows_innermost, seed):
     alone = _Coupling(c, d).weights(x)
     assert [v.tobytes() for v in alone] == [w.tobytes(), s.tobytes()]
     solve_batch(x.T + rng.normal(size=(m, d)), k)
-    assert k._scratch.size == 0
+    assert k._scratch.size == 0 and k._gaps[1] is None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
