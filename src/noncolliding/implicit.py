@@ -152,12 +152,12 @@ class _Coupling:
 
     def __init__(self, c, d):
         self.c = validate_interaction(c, d, "c")
-        self.kernel, self.band = _kernel(self.c), np.diag(self.c, 1)
+        self.kernel, self.band = _kernel(self.c), self.c.diagonal(1)
         if d <= LDL_UP_TO:
             # the ring x_{i mod d}, i = -1..d, and its links' coefficients: the
             # band between the corner c_02 (0 at d = 2) before and after it
-            corner = self.c[0, 2] if d == 3 else 0.0
-            self.ring = np.arange(-1, d + 1) % d, np.array([corner, *self.band, corner])[:, None]
+            corner = self.c.item(0, 2) if d == 3 else 0.0
+            self.ring = np.array([d - 1, *range(d), 0]), np.array([corner, *self.band.tolist(), corner])[:, None]
 
     def fresh(self):
         """This c, kernel, band and ring without a scratch, for one solve of one problem."""
