@@ -62,8 +62,8 @@ d + 1 gaps give the terms c / gap and the weights c / gap^2; an evaluation
 keeps the gaps until the Hessian solve at the same x takes them.  Either way a
 particle sums at most two terms, in the one rounding of the dense sum, whose
 other terms are exact zeros: O(d) work per row with the dense bits.  On a
-2-core Xeon with one BLAS thread the ring took `solve_batch` on the study_d3
-benchmark's 1,136 inputs at m = 500 from 0.49 to 0.38 s.  The Hessian
+2-core Xeon with one BLAS thread the ring took the study_d3 benchmark (d = 3,
+m = 500) from 0.585 to 0.476 s median (BENCH_31.json).  The Hessian
 I + diag(sum_j w_ij) - w is I plus a weighted graph Laplacian, so it is
 symmetric positive definite, and it is exactly symmetric in floating point,
 because c is symmetric and D_ji = -D_ij exactly; so LDL^T and Cholesky need no

@@ -167,10 +167,10 @@ def test_stdout_does_not_depend_on_the_kernels(name, setting, tmp_path):
     process, which alone sees the variables.
 
     Dense Hessians at d <= 3 and the rate fit use elementwise arithmetic
-    only, whose IEEE rounding no kernel changes.  `moments` is left out: it
-    raises to a power p with `np.power`, whose SIMD loops round differently;
-    so is `homotopy.txt`, which solves dense Hessians at 4 <= d <= 8 by
-    LAPACK's LU in OpenBLAS's kernels.
+    only, whose IEEE rounding no kernel changes.  `moments` is left out: only
+    its `bound` column moves, through `np.exp`, whose SIMD loops round
+    differently; so is `homotopy.txt`, which solves dense Hessians at
+    4 <= d <= 8 by LAPACK's LU in OpenBLAS's kernels.
     """
     variables = kernel_settings()[setting]
     if variables is None:
