@@ -50,19 +50,20 @@ therefore not for concurrent use; nothing here uses threads.  `jacobian`,
 `residual` and `_interaction` allocate fresh arrays.
 
 `_Coupling` checks c and chooses its kernel (`_kernel`) once per run or
-problem.  When d >= 3 and c has no non-zero entry beyond the first off-diagonal
-(nearest-neighbour coupling), the core carries only the band diag(c, 1) and the
-neighbour weights c_{i,i+1} / gap_i^2, and solves the tridiagonal Hessians of
-all rows by one LAPACK `dgtsv` call on the rows stacked as one system with zero
-coupling between them.  Every other c, and every c at d = 2, where the
-tridiagonal and dense solves round differently, takes one of three dense
-solves.  Up to d = `LDL_UP_TO` = 3 a dense c is evaluated on its ring
-(`_Coupling.ring`), the band closed by the corner c_02 (0 at d = 2), whose
-d + 1 gaps give the terms c / gap and the weights c / gap^2; an evaluation
-keeps the gaps until the Hessian solve at the same x takes them.  Either way a
-particle sums at most two terms, in the one rounding of the dense sum, whose
-other terms are exact zeros: O(d) work per row with the dense bits.  On a
-2-core Xeon with one BLAS thread the ring took the study_d3 benchmark (d = 3,
+problem.  A band kernel (d >= 3 and no non-zero entry of c beyond the first
+off-diagonal: nearest-neighbour coupling) and every dense c up to
+d = `LDL_UP_TO` = 3 are evaluated on the coupling's ring (`_Coupling.ring`),
+the positions x_{d-1}, x_0, ..., x_{d-1}, x_0, whose d + 1 links carry the
+band diag(c, 1) and, at both ends, the corner: c_02 for a dense c at d = 3,
+else -0.0.  Its gaps give the terms c / gap and the Hessian weights
+c / gap^2, and an evaluation keeps them until the Hessian solve at the same x
+takes them.  A particle sums the terms of its two links, the one rounding of
+the dense sum, whose other terms are exact zeros: O(d) work per row with the
+dense bits.  A band's tridiagonal Hessians of all rows are solved by one
+LAPACK `dgtsv` call on the rows stacked as one system with zero coupling
+between them.  Every other c, and every c at d = 2, where the tridiagonal and
+dense solves round differently, takes one of three dense solves.  On a 2-core
+Xeon with one BLAS thread the ring took the study_d3 benchmark (d = 3,
 m = 500) from 0.585 to 0.476 s median (BENCH_31.json).  The Hessian
 I + diag(sum_j w_ij) - w is I plus a weighted graph Laplacian, so it is
 symmetric positive definite, and it is exactly symmetric in floating point,
@@ -137,8 +138,9 @@ __all__ = [
 
 class _Coupling:
     """A d x d c, checked by `validate_interaction`, the kernel `_kernel` picks
-    for it, its band and, up to d = LDL_UP_TO, its ring, and the scratch that
-    a dense kernel's pair arrays are written to from d = 4.
+    for it, its band, the ring that a band kernel and, up to d = LDL_UP_TO, a
+    dense one are evaluated on, and the scratch that a dense kernel's pair
+    arrays are written to from d = 4.
 
     The scratch holds two pair arrays of the largest batch seen and is
     reused by every later solve, so a coupling is not for concurrent use.
@@ -153,11 +155,13 @@ class _Coupling:
     def __init__(self, c, d):
         self.c = validate_interaction(c, d, "c")
         self.kernel, self.band = _kernel(self.c), self.c.diagonal(1)
-        if d <= LDL_UP_TO:
+        if self.kernel.ndim == 1 or d <= LDL_UP_TO:
             # the ring x_{i mod d}, i = -1..d, and its links' coefficients: the
-            # band between the corner c_02 (0 at d = 2) before and after it
-            corner = self.c.item(0, 2) if d == 3 else 0.0
-            self.ring = np.array([d - 1, *range(d), 0]), np.array([corner, *self.band.tolist(), corner])[:, None]
+            # band between the corner before and after it, c_02 for a dense c
+            # at d = 3, else -0.0, whose term -0.0 / gap is the +0 of a sum
+            # without it and whose weight -0.0 adds nothing
+            corner = self.c.item(0, 2) if self.kernel.ndim == 2 and d == 3 else -0.0
+            self.ring = np.array([d - 1, *range(d), 0]), np.array([corner, *self.band.tolist(), corner])
 
     def fresh(self):
         """This c, kernel, band and ring without a scratch, for one solve of one problem."""
@@ -176,28 +180,31 @@ class _Coupling:
             views = self._views[key] = _pairs(x, self._scratch)
         return views
 
+    def _ring_gaps(self, x):
+        # the d + 1 gaps of the ring at x, (d,) or (d, m)
+        ring = x[self.ring[0]]
+        return ring[1:] - ring[:-1]
+
     def interaction(self, x):
-        """`_interaction` of the kernel at a batch x (d, m).  A dense kernel
-        keeps the gaps of its ring up to d = LDL_UP_TO, and from d = 4 the
-        differences of x in the scratch, for a Hessian solve at x, unchanged."""
-        if self.kernel.ndim == 1:
-            return _interaction(self.kernel[:, None], x)
+        """`_interaction` of c at a batch x (d, m).  On the ring each particle
+        sums the terms c / gap of its two links, the one rounding of the dense
+        sum, whose other terms are exact zeros; the gaps stay for a Hessian
+        solve at x, unchanged, as do the differences of x in the scratch."""
         if self.ring is not None:
-            ring = x[self.ring[0]]
-            self._gaps = x, ring[1:] - ring[:-1]
-            t = self.ring[1] / self._gaps[1]
+            self._gaps = x, self._ring_gaps(x)
+            t = self.ring[1][:, None] / self._gaps[1]
             return t[:-1] - t[1:]
         pair, quotient = self._pair_scratch(x)
         self._differenced = x
         return np.divide(self.kernel[..., None], _differences(x, pair), quotient).sum(axis=1)
 
     def weights(self, x):
-        """The weights c / gap**2 of the ring's d + 1 links at a batch x (d, m)
-        and the Hessian diagonals w[:-1] + w[1:] + 1, from an evaluation at x."""
-        if self._gaps[0] is not x:
-            self.interaction(x)
-        gaps, self._gaps = self._gaps[1], (None, None)
-        w = _dense_weights(self.ring[1], gaps)
+        """The weights c / gap**2 of the ring's d + 1 links at x, (d,) or (d, m),
+        and the Hessian diagonals w[:-1] + w[1:] + 1, with the gaps of an
+        evaluation at x if it left them."""
+        gaps = self._gaps[1] if self._gaps[0] is x else self._ring_gaps(x)
+        self._gaps = None, None
+        w = _dense_weights(self.ring[1] if x.ndim == 1 else self.ring[1][:, None], gaps)
         s = w[:-1] + w[1:]
         s += 1.0
         return w, s
@@ -346,8 +353,7 @@ def _differences(x, out=None):
 def _kernel(c):
     """The band diag(c, 1) when c couples only neighbours and d >= 3, else c.
 
-    The functions below that take c accept either form, with one trailing
-    axis of length 1 for each batch axis of x.  The corner c[0, -1] is
+    `_Coupling` evaluates a band on its ring.  The corner c[0, -1] is
     non-zero for every uniform c, which it rejects before the O(d^2) test,
     and for every c at d = 2, where it is the first off-diagonal.
     """
@@ -357,40 +363,19 @@ def _kernel(c):
 
 
 def _interaction(c, x):
-    """sum_{j != i} c_ij / (x_i - x_j) along the particle axis 0 of x.
-
-    For a band c (see `_kernel`) only the neighbour terms +-c_{i,i+1} / gap_i
-    are summed; the dense sum adds exact zeros to them, so the bits agree.
-    """
-    if c.ndim > x.ndim:
-        return (c / _differences(x)).sum(axis=1)
-    t = c / (x[1:] - x[:-1])
-    s = np.zeros_like(x)
-    s[1:] = t
-    s[:-1] -= t
-    return s
+    """sum_{j != i} c_ij / (x_i - x_j) along the particle axis 0 of x, for a
+    (d, d) c with one trailing axis of length 1 for each batch axis of x."""
+    return (c / _differences(x)).sum(axis=1)
 
 
 def _weights(c, x):
-    # Hessian weights c_ij / (x_i - x_j)^2 at x: (d, d, ...) for a dense c,
-    # the neighbour weights (d - 1, ...) for a band c
-    if c.ndim > x.ndim:
-        return _dense_weights(c, _differences(x))
-    return c / (x[1:] - x[:-1]) ** 2
+    # the Hessian weights c_ij / (x_i - x_j)^2 at x, (d, d, ...), as `_interaction` takes c
+    return _dense_weights(c, _differences(x))
 
 
 def _dense_weights(c, diff):
     # the dense Hessian weights c / diff**2, written over the differences diff
     return np.divide(c, np.square(diff, diff), diff)
-
-
-def _row_sums(w):
-    # sum_j w_ij of neighbour (d - 1, ...) Hessian weights: w_{i-1} + w_i, the
-    # one rounding of the dense sum, whose other terms are exact zeros
-    s = np.zeros_like(w, shape=(len(w) + 1,) + w.shape[1:])
-    s[1:] = w
-    s[:-1] += w
-    return s
 
 
 def _hessian(w, out):
@@ -407,7 +392,7 @@ def _hessian_solve(coupling, x, b):
     """H^{-1} b for the Hessian H of F at x and b, both (d,) or (d, m), in
     the memory order of b.
 
-    A band kernel's Hessians go to `dgtsv`.  A dense Hessian is solved by
+    A band kernel's Hessians, from the weights of its ring, go to `dgtsv`.  A dense Hessian is solved by
     `_ldl_solve` up to d = LDL_UP_TO; above it, it is formed in the coupling's
     scratch (`_Coupling.hessian`) and solved there by Cholesky from
     d = CHOLESKY_FROM, by LU below it.  A row whose Hessian is singular in
@@ -415,7 +400,7 @@ def _hessian_solve(coupling, x, b):
     other rows keep the bits they get alone.
     """
     if coupling.kernel.ndim == 1:
-        return _tridiagonal_solve(_weights(coupling.kernel if x.ndim == 1 else coupling.kernel[:, None], x), b)
+        return _tridiagonal_solve(*coupling.weights(x), b)
     solver = _dense_solver(len(x))
     return _ldl_solve(coupling, x, b) if solver is _ldl_solve else solver(coupling.hessian(x), b)
 
@@ -437,7 +422,7 @@ def _ldl_solve(coupling, x, b):
     or its solution is not finite.
     """
     if x.size == len(x):
-        y = _ldl_floats(coupling.ring[1].ravel().tolist(), x.ravel().tolist(), b.ravel().tolist())
+        y = _ldl_floats(coupling.ring[1].tolist(), x.ravel().tolist(), b.ravel().tolist())
         return np.array(y).reshape(b.shape)
     w, s = coupling.weights(x)
     y = np.empty_like(b)
@@ -591,10 +576,11 @@ def _lu_solve(h, b):
     return y
 
 
-def _tridiagonal_solve(w, b):
-    """H^{-1} b for neighbour weights w (d - 1, ...), in the memory order of b:
-    one LAPACK `dgtsv` call on the m row systems stacked as one of size m * d,
-    with zero coupling.
+def _tridiagonal_solve(w, s, b):
+    """H^{-1} b for the weights w (d + 1, ...) of a band kernel's ring, whose
+    end links carry 0, and the diagonals s (`_Coupling.weights`), in the
+    memory order of b: one LAPACK `dgtsv` call on the m row systems stacked as
+    one of size m * d, with zero coupling.
 
     Elimination and back substitution cross from one row to the next only
     through a zero multiplier, which leaves each row the bits it gets alone
@@ -604,15 +590,15 @@ def _tridiagonal_solve(w, b):
     row that fails alone gets NaN.
     """
     off = np.zeros(b.T.shape)
-    off[..., :-1] = -w.T
+    off[..., :-1] = -w[1:-1].T
     off = off.ravel()[:-1]
-    x, info = _lapack("dgtsv")(off, (1.0 + _row_sums(w)).T.ravel(), off, b.T.reshape(-1, 1))[3:]
+    x, info = _lapack("dgtsv")(off, s.T.ravel(), off, b.T.reshape(-1, 1))[3:]
     y = np.full_like(b, np.nan)
     if info == 0 and np.isfinite(x).all():
         y[...] = x.reshape(b.T.shape).T
     elif b.ndim == 2:
         for i in range(b.shape[1]):
-            y[:, i] = _tridiagonal_solve(w[:, i], b[:, i])
+            y[:, i] = _tridiagonal_solve(w[:, i], s[:, i], b[:, i])
     return y
 
 
@@ -805,7 +791,7 @@ def _velocity(coupling, g):
     kernel, d = coupling.kernel, len(g)
     solver = _dense_solver(d) if kernel.ndim == 2 else None
     if solver is _ldl_solve:
-        c, b = coupling.ring[1].ravel().tolist(), g.tolist()
+        c, b = coupling.ring[1].tolist(), g.tolist()
 
         def solve(x, p):
             return np.array(_ldl_floats(c, p, b))
@@ -830,7 +816,7 @@ def _homotopy(problem, opts):
     # solve_homotopy; returns (xi, accepted steps + polish iterations)
     coupling = problem.coupling.fresh()
     big_j = np.arange(1.0, problem.d + 1.0)
-    g_j = problem.a - big_j + _interaction(coupling.kernel, big_j)
+    g_j = problem.a - big_j + _interaction(problem.c, big_j)
     # the bound on the velocity's 2-norm, a sum that no CPU kernel rounds differently
     bound = np.sqrt(np.add.reduce(g_j * g_j)) * (1.0 + 1e-9) + 1e-300
     velocity = _velocity(coupling, g_j)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from noncolliding import ImplicitProblem, NonConvergenceError, solve
 from noncolliding.implicit import (
-    LDL_UP_TO, METHODS, SolverOptions, _Coupling, _evaluate, _hessian_solve, _interaction, _kernel, _row_sums, _weights,
+    LDL_UP_TO, METHODS, SolverOptions, _Coupling, _evaluate, _hessian_solve, _interaction, _weights,
     solve_batch,
 )
 from noncolliding.model import is_tridiagonal, is_uniform
@@ -131,9 +131,9 @@ def test_unrepresentable_gap_raises(log_l, log_shrink):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(3, 64), st.integers(1, 5), st.floats(-4.0, 2.0), st.integers(0, 2**32 - 1))
 def test_neighbour_kernel_has_the_dense_bits(d, m, log_c, seed):
-    # the band evaluation drops only exact zeros of the dense sums: the same
-    # residual on ordered rows, the same max-norm (inf on unordered rows) and
-    # the same weight row sums, which set the Hessian diagonal
+    # the band's ring drops only exact zeros of the dense sums: the same
+    # residual on ordered rows as the pair arrays, the same max-norm (inf on
+    # unordered rows) and the same Hessian diagonals
     rng = np.random.default_rng(seed)
     c = coefficient_matrix(d, "tridiagonal", 10.0 ** (log_c + rng.uniform(0.0, 1.0, d - 1)))
     x = np.sort(rng.normal(size=(m, d)), axis=1) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
@@ -141,14 +141,14 @@ def test_neighbour_kernel_has_the_dense_bits(d, m, log_c, seed):
     a = x + rng.normal(size=(m, d))
     # particles on axis 0, rows on axis 1
     band, dense = _Coupling(c, d), _Coupling(c, d)
-    dense.kernel = c
+    dense.kernel, dense.ring = c, None
     r, rn = _evaluate(a.T, dense, x.T)
     r_band, rn_band = _evaluate(a.T, band, x.T)
     ordered = rn < np.inf
     assert rn.tobytes() == rn_band.tobytes()
     assert r[:, ordered].tobytes() == r_band[:, ordered].tobytes()
-    w, w_band = _weights(c[:, :, None], x.T[:, ordered]), _weights(_kernel(c)[:, None], x.T[:, ordered])
-    assert w.sum(axis=1).tobytes() == _row_sums(w_band).tobytes()
+    w, s_band = _weights(c[:, :, None], x.T[:, ordered]), band.weights(x.T[:, ordered])[1]
+    assert (w.sum(axis=1) + 1.0).tobytes() == s_band.tobytes()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -224,8 +224,8 @@ def test_ring_has_the_dense_bits(d, m, rows_innermost, seed):
     w, s = k.weights(x)
     assert k._gaps[0] is None
     dense = _weights(c[..., None], x)
-    # link k joins particles index[k] and index[k + 1]; at d = 2 the end links carry 0
-    expected = np.array([dense[i, j] if link else np.zeros(m) for i, j, link in zip(index, index[1:], links[:, 0])])
+    # link k joins particles index[k] and index[k + 1]; at d = 2 the end links carry -0.0
+    expected = np.array([dense[i, j] if link else np.full(m, -0.0) for i, j, link in zip(index, index[1:], links)])
     assert w.tobytes() == expected.tobytes()
     assert s.tobytes() == (dense.sum(axis=1) + 1.0).tobytes()
     alone = _Coupling(c, d).weights(x)
