@@ -104,6 +104,7 @@ coefficients and for d = 3 with uniform coefficients.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -138,9 +139,9 @@ __all__ = [
 
 class _Coupling:
     """A d x d c, checked by `validate_interaction`, the kernel `_kernel` picks
-    for it, its band, the ring that a band kernel and, up to d = LDL_UP_TO, a
-    dense one are evaluated on, and the scratch that a dense kernel's pair
-    arrays are written to from d = 4.
+    for it, the ring that a band kernel and, up to d = LDL_UP_TO, a dense one
+    are evaluated on, and the scratch that a dense kernel's pair arrays are
+    written to from d = 4.
 
     The scratch holds two pair arrays of the largest batch seen and is
     reused by every later solve, so a coupling is not for concurrent use.
@@ -150,24 +151,32 @@ class _Coupling:
     # differences the first pair array holds, else None; empty until the first
     # solve with a dense kernel from d = 4 gives the coupling its own.  _gaps:
     # the x of the last evaluation on the ring and its gaps, until taken
-    _scratch, _views, _differenced, _gaps, ring = np.empty(0), MappingProxyType({}), None, (None, None), None
+    _scratch, _views, _differenced, _gaps = np.empty(0), MappingProxyType({}), None, (None, None)
 
     def __init__(self, c, d):
         self.c = validate_interaction(c, d, "c")
-        self.kernel, self.band = _kernel(self.c), self.c.diagonal(1)
-        if self.kernel.ndim == 1 or d <= LDL_UP_TO:
-            # the ring x_{i mod d}, i = -1..d, and its links' coefficients: the
-            # band between the corner before and after it, c_02 for a dense c
-            # at d = 3, else -0.0, whose term -0.0 / gap is the +0 of a sum
-            # without it and whose weight -0.0 adds nothing
-            corner = self.c.item(0, 2) if self.kernel.ndim == 2 and d == 3 else -0.0
-            self.ring = np.array([d - 1, *range(d), 0]), np.array([corner, *self.band.tolist(), corner])
+        self.kernel = _kernel(self.c)
 
     def fresh(self):
-        """This c, kernel, band and ring without a scratch, for one solve of one problem."""
+        """This c and kernel without a scratch, for one solve of one problem."""
         fresh = object.__new__(_Coupling)
-        fresh.c, fresh.kernel, fresh.band, fresh.ring = self.c, self.kernel, self.band, self.ring
+        fresh.c, fresh.kernel = self.c, self.kernel
         return fresh
+
+    @functools.cached_property
+    def ring(self):
+        """The ring x_{i mod d}, i = -1..d, as indices into x, and its links'
+        coefficients: the band between the corner before and after it, c_02
+        for a dense c at d = 3, else -0.0, whose term -0.0 / gap is the +0 of
+        a sum without it and whose weight -0.0 adds nothing.  None for a dense
+        c from d = 4.  Built on first use, so that a problem that is only
+        solved through `fresh` copies holds no ring.
+        """
+        d, dense = len(self.c), self.kernel.ndim == 2
+        if dense and d > LDL_UP_TO:
+            return None
+        corner = self.c.item(0, 2) if dense and d == 3 else -0.0
+        return np.array([d - 1, *range(d), 0]), np.array([corner, *self.c.diagonal(1).tolist(), corner])
 
     def _pair_scratch(self, x):
         # `_pairs` of x in the scratch
@@ -703,7 +712,7 @@ def _newton(a, coupling, xi, tol):
     as does one whose start is not ordered.  The iterate keeps the memory
     order of xi.
     """
-    xi = _initial_guess(a, coupling.band) if xi is None else xi.copy(order="K")
+    xi = _initial_guess(a, coupling.c.diagonal(1)) if xi is None else xi.copy(order="K")
     r, rnorm = _evaluate(a, coupling, xi)
     iterations, ok = np.zeros(len(rnorm), dtype=int), np.zeros(len(rnorm), dtype=bool)
     # the state (rows, x, ar, r, rn) covers the rows still iterating and is
